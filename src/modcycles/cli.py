@@ -30,9 +30,10 @@ from .cycles import (
 )
 from .milnor import (
     FunctionField,
+    K2_ORACLE_MAX_Q,
     MilnorError,
     Valuation,
-    k2_presentation_oracle,
+    k2_table,
     symbol_reduce,
     tame_symbol,
     total_delta,
@@ -222,17 +223,9 @@ def cmd_generator(args) -> int:
 
 def cmd_ktheory(args) -> int:
     if args.kaction == "k2-table":
-        table = []
-        ok = True
-        for q in range(2, args.max_q + 1):
-            try:
-                pres = k2_presentation_oracle(q)
-            except MilnorError:
-                continue
-            table.append(pres.to_json())
-            ok = ok and pres.trivial
-        _emit({"k2": table}, args)
-        return 0 if ok else 1
+        table = k2_table(args.max_q)
+        _emit({"k2": [pres.to_json() for pres in table]}, args)
+        return 0 if all(pres.trivial for pres in table) else 1
     data = _load_json(args.file)
     elem = ser.milnor_element_from_json(data)
     if args.kaction == "reduce":
@@ -404,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", help="monic irreducible place")
     p.add_argument("--infinity", action="store_true", help="the place at infinity")
     p.add_argument("--certificate", action="store_true", help="oracle-backed reduction")
-    p.add_argument("--max-q", type=int, default=16)
+    p.add_argument("--max-q", type=int, default=16,
+                   help=f"k2-table: largest field size, at most {K2_ORACLE_MAX_Q}")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_ktheory)
 

@@ -161,10 +161,10 @@ def normalize_component(p: MultiPoly) -> MultiPoly:
     """Scale so the constant term is 1 when nonzero, else the leading coefficient."""
     if not p:
         raise ValueError("zero polynomial is not a hypersurface component")
-    c0 = p.constant_term
-    if c0:
-        return p * c0.inverse()
-    return p * p.leading_term()[1].inverse()
+    c = p.constant_term or p.leading_term()[1]
+    if c == p.spec.one:
+        return p
+    return p * c.inverse()
 
 
 def _strip_excluded_factors(p: MultiPoly, model: CoordModel) -> MultiPoly:
@@ -174,24 +174,31 @@ def _strip_excluded_factors(p: MultiPoly, model: CoordModel) -> MultiPoly:
     {y_j = 1} is y_j - 1 up to scalar, so dividing out 1 - y_j powers makes
     the component an honest cycle representative; face restrictions would
     otherwise accumulate such empty factors.  PSI components are polynomials,
-    which never vanish only at infinity."""
+    which never vanish only at infinity.
+
+    1 - y_j is monic in y_j up to sign, so it divides p exactly when p
+    vanishes at y_j = 1; that cheap test decides each division."""
     if model is not CoordModel.ORIGINAL or p.vars.n == 0 or p.is_constant:
         return p
-    from .polyring import InexactDivision
-
     one = MultiPoly.const(p.spec, p.vars, 1)
     for j in range(1, p.vars.n + 1):
-        factor = one - MultiPoly.variable(p.spec, p.vars, f"y{j}")
-        while not p.is_constant:
-            try:
-                p = p.exact_div(factor)
-            except InexactDivision:
-                break
+        name = f"y{j}"
+        at_one = {name: p.spec.one}
+        factor = one - MultiPoly.variable(p.spec, p.vars, name)
+        while not p.is_constant and not p.substitute(at_one):
+            p = p.exact_div(factor)
     return p
 
 
 class HypersurfaceCycle:
-    """Formal Z-combination of codimension-1 components on A^r x cube^n."""
+    """Formal Z-combination of codimension-1 components on A^r x cube^n.
+
+    Invariant: ``terms`` maps nonconstant components, stripped of factors on
+    the puncture and normalized by :func:`normalize_component`, to nonzero
+    multiplicities.  The public constructor establishes it for untrusted
+    components; operations that only re-weight keys of existing cycles build
+    their result through the trusted :meth:`_canonical`.
+    """
 
     __slots__ = ("spec", "vars", "model", "terms")
 
@@ -217,12 +224,25 @@ class HypersurfaceCycle:
         self.terms = {p: m for p, m in acc.items() if m}
 
     @classmethod
+    def _canonical(cls, spec: FieldSpec, vars: VarSet, model: CoordModel,
+                   terms: Mapping[MultiPoly, int]) -> "HypersurfaceCycle":
+        """Trusted constructor: every key of ``terms`` must already be a
+        canonical component of this ambient and model; zero multiplicities
+        are dropped."""
+        self = object.__new__(cls)
+        self.spec = spec
+        self.vars = vars
+        self.model = model
+        self.terms = {p: m for p, m in terms.items() if m}
+        return self
+
+    @classmethod
     def from_poly(cls, poly: MultiPoly, model: CoordModel, mult: int = 1) -> "HypersurfaceCycle":
         return cls(poly.spec, poly.vars, model, [(mult, poly)])
 
     @classmethod
     def empty(cls, spec, vars, model) -> "HypersurfaceCycle":
-        return cls(spec, vars, model, ())
+        return cls._canonical(spec, vars, model, {})
 
     def __bool__(self):
         return bool(self.terms)
@@ -242,10 +262,10 @@ class HypersurfaceCycle:
         out = dict(self.terms)
         for p, m in other.terms.items():
             out[p] = out.get(p, 0) + m
-        return HypersurfaceCycle(self.spec, self.vars, self.model, out)
+        return HypersurfaceCycle._canonical(self.spec, self.vars, self.model, out)
 
     def __neg__(self):
-        return HypersurfaceCycle(
+        return HypersurfaceCycle._canonical(
             self.spec, self.vars, self.model, {p: -m for p, m in self.terms.items()}
         )
 
@@ -253,7 +273,7 @@ class HypersurfaceCycle:
         return self + (-other)
 
     def scale(self, c: int) -> "HypersurfaceCycle":
-        return HypersurfaceCycle(
+        return HypersurfaceCycle._canonical(
             self.spec, self.vars, self.model, {p: c * m for p, m in self.terms.items()}
         )
 
@@ -477,7 +497,7 @@ def prune_degenerate(Z: HypersurfaceCycle, level0_flag: bool = True) -> Hypersur
         if Z.vars.n == 0 and level0_flag and is_level0_dropped(p):
             continue
         out[p] = m
-    return HypersurfaceCycle(Z.spec, Z.vars, Z.model, out)
+    return HypersurfaceCycle._canonical(Z.spec, Z.vars, Z.model, out)
 
 
 def boundary(Z: HypersurfaceCycle, *, flip_inner: bool = False,

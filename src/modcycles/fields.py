@@ -174,6 +174,8 @@ class FieldSpec:
         return f"FieldSpec({self.to_text()})"
 
     def __eq__(self, other):
+        if self is other:  # specs are interned by _make_field_cached
+            return True
         return (
             isinstance(other, FieldSpec)
             and self.char == other.char
@@ -345,7 +347,7 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise WrongField(
                     f"mixed fields {self.spec.to_text()} and {other.spec.to_text()}"
                 )

@@ -520,8 +520,14 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     return [d for d in diag if d]
 
 
+# The oracle enumerates the units of F_q; larger fields are refused.
+K2_ORACLE_MAX_Q = 64
+
+
 def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
+    """(p, d) with q = p**d; trial division stops at the square root."""
+    p = 2
+    while p * p <= q:
         if q % p == 0:
             d = 0
             while q % p == 0:
@@ -530,7 +536,10 @@ def _prime_power(q: int) -> tuple[int, int]:
             if q != 1:
                 raise NotPrimePower("not a prime power")
             return p, d
-    raise NotPrimePower("not a prime power")
+        p += 1
+    if q < 2:
+        raise NotPrimePower("not a prime power")
+    return q, 1
 
 
 class K2Presentation:
@@ -569,8 +578,8 @@ def k2_presentation_oracle(q: int) -> K2Presentation:
     if q < 2:
         raise NotPrimePower("q must be at least 2")
     p, d = _prime_power(q)
-    if q > 64:
-        raise OracleTooLarge("the oracle enumerates units; q is capped at 64")
+    if q > K2_ORACLE_MAX_Q:
+        raise OracleTooLarge(f"the oracle enumerates units; q is capped at {K2_ORACLE_MAX_Q}")
     spec = make_field(p) if d == 1 else standard_extension(p, d)
     one = spec.one
     rows = [[q - 1]]  # the order of the cyclic carrier
@@ -580,6 +589,20 @@ def k2_presentation_oracle(q: int) -> K2Presentation:
         rows.append([spec.dlog(a) * spec.dlog(one - a)])
     invariants = smith_normal_form(rows)
     return K2Presentation(q, len(rows) - 1, invariants)
+
+
+def k2_table(max_q: int) -> list[K2Presentation]:
+    """The oracle's presentation for every prime power q in 2..max_q."""
+    if max_q > K2_ORACLE_MAX_Q:
+        raise OracleTooLarge(f"the K_2 table is capped at max_q = {K2_ORACLE_MAX_Q}, got {max_q}")
+    table = []
+    for q in range(2, max_q + 1):
+        try:
+            _prime_power(q)
+        except NotPrimePower:
+            continue
+        table.append(k2_presentation_oracle(q))
+    return table
 
 
 # ---------------------------------------------------------------------------

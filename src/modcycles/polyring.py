@@ -22,6 +22,7 @@ between arbitrary factors and a single free variable name.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Mapping, Sequence
 
 from .fields import (
@@ -98,9 +99,16 @@ class VarSet:
 
 
 class MultiPoly:
-    """Immutable sparse polynomial over a :class:`FieldSpec` in a :class:`VarSet`."""
+    """Immutable sparse polynomial over a :class:`FieldSpec` in a :class:`VarSet`.
 
-    __slots__ = ("spec", "vars", "terms", "_key")
+    Invariant: ``terms`` maps exponent tuples of length ``vars.count`` to
+    nonzero elements of ``spec``.  The public constructor validates and
+    coerces untrusted terms; arithmetic results are canonical by
+    construction and go through the trusted :meth:`_raw` instead, so no
+    result is normalized twice.
+    """
+
+    __slots__ = ("spec", "vars", "terms", "_hash", "_text")
 
     def __init__(self, spec: FieldSpec, vars: VarSet, terms: Mapping[tuple, FieldElement]):
         self.spec = spec
@@ -113,30 +121,41 @@ class MultiPoly:
             if c:
                 clean[tuple(exp)] = c
         self.terms = clean
-        self._key = None
+        self._hash = self._text = None
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _raw(cls, spec: FieldSpec, vars: VarSet, terms: dict) -> "MultiPoly":
+        """Trusted constructor: ``terms`` must already satisfy the invariant
+        (right exponent length, coefficients nonzero elements of ``spec``)
+        and is stored as is, without copying."""
+        self = object.__new__(cls)
+        self.spec = spec
+        self.vars = vars
+        self.terms = terms
+        self._hash = self._text = None
+        return self
+
+    @classmethod
     def zero(cls, spec, vars):
-        return cls(spec, vars, {})
+        return cls._raw(spec, vars, {})
 
     @classmethod
     def const(cls, spec, vars, c):
-        return cls(spec, vars, {(0,) * vars.count: spec.element(c)})
+        c = spec.element(c)
+        return cls._raw(spec, vars, {(0,) * vars.count: c} if c else {})
 
     @classmethod
     def variable(cls, spec, vars, name):
         exp = [0] * vars.count
         exp[vars.index(name)] = 1
-        return cls(spec, vars, {tuple(exp): spec.one})
+        return cls._raw(spec, vars, {tuple(exp): spec.one})
 
     # -- canonical identity ----------------------------------------------------
 
-    def _sorted_items(self):
-        if self._key is None:
-            self._key = tuple(sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True))
-        return self._key
+    def _sorted_items(self) -> tuple:
+        return tuple(sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True))
 
     def __eq__(self, other):
         return (
@@ -147,7 +166,9 @@ class MultiPoly:
         )
 
     def __hash__(self):
-        return hash((self.spec, self.vars, self._sorted_items()))
+        if self._hash is None:
+            self._hash = hash((self.spec, self.vars, self._sorted_items()))
+        return self._hash
 
     def __bool__(self):
         return bool(self.terms)
@@ -176,12 +197,12 @@ class MultiPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return MultiPoly(self.spec, self.vars, out)
+        return MultiPoly._raw(self.spec, self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.spec, self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._raw(self.spec, self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -192,18 +213,20 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)) and not isinstance(other, MultiPoly):
             c = self.spec.element(other)
-            return MultiPoly(self.spec, self.vars, {e: v * c for e, v in self.terms.items()})
+            if not c:
+                return MultiPoly._raw(self.spec, self.vars, {})
+            return MultiPoly._raw(self.spec, self.vars, {e: v * c for e, v in self.terms.items()})
         other = self._coerce(other)
         out: dict[tuple, FieldElement] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, self.spec.zero) + c1 * c2
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return MultiPoly(self.spec, self.vars, out)
+        return MultiPoly._raw(self.spec, self.vars, out)
 
     __rmul__ = __mul__
 
@@ -252,18 +275,25 @@ class MultiPoly:
                 e2 = list(e)
                 e2[i] = 0
                 out[tuple(e2)] = c
-        return MultiPoly(self.spec, self.vars, out)
+        return MultiPoly._raw(self.spec, self.vars, out)
 
     def substitute(self, assignments: Mapping[str, FieldElement], drop: bool = False) -> "MultiPoly":
         """Evaluate some variables exactly; optionally remove them from the ring."""
-        idx = {self.vars.index(name): self.spec.element(v) for name, v in assignments.items()}
+        spec = self.spec
+        idx = {self.vars.index(name): spec.element(v) for name, v in assignments.items()}
+        # per variable: None for the value 1, else a cache of its powers
+        powers = {i: None if val == spec.one else {1: val} for i, val in idx.items()}
         out: dict[tuple, FieldElement] = {}
         for e, c in self.terms.items():
             coeff = c
             e2 = list(e)
-            for i, val in idx.items():
-                if e[i]:
-                    coeff = coeff * val ** e[i]
+            for i, cache in powers.items():
+                k = e[i]
+                if k and cache is not None:
+                    pk = cache.get(k)
+                    if pk is None:
+                        pk = cache[k] = idx[i] ** k
+                    coeff = coeff * pk
                 e2[i] = 0
             if not coeff:
                 continue
@@ -273,7 +303,7 @@ class MultiPoly:
                 out[key] = s
             else:
                 out.pop(key, None)
-        result = MultiPoly(self.spec, self.vars, out)
+        result = MultiPoly._raw(self.spec, self.vars, out)
         if drop:
             for name in sorted(assignments, reverse=True):
                 result = result.drop_var(name)
@@ -285,7 +315,7 @@ class MultiPoly:
         if any(e[i] for e in self.terms):
             raise PolyError(f"{name} still occurs; substitute it first")
         out = {e[:i] + e[i + 1 :]: c for e, c in self.terms.items()}
-        return MultiPoly(self.spec, self.vars.drop(name), out)
+        return MultiPoly._raw(self.spec, self.vars.drop(name), out)
 
     def eval(self, values: Sequence[FieldElement]) -> FieldElement:
         """Full evaluation; values may live in an extension of the coefficient field."""
@@ -306,23 +336,37 @@ class MultiPoly:
         g = self._coerce(g)
         if not g:
             raise ZeroDivisor("division by the zero polynomial")
-        rem = self
+        rem = dict(self.terms)
         out: dict[tuple, FieldElement] = {}
         eg, cg = g.leading_term()
         cg_inv = cg.inverse()
+        zero = self.spec.zero
         while rem:
-            ef, cf = rem.leading_term()
+            ef = max(rem)
             eq = tuple(a - b for a, b in zip(ef, eg))
             if any(k < 0 for k in eq):
                 raise InexactDivision(f"{g.to_text()} does not divide {self.to_text()}")
-            cq = cf * cg_inv
+            cq = rem[ef] * cg_inv
             out[eq] = cq
-            rem = rem - MultiPoly(self.spec, self.vars, {eq: cq}) * g
-        return MultiPoly(self.spec, self.vars, out)
+            neg_cq = -cq
+            # rem -= cq * x^eq * g, in place
+            for e2, c2 in g.terms.items():
+                e = tuple(map(add, eq, e2))
+                s = rem.get(e, zero) + neg_cq * c2
+                if s:
+                    rem[e] = s
+                else:
+                    rem.pop(e, None)
+        return MultiPoly._raw(self.spec, self.vars, out)
 
     # -- text ----------------------------------------------------------------
 
     def to_text(self) -> str:
+        if self._text is None:
+            self._text = self._render_text()
+        return self._text
+
+    def _render_text(self) -> str:
         if not self.terms:
             return "0"
         names = self.vars.names()

@@ -32,7 +32,7 @@ from .milnor import (
     MilnorSymbol,
     Valuation,
     k1_value,
-    k2_presentation_oracle,
+    k2_table,
     tame_symbol,
     total_delta,
     totaro_mult_curve,
@@ -264,21 +264,9 @@ def suite_zero_cycle_witnesses(rng, count=200) -> SuiteResult:
 def suite_k2_table(rng, max_q=16) -> SuiteResult:
     """K_2 of every prime-power field through max_q is trivial."""
     res = SuiteResult("k2-table")
-    qs = [q for q in range(2, max_q + 1) if _is_prime_power(q)]
-    for q in qs:
-        pres = k2_presentation_oracle(q)
-        res.record(pres.trivial, f"q={q}: divisors {pres.elementary_divisors}")
+    for pres in k2_table(max_q):
+        res.record(pres.trivial, f"q={pres.q}: divisors {pres.elementary_divisors}")
     return res
-
-
-def _is_prime_power(q: int) -> bool:
-    from .milnor import NotPrimePower, _prime_power
-
-    try:
-        _prime_power(q)
-        return True
-    except NotPrimePower:
-        return False
 
 
 def suite_tame_formula(rng, count=100) -> SuiteResult:
@@ -418,11 +406,10 @@ def suite_boundary_square(rng, count=200) -> SuiteResult:
                 ok = ok and not boundary(b1, level0_flag=False)
             # conversion conjugates the boundary
             bP = boundary(Z, level0_flag=False)
-            if bP.vars.n >= 1 or True:
-                try:
-                    ok = ok and psi_convert(bP, CoordModel.ORIGINAL) == b1
-                except Exception:
-                    ok = False
+            try:
+                ok = ok and psi_convert(bP, CoordModel.ORIGINAL) == b1
+            except Exception:
+                ok = False
         res.record(ok, f"case {k}: n={n}")
     return res
 
@@ -442,9 +429,8 @@ def suite_face_containment(rng, count=200) -> SuiteResult:
             for face in CoordModel.PSI.faces:
                 F = face_restrict(Z, i, face)
                 ok = ok and check_face_condition(F).passed
-                if F.vars.n >= 0:
-                    verdict = check_modulus_codim1(F, D).verdict
-                    ok = ok and verdict is ModulusVerdict.CERTIFIED
+                verdict = check_modulus_codim1(F, D).verdict
+                ok = ok and verdict is ModulusVerdict.CERTIFIED
         res.record(ok, f"case {k}: n={n}")
     return res
 

@@ -279,6 +279,8 @@ def verify_certificate(cert: WitnessCertificate | dict) -> bool:
         cert = WitnessCertificate.from_json(cert)
     if not isinstance(cert.transcript, list):
         raise MalformedCertificate("transcript must be a list")
+    if not cert.transcript:
+        raise MalformedCertificate("transcript is empty")
     for entry in cert.transcript:
         if not isinstance(entry, dict) or "check" not in entry or "data" not in entry:
             raise MalformedCertificate(f"malformed transcript entry: {entry!r}")
@@ -288,6 +290,10 @@ def verify_certificate(cert: WitnessCertificate | dict) -> bool:
             got = _run_check(entry["check"], entry["data"])
         except MalformedCertificate:
             raise
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise MalformedCertificate(
+                f"unreadable data in {entry['check']!r} entry: {type(exc).__name__}: {exc}"
+            ) from exc
         except (FieldError, PolyError, CycleError, MilnorError, WitnessError,
                 ser.SerializationError, ValueError):
             return False

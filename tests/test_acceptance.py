@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line; run with `pytest -s` (or -v) to see
 them.  Criteria with stated runtime budgets assert them with monotonic clocks.
 """
 
+import hashlib
 import json
 import time
 import random
@@ -123,3 +124,5 @@ def test_criterion_10_determinism():
     print(f"criterion 10 {'PASS' if ok else 'FAIL'}: the full suite under seed "
           f"{SEED} is byte-identical across two runs ({len(first)} bytes)")
     assert ok
+    # the report of the seed release, byte for byte
+    assert hashlib.sha256(first.encode()).hexdigest().startswith("55c81db9647141d4")

@@ -114,6 +114,13 @@ class TestKTheory:
         assert [row["q"] for row in rep["k2"]] == [2, 3, 4, 5, 7, 8, 9]
         assert all(row["trivial"] for row in rep["k2"])
 
+    def test_k2_table_max_q_is_capped(self):
+        code, rep = run_json(["ktheory", "k2-table", "--max-q", "64"])
+        assert code == 0 and rep["k2"][-1]["q"] == 64
+        for max_q in ("65", "200", "100000"):
+            code, rep = run_json(["ktheory", "k2-table", "--max-q", max_q])
+            assert code == 2 and rep["error"]["type"] == "OracleTooLarge"
+
     def test_tame(self, tmp_path):
         blob = {
             "field": {"char": 5}, "function_field": True,
@@ -213,3 +220,12 @@ class TestErrorPaths:
     def test_missing_file_exits_2(self):
         code, rep = run_json(["verify", "--file", "/nonexistent.json"])
         assert code == 2
+
+    def test_unreadable_certificate_data_exits_2(self, tmp_path):
+        code, rep = run_json(["generator", "--a", "3", "--r", "2", "--field", "Fp:7"])
+        cert = rep["certificate"]
+        cert["transcript"][0]["data"] = []
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        code, rep = run_json(["verify", "--file", str(path)])
+        assert code == 2 and rep["error"]["type"] == "MalformedCertificate"

@@ -18,8 +18,10 @@ from modcycles.milnor import (
     OracleTooLarge,
     SteinbergPrecondition,
     Valuation,
+    _prime_power,
     k1_value,
     k2_presentation_oracle,
+    k2_table,
     phi_map,
     psi_map,
     smith_normal_form,
@@ -213,6 +215,21 @@ class TestK2Oracle:
     def test_too_large(self):
         with pytest.raises(OracleTooLarge):
             k2_presentation_oracle(81)
+
+    def test_prime_power_by_square_root_trial_division(self):
+        for q in range(200):
+            want = [(p, d) for p in range(2, q + 1) for d in range(1, 8)
+                    if p ** d == q and all(p % k for k in range(2, p))]
+            if want:
+                assert _prime_power(q) == want[0]
+            else:
+                with pytest.raises(NotPrimePower):
+                    _prime_power(q)
+
+    def test_table_cap(self):
+        assert [pres.q for pres in k2_table(9)] == [2, 3, 4, 5, 7, 8, 9]
+        with pytest.raises(OracleTooLarge):
+            k2_table(65)
 
 
 class TestPhiPsi:

@@ -253,6 +253,21 @@ class TestVerifyCertificate:
         with pytest.raises(MalformedCertificate):
             verify_certificate(bad)
 
+    def test_unreadable_entry_data_is_malformed(self):
+        Z, cert = generator_cycle(F7.element(3), 2)
+        for data in ([], {}, {"cycle": 7}):
+            blob = json.loads(json.dumps(cert.to_json()))
+            blob["transcript"][0]["data"] = data
+            with pytest.raises(MalformedCertificate):
+                verify_certificate(blob)
+
+    def test_empty_transcript_is_malformed(self):
+        Z, cert = generator_cycle(F7.element(3), 2)
+        blob = json.loads(json.dumps(cert.to_json()))
+        blob["transcript"] = []
+        with pytest.raises(MalformedCertificate):
+            verify_certificate(blob)
+
     def test_deterministic(self):
         z = ClosedPoint(F7, [F7.element(2), F7.element(3)], [])
         a = zero_cycle_vanishing_witness(z, D11_F7)
