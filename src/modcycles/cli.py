@@ -91,7 +91,9 @@ def _parse_modulus(text: str, spec) -> ModulusDatum:
     return ModulusDatum.monomial(spec, exps)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str | None) -> dict:
+    if path is None:
+        raise InputError("no input file given; pass --file")
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -262,6 +264,10 @@ def cmd_ktheory(args) -> int:
 
 
 def cmd_curves(args) -> int:
+    needed = ["entries"] + (["unit", "pi"] if args.curve_kind == "xi" else [])
+    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
+    if missing:
+        raise InputError(f"curves {args.curve_kind} needs {', '.join(missing)}")
     spec = _parse_field(args.field)
     if args.curve_kind == "totaro":
         entries = [spec.element(Fraction(x)) for x in args.entries.split(",")]
@@ -298,13 +304,6 @@ def cmd_curves(args) -> int:
         }
         _emit(report, args)
         return 0 if out.ok else 1
-    if args.curve_kind == "boundary":
-        data = _load_json(args.file)
-        C = ser.curve_from_json(data)
-        emb = ser.embedding_from_json(data["embedding"], C.spec) if "embedding" in data else None
-        out = curve_boundary(C, embedding=emb)
-        _emit(ser.zerocycle_to_json(out), args)
-        return 0
     raise InputError(f"unknown curves action {args.curve_kind!r}")
 
 
@@ -398,19 +397,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--infinity", action="store_true", help="the place at infinity")
     p.add_argument("--certificate", action="store_true", help="oracle-backed reduction")
     p.add_argument("--max-q", type=int, default=16,
-                   help=f"k2-table: largest field size, at most {K2_ORACLE_MAX_Q}")
+                   help=f"k2-table: largest field size, from 2 to {K2_ORACLE_MAX_Q}")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_ktheory)
 
-    p = sub.add_parser("curves", help="witness curves and curve boundaries")
-    p.add_argument("curve_kind", choices=("totaro", "xi", "boundary"))
+    p = sub.add_parser("curves", help="witness curves and their boundary identities")
+    p.add_argument("curve_kind", choices=("totaro", "xi"))
     p.add_argument("--relation", choices=("steinberg", "mult"), default="steinberg")
     p.add_argument("--field", default="Q")
     p.add_argument("--entries", help="comma-separated field entries, or ';'-separated rational functions for xi")
     p.add_argument("--unit", help="the unit u for xi")
     p.add_argument("--pi", help="the uniformizer for xi")
     p.add_argument("--power", type=int, default=1, help="the exponent r for xi")
-    p.add_argument("--file", help="curve JSON for 'boundary'")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_curves)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .fields import (
@@ -190,51 +191,114 @@ def _strip_excluded_factors(p: MultiPoly, model: CoordModel) -> MultiPoly:
     return p
 
 
-class HypersurfaceCycle:
-    """Formal Z-combination of codimension-1 components on A^r x cube^n.
+class FormalSum:
+    """Formal Z-combination of canonical keys over a fixed ambient.
 
-    Invariant: ``terms`` maps nonconstant components, stripped of factors on
-    the puncture and normalized by :func:`normalize_component`, to nonzero
-    multiplicities.  The public constructor establishes it for untrusted
-    components; operations that only re-weight keys of existing cycles build
-    their result through the trusted :meth:`_canonical`.
+    Invariant: ``terms`` maps canonical keys to nonzero multiplicities.  A
+    subclass names its ambient attributes in ``_AMBIENT`` and the error
+    raised when adding summands of different ambients in ``_MISMATCH``; its
+    public ``__init__`` validates untrusted keys through :meth:`_collect`.
+    Sums, negatives and scalings only re-weight keys that are already
+    canonical, so they build their result through the trusted
+    :meth:`_trusted`.
     """
 
-    __slots__ = ("spec", "vars", "model", "terms")
+    __slots__ = ("terms",)
+    _AMBIENT: tuple[str, ...] = ()
+    _MISMATCH: type[Exception] = Exception
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._AMBIENT)
+        # the property ``_ambient`` is the tuple of the _AMBIENT values
+        # (attrgetter of a single name returns its value bare)
+        cls._ambient = property(get if len(cls._AMBIENT) > 1 else lambda self: (get(self),))
+
+    def _collect(self, terms, canonical_key) -> None:
+        """Merge untrusted ``terms``, given as (mult, key) pairs or as a
+        key -> mult mapping; ``canonical_key`` validates a key and returns
+        its canonical form, or None for a key that cuts out nothing."""
+        acc = {}
+        items = terms.items() if isinstance(terms, Mapping) else ((k, m) for m, k in terms)
+        for key, mult in items:
+            key = canonical_key(key)
+            if key is not None:
+                acc[key] = acc.get(key, 0) + mult
+        self.terms = {k: m for k, m in acc.items() if m}
+
+    @classmethod
+    def _trusted(cls, ambient: tuple, terms: Mapping):
+        """Trusted constructor: ``ambient`` holds the values of ``_AMBIENT``
+        and every key of ``terms`` must already be canonical for it; zero
+        multiplicities are dropped."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._AMBIENT, ambient):
+            setattr(self, name, value)
+        self.terms = {k: m for k, m in terms.items() if m}
+        return self
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._ambient == other._ambient
+            and self.terms == other.terms
+        )
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        ambient = self._ambient
+        if ambient != other._ambient:
+            raise self._MISMATCH(f"{type(self).__name__} summands live in different ambients")
+        out = dict(self.terms)
+        for k, m in other.terms.items():
+            out[k] = out.get(k, 0) + m
+        return self._trusted(ambient, out)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c: int):
+        return self._trusted(self._ambient, {k: c * m for k, m in self.terms.items()})
+
+
+class HypersurfaceCycle(FormalSum):
+    """Formal Z-combination of codimension-1 components on A^r x cube^n.
+
+    Keys are nonconstant components, stripped of factors on the puncture and
+    normalized by :func:`normalize_component`; the public constructor
+    establishes that for untrusted components.
+    """
+
+    __slots__ = ("spec", "vars", "model")
+    _AMBIENT = ("spec", "vars", "model")
+    _MISMATCH = WrongModel
 
     def __init__(self, spec: FieldSpec, vars: VarSet, model: CoordModel,
                  terms: Iterable[tuple[int, MultiPoly]] | Mapping[MultiPoly, int] = ()):
         self.spec = spec
         self.vars = vars
         self.model = model
-        acc: dict[MultiPoly, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else ((p, m) for m, p in terms)
-        for poly, mult in items:
+
+        def canonical_key(poly):
             if poly.spec != spec or poly.vars != vars:
                 raise WrongField("component in the wrong ring")
             if not poly:
                 raise ValueError("zero polynomial is not a component")
             if poly.is_constant:
-                continue  # a unit cuts out the empty cycle
+                return None  # a unit cuts out the empty cycle
             poly = _strip_excluded_factors(poly, model)
             if poly.is_constant:
-                continue  # the component was supported on the puncture
-            key = normalize_component(poly)
-            acc[key] = acc.get(key, 0) + mult
-        self.terms = {p: m for p, m in acc.items() if m}
+                return None  # the component was supported on the puncture
+            return normalize_component(poly)
 
-    @classmethod
-    def _canonical(cls, spec: FieldSpec, vars: VarSet, model: CoordModel,
-                   terms: Mapping[MultiPoly, int]) -> "HypersurfaceCycle":
-        """Trusted constructor: every key of ``terms`` must already be a
-        canonical component of this ambient and model; zero multiplicities
-        are dropped."""
-        self = object.__new__(cls)
-        self.spec = spec
-        self.vars = vars
-        self.model = model
-        self.terms = {p: m for p, m in terms.items() if m}
-        return self
+        self._collect(terms, canonical_key)
 
     @classmethod
     def from_poly(cls, poly: MultiPoly, model: CoordModel, mult: int = 1) -> "HypersurfaceCycle":
@@ -242,40 +306,7 @@ class HypersurfaceCycle:
 
     @classmethod
     def empty(cls, spec, vars, model) -> "HypersurfaceCycle":
-        return cls._canonical(spec, vars, model, {})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HypersurfaceCycle)
-            and self.spec == other.spec
-            and self.vars == other.vars
-            and self.model == other.model
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        if (self.spec, self.vars, self.model) != (other.spec, other.vars, other.model):
-            raise WrongModel("cycles live in different ambients or models")
-        out = dict(self.terms)
-        for p, m in other.terms.items():
-            out[p] = out.get(p, 0) + m
-        return HypersurfaceCycle._canonical(self.spec, self.vars, self.model, out)
-
-    def __neg__(self):
-        return HypersurfaceCycle._canonical(
-            self.spec, self.vars, self.model, {p: -m for p, m in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: int) -> "HypersurfaceCycle":
-        return HypersurfaceCycle._canonical(
-            self.spec, self.vars, self.model, {p: c * m for p, m in self.terms.items()}
-        )
+        return cls._trusted((spec, vars, model), {})
 
     def components(self) -> list[tuple[int, MultiPoly]]:
         return sorted(((m, p) for p, m in self.terms.items()), key=lambda t: t[1].to_text())
@@ -319,63 +350,36 @@ class ClosedPoint:
         return ClosedPoint(self.residue_spec, self.t_coords, ())
 
 
-class ZeroCycle:
-    """Formal Z-combination of closed points, canonically merged."""
+class ZeroCycle(FormalSum):
+    """Formal Z-combination of closed points of A^r x cube^n."""
 
-    __slots__ = ("spec", "model", "r", "n", "points")
+    __slots__ = ("spec", "model", "r", "n")
+    _AMBIENT = ("spec", "model", "r", "n")
+    _MISMATCH = WrongModel
 
     def __init__(self, spec: FieldSpec, model: CoordModel, r: int, n: int,
-                 points: Iterable[tuple[int, ClosedPoint]] | Mapping[ClosedPoint, int] = ()):
+                 terms: Iterable[tuple[int, ClosedPoint]] | Mapping[ClosedPoint, int] = ()):
         self.spec = spec
         self.model = model
         self.r = r
         self.n = n
-        acc: dict[ClosedPoint, int] = {}
-        items = points.items() if isinstance(points, Mapping) else ((p, m) for m, p in points)
-        for pt, mult in items:
+
+        def canonical_key(pt):
             if len(pt.t_coords) != r or len(pt.y_coords) != n:
                 raise ValueError("point dimensions do not match the cycle")
-            acc[pt] = acc.get(pt, 0) + mult
-        self.points = {p: m for p, m in acc.items() if m}
+            return pt
+
+        self._collect(terms, canonical_key)
 
     @classmethod
     def empty(cls, spec, model, r, n):
-        return cls(spec, model, r, n, ())
-
-    def __bool__(self):
-        return bool(self.points)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ZeroCycle)
-            and (self.spec, self.model, self.r, self.n) == (other.spec, other.model, other.r, other.n)
-            and self.points == other.points
-        )
-
-    def __add__(self, other):
-        if (self.spec, self.model, self.r, self.n) != (other.spec, other.model, other.r, other.n):
-            raise WrongModel("zero-cycles live in different ambients")
-        out = dict(self.points)
-        for p, m in other.points.items():
-            out[p] = out.get(p, 0) + m
-        return ZeroCycle(self.spec, self.model, self.r, self.n, out)
-
-    def __neg__(self):
-        return ZeroCycle(self.spec, self.model, self.r, self.n,
-                         {p: -m for p, m in self.points.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: int) -> "ZeroCycle":
-        return ZeroCycle(self.spec, self.model, self.r, self.n,
-                         {p: c * m for p, m in self.points.items()})
+        return cls._trusted((spec, model, r, n), {})
 
     def items(self):
-        return sorted(self.points.items(), key=lambda kv: repr(kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: repr(kv[0]))
 
     def __repr__(self):
-        if not self.points:
+        if not self.terms:
             return "ZeroCycle(0)"
         return "ZeroCycle(" + " + ".join(f"{m}*{p!r}" for p, m in self.items()) + ")"
 
@@ -497,7 +501,7 @@ def prune_degenerate(Z: HypersurfaceCycle, level0_flag: bool = True) -> Hypersur
         if Z.vars.n == 0 and level0_flag and is_level0_dropped(p):
             continue
         out[p] = m
-    return HypersurfaceCycle._canonical(Z.spec, Z.vars, Z.model, out)
+    return HypersurfaceCycle._trusted(Z._ambient, out)
 
 
 def boundary(Z: HypersurfaceCycle, *, flip_inner: bool = False,
@@ -662,11 +666,6 @@ class ModulusReport:
                 for t, v, r in self.per_component
             ],
         }
-
-
-def _t_product(spec: FieldSpec, vars: VarSet) -> MultiPoly:
-    exp = tuple([1] * vars.r + [0] * vars.n)
-    return MultiPoly(spec, vars, {exp: spec.one})
 
 
 def _lift_divisor(D: ModulusDatum, vars: VarSet) -> MultiPoly:
@@ -907,7 +906,7 @@ def curve_boundary(curve: ParamCurve, *, embedding: Sequence[RatFunc] | None = N
         r_out = 1
     else:
         r_out = len(curve.base_t_coords)
-    result = ZeroCycle.empty(spec, model, r_out, n - 1)
+    terms = []
     affine_base = curve.graph_over_base or embedding is not None
 
     # gather candidates: (place | INFINITY marker, component index, face, mult)
@@ -992,9 +991,8 @@ def curve_boundary(curve: ParamCurve, *, embedding: Sequence[RatFunc] | None = N
             sign = -sign
         if flip_inner:
             sign = -sign
-        point = ClosedPoint(ell, t_vals, y_vals)
-        result = result + ZeroCycle(spec, model, r_out, n - 1, [(sign * mult, point)])
-    return result
+        terms.append((sign * mult, ClosedPoint(ell, t_vals, y_vals)))
+    return ZeroCycle(spec, model, r_out, n - 1, terms)
 
 
 def pushforward_closed_immersion(obj, embedding: Sequence[RatFunc],

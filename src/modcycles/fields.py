@@ -345,17 +345,24 @@ class FieldElement:
     def __hash__(self):
         return hash((self.spec.char, self.spec.ext, self.value))
 
-    def _coerce(self, other) -> "FieldElement":
+    def _coerce(self, other) -> "FieldElement | None":
+        """``other`` as an element of this field, or None when it is not a
+        field element or a rational scalar, so the operators can return
+        NotImplemented and let the other operand's reflected method run."""
         if isinstance(other, FieldElement):
             if other.spec is not self.spec and other.spec != self.spec:
                 raise WrongField(
                     f"mixed fields {self.spec.to_text()} and {other.spec.to_text()}"
                 )
             return other
-        return self.spec.element(other)
+        if isinstance(other, (int, Fraction)):
+            return self.spec.element(other)
+        return None
 
     def __add__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         s = self.spec
         if isinstance(self.value, tuple):
             return FieldElement(s, s._pad(_vec_add(s.char, list(self.value), list(o.value))))
@@ -370,13 +377,17 @@ class FieldElement:
         return FieldElement(s, _base_neg(s.char, self.value))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        o = self._coerce(other)
+        return NotImplemented if o is None else o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         s = self.spec
         if isinstance(self.value, tuple):
             prod = _vec_mul(s.char, list(self.value), list(o.value))
@@ -396,10 +407,12 @@ class FieldElement:
         return FieldElement(s, _base_inv(s.char, self.value))
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        o = self._coerce(other)
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        o = self._coerce(other)
+        return NotImplemented if o is None else o * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -515,6 +528,8 @@ class UniPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return UniPoly(self.spec, [self.coeff(i) + other.coeff(i) for i in range(n)])
 
+    __radd__ = __add__
+
     def __neg__(self):
         return UniPoly(self.spec, [-c for c in self.coeffs])
 
@@ -611,13 +626,6 @@ class UniPoly:
             if r:
                 return k
             k, f = k + 1, q
-
-    def shift_compose(self, inner: "UniPoly") -> "UniPoly":
-        """self(inner(x)), by Horner."""
-        acc = UniPoly.zero(self.spec)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UniPoly.const(self.spec, c)
-        return acc
 
     def to_text(self, var: str = "t") -> str:
         if not self.coeffs:

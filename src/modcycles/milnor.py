@@ -15,12 +15,14 @@ Conventions interact with the cubical boundary through a dimension-dependent
 sign: with the ORIGINAL-model boundary, a graph curve C over the parameter
 line satisfies  phi(dC) = (-1)^n * delta(theta(C))  componentwise at finite
 places, and the bounded realization of residues satisfies the matching
-d(xi) = (-1)^n * psi_tilde(delta([f])).  The verifiers check against the
-constant :data:`GRAPH_BOUNDARY_SIGN` exponent convention and report it.
+d(xi) = (-1)^n * psi(delta([f])), psi extended Z-linearly.  The verifiers
+check against the constant :data:`GRAPH_BOUNDARY_SIGN` exponent convention
+and report it.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .fields import (
@@ -39,6 +41,7 @@ from .cycles import (
     ClosedPoint,
     CoordModel,
     DegenerateCurve,
+    FormalSum,
     ParamCurve,
     UnfactorableEntry,
     ZeroCycle,
@@ -96,10 +99,6 @@ class FunctionField:
         return f"{self.base.to_text()}({self.var})"
 
 
-def _entry_text(e) -> str:
-    return e.to_text() if isinstance(e, FieldElement) else e.to_text()
-
-
 def _entry_is_one(e) -> bool:
     if isinstance(e, FieldElement):
         return e == e.spec.one
@@ -143,64 +142,36 @@ class MilnorSymbol:
         )
 
     def __hash__(self):
-        return hash((self.field if isinstance(self.field, FunctionField) else self.field,
-                     self.entries))
+        return hash((self.field, self.entries))
 
     def __repr__(self):
-        return "{" + ", ".join(_entry_text(e) for e in self.entries) + "}"
+        return "{" + ", ".join(e.to_text() for e in self.entries) + "}"
 
 
-class MilnorElement:
+class MilnorElement(FormalSum):
     """Formal Z-combination of symbols; symbols containing an entry 1 vanish."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field",)
+    _AMBIENT = ("field",)
+    _MISMATCH = WrongField
 
     def __init__(self, field, terms: Iterable[tuple[int, MilnorSymbol]] | Mapping[MilnorSymbol, int] = ()):
         self.field = field
-        acc: dict[MilnorSymbol, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else ((s, m) for m, s in terms)
-        for sym, mult in items:
+
+        def canonical_key(sym):
             if sym.field != field:
                 raise WrongField("symbol over the wrong field")
-            if sym.has_one_entry:
-                continue
-            acc[sym] = acc.get(sym, 0) + mult
-        self.terms = {s: m for s, m in acc.items() if m}
+            return None if sym.has_one_entry else sym
+
+        self._collect(terms, canonical_key)
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return cls._trusted((field,), {})
 
     @classmethod
     def of(cls, field, *entries, mult: int = 1):
         return cls(field, [(mult, MilnorSymbol(field, entries))])
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MilnorElement)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        if self.field != other.field:
-            raise WrongField("elements over different fields")
-        out = dict(self.terms)
-        for s, m in other.terms.items():
-            out[s] = out.get(s, 0) + m
-        return MilnorElement(self.field, out)
-
-    def __neg__(self):
-        return MilnorElement(self.field, {s: -m for s, m in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: int) -> "MilnorElement":
-        return MilnorElement(self.field, {s: c * m for s, m in self.terms.items()})
 
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: repr(kv[0]))
@@ -243,7 +214,7 @@ class SymbolReduction:
 
 
 def _sorted_with_sign(entries: tuple) -> tuple[tuple, int]:
-    keyed = [( _entry_text(e), i, e) for i, e in enumerate(entries)]
+    keyed = [(e.to_text(), i, e) for i, e in enumerate(entries)]
     ordered = sorted(keyed, key=lambda t: (t[0], t[1]))
     perm = [t[1] for t in ordered]
     inversions = sum(
@@ -263,7 +234,7 @@ def symbol_reduce(e: MilnorElement, certificate_mode: bool = False) -> SymbolRed
     """
     field = e.field
     finite = isinstance(field, FieldSpec) and field.is_finite
-    out = MilnorElement.zero(field)
+    terms = []
     theorem_used = False
     oracle_result = None
     max_len = max((s.length for s in e.terms), default=0)
@@ -285,10 +256,11 @@ def symbol_reduce(e: MilnorElement, certificate_mode: bool = False) -> SymbolRed
             k1_seen = True
             continue
         sorted_entries, sign = _sorted_with_sign(sym.entries)
-        out = out + MilnorElement(field, [(sign * m, MilnorSymbol(field, sorted_entries))])
+        terms.append((sign * m, MilnorSymbol(field, sorted_entries)))
     if k1_seen and k1_acc != ones_collapsed:
-        out = out + MilnorElement.of(field, k1_acc)
-    return SymbolReduction(out, theorem_backed=theorem_used, oracle=oracle_result)
+        terms.append((1, MilnorSymbol(field, [k1_acc])))
+    return SymbolReduction(MilnorElement(field, terms), theorem_backed=theorem_used,
+                           oracle=oracle_result)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +352,7 @@ def tame_symbol(v: Valuation, s: MilnorElement) -> MilnorElement:
     if not isinstance(field, FunctionField):
         raise WrongField("tame symbols act on function-field elements")
     ell = v.residue_spec()
-    out = MilnorElement.zero(ell)
-    from itertools import combinations
-
+    terms = []
     for sym, mult in s.items():
         n = sym.length
         orders = [v.order_of(f) for f in sym.entries]
@@ -403,8 +373,8 @@ def tame_symbol(v: Valuation, s: MilnorElement) -> MilnorElement:
                     if i == last:
                         continue
                     entries.append(minus_one if i in S else residues[i])
-                out = out + MilnorElement(ell, [(mult * coeff * sign, MilnorSymbol(ell, entries))])
-    return out
+                terms.append((mult * coeff * sign, MilnorSymbol(ell, entries)))
+    return MilnorElement(ell, terms)
 
 
 def _entry_places(f: RatFunc) -> list[UniPoly]:
@@ -555,7 +525,6 @@ class K2Presentation:
         return all(d == 1 for d in self.elementary_divisors)
 
     def __repr__(self):
-        inv = self.elementary_divisors or ["free"]
         return f"K2Presentation(q={self.q}, divisors={self.elementary_divisors}, trivial={self.trivial})"
 
     def to_json(self):
@@ -593,6 +562,8 @@ def k2_presentation_oracle(q: int) -> K2Presentation:
 
 def k2_table(max_q: int) -> list[K2Presentation]:
     """The oracle's presentation for every prime power q in 2..max_q."""
+    if max_q < 2:
+        raise NotPrimePower(f"the K_2 table starts at q = 2, got max_q = {max_q}")
     if max_q > K2_ORACLE_MAX_Q:
         raise OracleTooLarge(f"the K_2 table is capped at max_q = {K2_ORACLE_MAX_Q}, got {max_q}")
     table = []
@@ -657,26 +628,8 @@ def psi_map(sym: MilnorSymbol, t_coords: Sequence[FieldElement] = (),
         raise WrongField("psi places field symbols, not function-field ones")
     ell = sym.field
     coords = [ell.embed(c) if c.spec != ell else c for c in t_coords]
-    z = ZeroCycle.empty(ell, model, len(coords), sym.length)
-    if sym.has_one_entry:
-        return z
-    return z + ZeroCycle(ell, model, len(coords), sym.length,
-                         [(1, ClosedPoint(ell, coords, sym.entries))])
-
-
-def psi_tilde(e: MilnorElement, model: CoordModel = CoordModel.ORIGINAL,
-              t_coords: Sequence[FieldElement] = (), n: int | None = None) -> ZeroCycle:
-    """Z-linear extension of psi_map over an element (fixed symbol length)."""
-    if isinstance(e.field, FunctionField):
-        raise WrongField("psi places field symbols")
-    lengths = {s.length for s in e.terms}
-    if len(lengths) > 1:
-        raise MilnorError("mixed symbol lengths")
-    size = lengths.pop() if lengths else (n if n is not None else 0)
-    out = ZeroCycle.empty(e.field, model, len(t_coords), size)
-    for sym, m in e.items():
-        out = out + psi_map(sym, t_coords, model).scale(m)
-    return out
+    terms = [] if sym.has_one_entry else [(1, ClosedPoint(ell, coords, sym.entries))]
+    return ZeroCycle(ell, model, len(coords), sym.length, terms)
 
 
 def theta_map(C: ParamCurve) -> MilnorElement:
@@ -791,25 +744,26 @@ def verify_mult_curve(curve: ParamCurve, f: FieldElement, g: FieldElement) -> Cu
     spec = f.spec
     b = curve_boundary(curve)
     base = curve.base_t_coords
-    expected = ZeroCycle.empty(spec, curve.model, len(base), 1)
-    for val, mult in ((f, -1), (g, -1), (f * g, 1)):
-        expected = expected + psi_map(MilnorSymbol(spec, [val]), base, curve.model).scale(mult)
+    expected = ZeroCycle(spec, curve.model, len(base), 1, [
+        (mult, pt) for val, mult in ((f, -1), (g, -1), (f * g, 1))
+        for pt in psi_map(MilnorSymbol(spec, [val]), base, curve.model).terms
+    ])
     return CurveIdentity(b == expected, b, expected, -1)
 
 
 def verify_xi_curve(curve: ParamCurve, symbol: MilnorElement) -> CurveIdentity:
-    """d(xi) = (-1)^n psi_tilde(delta(symbol)) over the finite places."""
+    """d(xi) = (-1)^n psi(delta(symbol)) over the finite places, psi extended
+    Z-linearly."""
     n = curve.n - 1
     sign = (-1) ** n
     b = curve_boundary(curve)
     spec = curve.spec
-    expected = ZeroCycle.empty(spec, curve.model, 1, n)
+    terms = []
     for v, res in total_delta(symbol, include_infinity=False).items():
         base = v.base_point()
-        ell = base.residue_spec
         for sym, m in res.items():
-            pt = ClosedPoint(ell, base.t_coords, sym.entries)
-            expected = expected + ZeroCycle(spec, curve.model, 1, n, [(sign * m, pt)])
+            terms.append((sign * m, ClosedPoint(base.residue_spec, base.t_coords, sym.entries)))
+    expected = ZeroCycle(spec, curve.model, 1, n, terms)
     return CurveIdentity(b == expected, b, expected, sign)
 
 

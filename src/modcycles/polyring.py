@@ -387,7 +387,7 @@ class MultiPoly:
             if mono:
                 body = mono if ct == "1" else f"{ct}*{mono}"
             else:
-                body = ct if not composite else ct
+                body = ct
             if not parts:
                 parts.append(("-" if neg else "") + body)
             else:
@@ -517,7 +517,6 @@ class _Parser:
             # fraction literal: uint '/' uint (polynomial mode only)
             k2, t2, _ = self.toks.peek()
             if k2 == "/" and not self.allow_div:
-                save = self.toks.i
                 self.toks.next()
                 k3, t3, p3 = self.toks.next()
                 if k3 != "num":
@@ -722,11 +721,8 @@ INFINITY = type("_Infinity", (), {
 
 def parse_ratfunc(text: str, spec: FieldSpec, var: str = "t") -> RatFunc:
     """Parse a rational expression in one variable with full field operations."""
-    from fractions import Fraction
-
     def const(num, den, pos):
-        return RatFunc.const(spec, Fraction(num, den) if spec.char == 0 else num) \
-            if den != 1 else RatFunc.const(spec, num)
+        return RatFunc.const(spec, num)  # '/' is division here, so den is always 1
 
     def mkvar(name, pos):
         if name == var:

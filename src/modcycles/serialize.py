@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import FieldElement, FieldSpec, UniPoly, make_field
-from .polyring import MultiPoly, RatFunc, VarSet, parse_poly, parse_ratfunc, parse_unipoly
+from .fields import FieldElement, FieldSpec, make_field
+from .polyring import RatFunc, VarSet, parse_poly, parse_ratfunc, parse_unipoly
 from .cycles import (
     ClosedPoint,
     CoordModel,
@@ -66,20 +66,8 @@ def element_from_json(data, spec: FieldSpec) -> FieldElement:
 # -- polynomials and rational functions --------------------------------------
 
 
-def unipoly_to_json(p: UniPoly, var: str = "t") -> str:
-    return p.to_text(var)
-
-
-def unipoly_from_json(text: str, spec: FieldSpec, var: str = "t") -> UniPoly:
-    return parse_unipoly(text, spec, var)
-
-
 def ratfunc_to_json(f: RatFunc, var: str = "t") -> str:
     return f.to_text(var)
-
-
-def ratfunc_from_json(text: str, spec: FieldSpec, var: str = "t") -> RatFunc:
-    return parse_ratfunc(text, spec, var)
 
 
 # -- modulus -----------------------------------------------------------------
@@ -228,30 +216,11 @@ def _entry_to_json(e):
     return ratfunc_to_json(e)
 
 
-def symbol_to_json(s: MilnorSymbol) -> dict:
-    field = s.field
-    if isinstance(field, FunctionField):
-        out = {"field": spec_to_json(field.base), "function_field": True}
-    else:
-        out = {"field": spec_to_json(field)}
-    out["entries"] = [_entry_to_json(e) for e in s.entries]
-    return out
-
-
 def element_field_from_json(data: dict):
     spec = spec_from_json(data["field"])
     if data.get("function_field"):
         return FunctionField(spec)
     return spec
-
-
-def symbol_from_json(data: dict) -> MilnorSymbol:
-    field = element_field_from_json(data)
-    if isinstance(field, FunctionField):
-        entries = [parse_ratfunc(e, field.base) for e in data["entries"]]
-    else:
-        entries = [element_from_json(e, field) for e in data["entries"]]
-    return MilnorSymbol(field, entries)
 
 
 def milnor_element_to_json(e: MilnorElement) -> dict:

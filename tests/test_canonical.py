@@ -1,28 +1,36 @@
 """Results built by the trusted constructors equal a validating rebuild.
 
-Arithmetic in ``MultiPoly`` and the re-weighting operations of
-``HypersurfaceCycle`` skip validation because their results are canonical by
-construction; these tests rebuild each result through the public
-constructors and compare.
+Arithmetic in ``MultiPoly`` and the re-weighting operations of the formal
+sums (``HypersurfaceCycle``, ``ZeroCycle``, ``MilnorElement``) skip
+validation because their results are canonical by construction; these tests
+rebuild each result through the public constructors and compare.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modcycles.cycles import (
+    ClosedPoint,
     CoordModel,
+    CycleError,
     HypersurfaceCycle,
+    ParamCurve,
+    WrongModel,
+    ZeroCycle,
     boundary,
     check_face_condition,
+    curve_boundary,
     normalize_component,
     prune_degenerate,
     psi_convert,
 )
-from modcycles.fields import make_field
-from modcycles.polyring import InexactDivision, MultiPoly, VarSet, parse_poly
+from modcycles.fields import UniPoly, WrongField, make_field
+from modcycles.milnor import FunctionField, MilnorElement, MilnorSymbol, Valuation, tame_symbol
+from modcycles.polyring import InexactDivision, MultiPoly, RatFunc, VarSet, parse_poly
 
 F5 = make_field(5)
 Q = make_field(0)
@@ -144,3 +152,113 @@ class TestTrustedCycles:
             # PSI components keep the factor
             P = HypersurfaceCycle(spec, vars, CoordModel.PSI, [(1, junk * base)])
             assert list(P.terms) == [normalize_component(junk * base)]
+
+
+def rand_unit(rng, spec):
+    return rand_elem(rng, spec) or spec.one
+
+
+def rand_ratfunc(rng, spec):
+    """A unit times a few linear factors (t - a)^e with e in {-1, 1, 2}."""
+    t = RatFunc.param(spec)
+    f = RatFunc.const(spec, rand_unit(rng, spec))
+    for _ in range(rng.randrange(3)):
+        f = f * (t - RatFunc.const(spec, rand_elem(rng, spec))) ** rng.choice((-1, 1, 2))
+    return f
+
+
+def rand_zero_cycle(rng, spec, r, n):
+    """Draws from three points, so repeated points merge and may cancel."""
+    pool = [ClosedPoint(spec, [rand_elem(rng, spec) for _ in range(r)],
+                        [rand_elem(rng, spec) for _ in range(n)]) for _ in range(3)]
+    return ZeroCycle(spec, CoordModel.ORIGINAL, r, n,
+                     [(rng.randint(-2, 2), rng.choice(pool)) for _ in range(rng.randrange(6))])
+
+
+def rand_milnor(rng, field, entry):
+    """Draws from three symbols of length 1 or 2 over ``field``."""
+    pool = [MilnorSymbol(field, [entry() for _ in range(rng.randrange(1, 3))]) for _ in range(3)]
+    return MilnorElement(field, [(rng.randint(-2, 2), rng.choice(pool))
+                                 for _ in range(rng.randrange(6))])
+
+
+def assert_canonical_zero_cycle(Z):
+    assert all(Z.terms.values()), "zero multiplicity stored"
+    assert ZeroCycle(Z.spec, Z.model, Z.r, Z.n, Z.terms) == Z
+
+
+def assert_canonical_milnor(e):
+    assert all(e.terms.values()), "zero multiplicity stored"
+    assert not any(s.has_one_entry for s in e.terms), "vanishing symbol stored"
+    assert MilnorElement(e.field, e.terms) == e
+
+
+class TestTrustedFormalSums:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_zero_cycle_operations_are_canonical(self, seed):
+        rng = random.Random(seed)
+        spec = SPECS[seed % 3]
+        r, n = rng.randrange(3), rng.randrange(3)
+        Z, W = rand_zero_cycle(rng, spec, r, n), rand_zero_cycle(rng, spec, r, n)
+        for R in (Z + W, Z - W, Z - Z, -Z, Z.scale(rng.randint(-3, 3)), Z.scale(0)):
+            assert_canonical_zero_cycle(R)
+        assert not (Z - Z) and not Z.scale(0)
+        assert (Z + W) - W == Z
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_curve_boundary_is_canonical(self, seed):
+        rng = random.Random(seed)
+        spec = SPECS[seed % 3]
+        comps = [rand_ratfunc(rng, spec) for _ in range(1 + seed % 2)]
+        try:
+            curve = ParamCurve(spec, CoordModel.ORIGINAL, comps, graph_over_base=True)
+            b = curve_boundary(curve)
+        except CycleError:
+            return  # a constant face value or an improper boundary point
+        assert_canonical_zero_cycle(b)
+        assert curve_boundary(curve, flip_inner=True) == -b
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_milnor_operations_are_canonical(self, seed):
+        rng = random.Random(seed)
+        spec = SPECS[seed % 3]
+        ff = FunctionField(spec)
+        for field, entry in ((spec, lambda: rand_unit(rng, spec)),
+                             (ff, lambda: rand_ratfunc(rng, spec))):
+            a, b = rand_milnor(rng, field, entry), rand_milnor(rng, field, entry)
+            for R in (a + b, a - b, a - a, -a, a.scale(rng.randint(-3, 3)), a.scale(0)):
+                assert_canonical_milnor(R)
+            assert not (a - a) and (a + b) - b == a
+        s = rand_milnor(rng, ff, lambda: rand_ratfunc(rng, spec))
+        pi = UniPoly(spec, [-rand_elem(rng, spec), spec.one])
+        for v in (Valuation(ff, pi), Valuation(ff, None)):
+            res = tame_symbol(v, s)
+            assert_canonical_milnor(res)
+            assert tame_symbol(v, s.scale(2) - s) == res
+
+    def test_mismatched_ambients_raise(self):
+        F7 = make_field(7)
+        pt = ClosedPoint(F5, [F5.one], [F5.element(2)])
+        Z = ZeroCycle(F5, CoordModel.ORIGINAL, 1, 1, [(1, pt)])
+        for other in (ZeroCycle(F5, CoordModel.PSI, 1, 1, [(1, pt)]),
+                      ZeroCycle.empty(F5, CoordModel.ORIGINAL, 1, 2),
+                      ZeroCycle.empty(F7, CoordModel.ORIGINAL, 1, 1)):
+            with pytest.raises(WrongModel):
+                Z + other
+            with pytest.raises(WrongModel):
+                Z - other
+        vars = VarSet(1, 1)
+        V = HypersurfaceCycle.from_poly(parse_poly("1 + t1*y1", F5, vars), CoordModel.PSI)
+        with pytest.raises(WrongModel):
+            V + HypersurfaceCycle.empty(F5, vars, CoordModel.ORIGINAL)
+        with pytest.raises(WrongModel):
+            V + HypersurfaceCycle.empty(F5, VarSet(1, 2), CoordModel.PSI)
+        e = MilnorElement.of(F5, F5.element(2))
+        for other in (MilnorElement.of(F7, F7.element(2)), MilnorElement.zero(FunctionField(F5))):
+            with pytest.raises(WrongField):
+                e + other
+            with pytest.raises(WrongField):
+                e - other

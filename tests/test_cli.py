@@ -174,6 +174,18 @@ class TestCurves:
         ])
         assert code == 0 and rep["identity"] is True and rep["sign"] == -1
 
+    def test_boundary_curve_replays_the_totaro_report(self, tmp_path):
+        code, report = run_json([
+            "curves", "totaro", "--relation", "steinberg",
+            "--field", "Fp:7", "--entries", "3,2",
+        ])
+        assert code == 0
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(report["curve"]))
+        code, rep = run_json(["boundary", "--curve", str(path)])
+        assert code == 0 and rep["points"] == report["boundary"]["points"]
+        assert rep["points"] == [{"mult": 1, "t": [], "y": ["3", "5", "2"]}]
+
     def test_xi(self):
         code, rep = run_json([
             "curves", "xi", "--field", "Fp:5", "--entries", "t - 2",
@@ -229,3 +241,20 @@ class TestErrorPaths:
         path.write_text(json.dumps(cert))
         code, rep = run_json(["verify", "--file", str(path)])
         assert code == 2 and rep["error"]["type"] == "MalformedCertificate"
+
+    @pytest.mark.parametrize("argv, error", [
+        (["ktheory", "reduce"], "InputError"),
+        (["ktheory", "tame", "--pi", "t"], "InputError"),
+        (["ktheory", "delta"], "InputError"),
+        (["ktheory", "k2-table", "--max-q", "0"], "NotPrimePower"),
+        (["ktheory", "k2-table", "--max-q", "-5"], "NotPrimePower"),
+        (["curves", "totaro", "--field", "Fp:7"], "InputError"),
+        (["curves", "xi", "--field", "Fp:5", "--entries", "t - 2", "--pi", "t - 1"],
+         "InputError"),
+        (["curves", "xi", "--field", "Fp:5", "--entries", "t - 2", "--unit", "3"],
+         "InputError"),
+        (["curves", "xi", "--field", "Fp:5", "--unit", "3", "--pi", "t - 1"], "InputError"),
+    ])
+    def test_missing_input_exits_2(self, argv, error):
+        code, rep = run_json(argv)
+        assert code == 2 and rep["error"]["type"] == error

@@ -291,7 +291,7 @@ class TestCurveBoundary:
         comp = (s - RatFunc.const(F7, 3)) ** 2
         curve = ParamCurve(F7, CoordModel.ORIGINAL, [comp], graph_over_base=True)
         b = curve_boundary(curve)
-        assert b.points[ClosedPoint(F7, [F7.element(3)], [])] == 2
+        assert b.terms[ClosedPoint(F7, [F7.element(3)], [])] == 2
 
     def test_extension_place_point(self):
         # component with an irreducible quadratic zero over F5

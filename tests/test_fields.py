@@ -217,3 +217,29 @@ class TestElementText:
         assert F5.element(9).to_text() == "4"
         assert F9.element([1, 2]).to_text() == "2*u + 1"
         assert F9.element([0, 1]).to_text() == "u"
+
+
+class TestMixedOperands:
+    """A field element hands operands it does not know to their reflected
+    methods, so scalars combine with polynomials from either side."""
+
+    def test_scalar_with_polynomials(self):
+        from modcycles.polyring import MultiPoly, RatFunc, VarSet, parse_poly
+
+        for spec in (F5, Q, F9):
+            c = spec.element(3)
+            others = [
+                parse_poly("1 + 2*t1*y1 + y1^2", spec, VarSet(1, 1)),
+                RatFunc.param(spec) / (RatFunc.param(spec) - RatFunc.const(spec, 1)),
+                UniPoly.x(spec),
+            ]
+            for p in others:
+                assert c * p == p * c
+                assert c + p == p + c
+            assert isinstance(c * others[0], MultiPoly)
+
+    def test_unknown_operand_is_a_type_error(self):
+        c = F5.element(2)
+        for op in (lambda: c + "1", lambda: c * None, lambda: c - [1], lambda: c / object()):
+            with pytest.raises(TypeError):
+                op()
