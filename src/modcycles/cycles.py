@@ -247,7 +247,8 @@ class FormalSum:
             and self.terms == other.terms
         )
 
-    def __add__(self, other):
+    def _merge(self, other, sign: int):
+        """self + sign * other in one pass over other's terms."""
         if type(other) is not type(self):
             return NotImplemented
         ambient = self._ambient
@@ -255,14 +256,17 @@ class FormalSum:
             raise self._MISMATCH(f"{type(self).__name__} summands live in different ambients")
         out = dict(self.terms)
         for k, m in other.terms.items():
-            out[k] = out.get(k, 0) + m
+            out[k] = out.get(k, 0) + sign * m
         return self._trusted(ambient, out)
+
+    def __add__(self, other):
+        return self._merge(other, 1)
 
     def __neg__(self):
         return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._merge(other, -1)
 
     def scale(self, c: int):
         return self._trusted(self._ambient, {k: c * m for k, m in self.terms.items()})
@@ -571,17 +575,27 @@ class FaceReport:
         }
 
 
-def _corner_restrict(p: MultiPoly, assignment: Sequence[tuple[str, object]]) -> MultiPoly:
+def _finite_restrict(finite: tuple, restricted: dict) -> MultiPoly:
+    """Restriction to the finite face ``finite``, a tuple of (name, value)
+    pairs; ``restricted`` memoizes it per finite face, starting from
+    ``{(): p}``, so each new face is one substitution into its prefix."""
+    g = restricted.get(finite)
+    if g is None:
+        g = _finite_restrict(finite[:-1], restricted)
+        name, v = finite[-1]
+        g = restricted[finite] = g.substitute({name: g.spec.element(v)})
+    return g
+
+
+def _corner_restrict(assignment: Sequence[tuple[str, object]], restricted: dict) -> MultiPoly:
     """Composite-face restriction: finite substitutions first, then the joint
     corner coefficient for the variables sent to infinity.  The ambient ring
     is kept, since callers only test the result against zero."""
-    finite = {name: p.spec.element(v) for name, v in assignment if v is not INFINITY}
-    inf_vars = [name for name, v in assignment if v is INFINITY]
-    g = p.substitute(finite) if finite else p
+    g = _finite_restrict(tuple(a for a in assignment if a[1] is not INFINITY), restricted)
     if not g:
         return g
     # joint top multidegree, all computed before extraction
-    degs = [(name, g.degree_in(name)) for name in inf_vars]
+    degs = [(name, g.degree_in(name)) for name, v in assignment if v is INFINITY]
     for name, d in degs:
         g = g.coefficient_of(name, d)
         if not g:
@@ -607,11 +621,12 @@ def check_face_condition(Z) -> FaceReport:
     """
     violations = []
     if isinstance(Z, HypersurfaceCycle):
-        faces = Z.model.faces
+        assignments = list(_face_assignments(Z.vars.n, Z.model.faces))
         for _, p in Z.components():
             text = p.to_text()
-            for assignment in _face_assignments(Z.vars.n, faces):
-                g = _corner_restrict(p, assignment)
+            restricted = {(): p}
+            for assignment in assignments:
+                g = _corner_restrict(assignment, restricted)
                 if not g:
                     violations.append(FaceViolation(
                         text,
@@ -777,10 +792,18 @@ def _convert_poly(p: MultiPoly, to_model: CoordModel) -> MultiPoly:
         else:
             # psi coordinate w = 1/(1 - y) in the new coordinate y
             num, den = one, one - yv
+        num_pows, den_pows = [one, num], [one, den]
+        for _ in range(d - 1):
+            num_pows.append(num_pows[-1] * num)
+            den_pows.append(den_pows[-1] * den)
         acc = MultiPoly.zero(spec, vars)
         for e in range(d + 1):
             ce = out.coefficient_of(name, e)
-            acc = acc + ce * num**e * den ** (d - e)
+            if ce:
+                for f in (num_pows[e], den_pows[d - e]):
+                    if f != one:
+                        ce = ce * f
+                acc = acc + ce
         out = acc
     return out
 

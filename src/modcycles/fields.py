@@ -152,6 +152,21 @@ def _vec_mod_inv(char, a, mu):
     return _vec_divmod(char, _vec_scale(char, s0, _base_inv(char, r0[0])), mu)[1]
 
 
+def _reduction_rows(char, ext):
+    # the reduction map of a schoolbook product modulo the monic mu of degree
+    # d: for k = d .. 2d-2, the pair (k, the (i, c) pairs of the nonzero
+    # coefficients c u^i of u^k mod mu)
+    d = len(ext) - 1
+    first = [_base_neg(char, c) for c in ext[:d]]  # u^d = -(mu - u^d)
+    row, rows = first, []
+    for k in range(d, 2 * d - 1):
+        rows.append((k, tuple((i, c) for i, c in enumerate(row) if c)))
+        # u * row, with its u^d term folded back in through ``first``
+        shifted = [0 if char else Fraction(0)] + row[:-1]
+        row = [_base_add(char, lo, _base_mul(char, row[-1], c)) for lo, c in zip(shifted, first)]
+    return tuple(rows)
+
+
 # ---------------------------------------------------------------------------
 # Field specifications and elements
 # ---------------------------------------------------------------------------
@@ -164,17 +179,19 @@ class FieldSpec:
     leading 1; ``None`` means the base field itself.
     """
 
-    __slots__ = ("char", "ext", "__dict__")
+    __slots__ = ("char", "ext", "_zero_coeff", "_rows", "__dict__")
 
     def __init__(self, char: int, ext: tuple | None):
         self.char = char
         self.ext = ext
+        self._zero_coeff = 0 if char else Fraction(0)
+        self._rows = _reduction_rows(char, ext) if ext else None
 
     def __repr__(self):
         return f"FieldSpec({self.to_text()})"
 
     def __eq__(self, other):
-        if self is other:  # specs are interned by _make_field_cached
+        if self is other:  # specs are interned by make_field's cache
             return True
         return (
             isinstance(other, FieldSpec)
@@ -233,15 +250,18 @@ class FieldSpec:
 
     def element(self, x: Scalar | Sequence) -> "FieldElement":
         """Coerce an int, Fraction, coefficient sequence, or element into this field."""
-        if isinstance(x, FieldElement) and x.spec == self:
+        cls = x.__class__
+        if cls is FieldElement and (x.spec is self or x.spec == self):
             return x
-        if not self.ext:
+        if self.ext is None:
+            if cls is int and self.char:
+                return FieldElement(self, x % self.char)
             return FieldElement(self, self._base_value(x))
         if isinstance(x, (list, tuple)):
-            coeffs = [self.base._base_value(c) for c in x]
-            coeffs, _ = (coeffs, None) if len(coeffs) < len(self.ext) else _vec_divmod(self.char, coeffs, list(self.ext))
-            vec = _vec_trim(list(coeffs))
-            return FieldElement(self, self._pad(vec))
+            coeffs = _vec_trim([self.base._base_value(c) for c in x])
+            if len(coeffs) >= len(self.ext):
+                coeffs = _vec_divmod(self.char, coeffs, list(self.ext))[1]
+            return FieldElement(self, self._pad(coeffs))
         # base scalar embedded as a constant
         v = self.base._base_value(x)
         return FieldElement(self, self._pad([v] if v else []))
@@ -331,13 +351,13 @@ class FieldElement:
         return f"<{self.to_text()} in {self.spec.to_text()}>"
 
     def __bool__(self):
-        if isinstance(self.value, tuple):
-            return any(self.value)
-        return self.value != 0
+        if self.spec.ext is None:
+            return self.value != 0
+        return any(self.value)
 
     def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.spec == other.spec and self.value == other.value
+        if other.__class__ is FieldElement:
+            return self.value == other.value and (self.spec is other.spec or self.spec == other.spec)
         if isinstance(other, (int, Fraction)):
             return self.value == self.spec.element(other).value
         return NotImplemented
@@ -359,41 +379,73 @@ class FieldElement:
             return self.spec.element(other)
         return None
 
+    # ``+``, ``-`` and ``*`` take an element of the same interned spec
+    # directly and send every other operand through _coerce.  Extension
+    # values are padded tuples, so sums are pairwise and a product is a
+    # schoolbook product reduced by the spec's precomputed rows.
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         s = self.spec
-        if isinstance(self.value, tuple):
-            return FieldElement(s, s._pad(_vec_add(s.char, list(self.value), list(o.value))))
-        return FieldElement(s, _base_add(s.char, self.value, o.value))
+        if other.__class__ is not FieldElement or other.spec is not s:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c = self.value, other.value, s.char
+        if s.ext is None:
+            return FieldElement(s, (a + b) % c if c else a + b)
+        if c:
+            return FieldElement(s, tuple([(x + y) % c for x, y in zip(a, b)]))
+        return FieldElement(s, tuple([x + y for x, y in zip(a, b)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        s = self.spec
-        if isinstance(self.value, tuple):
-            return FieldElement(s, tuple(_base_neg(s.char, c) for c in self.value))
-        return FieldElement(s, _base_neg(s.char, self.value))
+        s, a, c = self.spec, self.value, self.spec.char
+        if s.ext is None:
+            return FieldElement(s, -a % c if c else -a)
+        if c:
+            return FieldElement(s, tuple([-x % c for x in a]))
+        return FieldElement(s, tuple([-x for x in a]))
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self + (-o)
+        s = self.spec
+        if other.__class__ is not FieldElement or other.spec is not s:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c = self.value, other.value, s.char
+        if s.ext is None:
+            return FieldElement(s, (a - b) % c if c else a - b)
+        if c:
+            return FieldElement(s, tuple([(x - y) % c for x, y in zip(a, b)]))
+        return FieldElement(s, tuple([x - y for x, y in zip(a, b)]))
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else o + (-self)
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         s = self.spec
-        if isinstance(self.value, tuple):
-            prod = _vec_mul(s.char, list(self.value), list(o.value))
-            _, rem = _vec_divmod(s.char, prod, list(s.ext)) if prod else ([], [])
-            return FieldElement(s, s._pad(rem))
-        return FieldElement(s, _base_mul(s.char, self.value, o.value))
+        if other.__class__ is not FieldElement or other.spec is not s:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c = self.value, other.value, s.char
+        if s.ext is None:
+            return FieldElement(s, a * b % c if c else a * b)
+        d = len(a)
+        prod = [s._zero_coeff] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
+        for k, row in s._rows:
+            h = prod[k]
+            if h:
+                for i, r in row:
+                    prod[i] += h * r
+        del prod[d:]
+        return FieldElement(s, tuple([x % c for x in prod]) if c else tuple(prod))
 
     __rmul__ = __mul__
 
@@ -683,9 +735,10 @@ def _freeze_mu(char: int, mu) -> tuple:
     return tuple(vals)
 
 
-@lru_cache(maxsize=None)
-def _make_field_cached(char: int, ext: tuple | None) -> FieldSpec:
-    return FieldSpec(char, ext)
+# Largest finite field make_field builds.  Construction searches for a
+# multiplicative generator and finite-field code enumerates elements or
+# tabulates discrete logs, each up to this many multiplications.
+FINITE_FIELD_MAX_ORDER = 2**16
 
 
 def make_field(characteristic: int, mu=None) -> FieldSpec:
@@ -693,26 +746,39 @@ def make_field(characteristic: int, mu=None) -> FieldSpec:
 
     mu may be a UniPoly over the base or a low-degree-first coefficient
     sequence.  Irreducibility is checked by trial factorization over finite
-    fields and by rational-root extraction (degree <= 3) over Q.
+    fields and by rational-root extraction (degree <= 3) over Q.  Finite
+    extensions of more than FINITE_FIELD_MAX_ORDER elements raise
+    ExtensionNotSupported.  Equal inputs return the same interned spec.
     """
-    if characteristic != 0 and not is_prime(characteristic):
-        raise NonPrimeCharacteristic(f"{characteristic} is not 0 or prime")
-    if mu is None:
-        return _make_field_cached(characteristic, None)
-    base = make_field(characteristic)
-    ext = _freeze_mu(characteristic, mu)
+    ext = None if mu is None else _freeze_mu(characteristic, mu)
+    return _validated_field(characteristic, ext)
+
+
+@lru_cache(maxsize=None)
+def _validated_field(char: int, ext: tuple | None) -> FieldSpec:
+    # lru_cache stores only returned specs, so invalid input raises on every call
+    if ext is None:
+        if char != 0 and not is_prime(char):
+            raise NonPrimeCharacteristic(f"{char} is not 0 or prime")
+        return FieldSpec(char, None)
+    base = make_field(char)
     if len(ext) < 3:
         raise ReducibleExtensionPolynomial("extension degree must be at least 2")
-    if ext[-1] != (1 if characteristic else Fraction(1)):
+    if ext[-1] != (1 if char else Fraction(1)):
         raise ReducibleExtensionPolynomial("extension polynomial must be monic")
     poly = UniPoly(base, list(ext))
-    if characteristic == 0 and poly.degree > 3:
+    if char and char**poly.degree > FINITE_FIELD_MAX_ORDER:
+        raise ExtensionNotSupported(
+            f"F_{char}^{poly.degree} has more than FINITE_FIELD_MAX_ORDER = "
+            f"{FINITE_FIELD_MAX_ORDER} elements"
+        )
+    if char == 0 and poly.degree > 3:
         raise ExtensionNotSupported(
             "irreducibility over Q is certified only up to degree 3"
         )
     if not is_irreducible(poly):
         raise ReducibleExtensionPolynomial(f"{poly.to_text('u')} factors over {base.to_text()}")
-    spec = _make_field_cached(characteristic, ext)
+    spec = FieldSpec(char, ext)
     if spec.is_finite:
         _ = spec.generator  # found and cached at construction
     return spec

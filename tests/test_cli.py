@@ -258,3 +258,9 @@ class TestErrorPaths:
     def test_missing_input_exits_2(self, argv, error):
         code, rep = run_json(argv)
         assert code == 2 and rep["error"]["type"] == error
+
+    def test_field_order_cap_exits_2(self):
+        # F_{2^17} is past FINITE_FIELD_MAX_ORDER; refused before any search
+        code, rep = run_json(["check-cycle", "--inline", "1 - t1*y1", "--modulus", "1",
+                              "--field", "Fq:2:u^17+u^3+1"])
+        assert code == 2 and rep["error"]["type"] == "ExtensionNotSupported"

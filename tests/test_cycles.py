@@ -1,10 +1,13 @@
 """The cubical complex: faces, boundary, degeneracy, admissibility, conversion,
 push-forward, and parametric curve boundaries."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcycles.fields import make_field, UniPoly
 from modcycles.polyring import INFINITY, MultiPoly, RatFunc, VarSet, parse_poly, parse_ratfunc
@@ -34,10 +37,58 @@ from modcycles.cycles import (
 F5 = make_field(5)
 F7 = make_field(7)
 Q = make_field(0)
+F9 = make_field(3, [1, 0, 1])
 
 
 def cyc(text, spec=F7, r=2, n=1, model=CoordModel.PSI):
     return HypersurfaceCycle.from_poly(parse_poly(text, spec, VarSet(r, n)), model)
+
+
+def random_face_cycle(rng, spec, model, n):
+    """Products of sparse factors, some of them y_i minus a face value, so
+    that faces and corners at infinity are often improper."""
+    vars = VarSet(1, n)
+    scalars = [spec.element(c) for c in (-2, -1, 1, 2, 3)]
+    if spec.is_extension:
+        scalars.append(spec.gen_u)
+    terms = []
+    for _ in range(rng.randrange(1, 4)):
+        p = MultiPoly.const(spec, vars, 1)
+        for _ in range(rng.randrange(1, 3)):
+            if rng.random() < 0.3:
+                y = MultiPoly.variable(spec, vars, f"y{rng.randrange(1, n + 1)}")
+                p = p * (y - rng.choice([0, 1]))
+                continue
+            f = MultiPoly(spec, vars, {
+                tuple(rng.randrange(3) for _ in range(vars.count)): rng.choice(scalars)
+                for _ in range(rng.randrange(1, 4))
+            })
+            p = p * f
+        if not p.is_constant:
+            terms.append((rng.choice((-2, -1, 1, 2)), p))
+    return HypersurfaceCycle(spec, vars, model, terms)
+
+
+def reference_face_report(Z):
+    violations = []
+    n = Z.vars.n
+    for _, p in Z.components():
+        for size in range(1, n + 1):
+            for subset in itertools.combinations(range(1, n + 1), size):
+                for values in itertools.product(Z.model.faces, repeat=size):
+                    face = [(f"y{i}", v) for i, v in zip(subset, values)]
+                    g = p.substitute({y: p.spec.element(v) for y, v in face if v is not INFINITY})
+                    if g:
+                        degs = [(y, g.degree_in(y)) for y, v in face if v is INFINITY]
+                        for y, d in degs:
+                            g = g.coefficient_of(y, d)
+                    if not g:
+                        violations.append({
+                            "component": p.to_text(),
+                            "face": {y: "inf" if v is INFINITY else str(v) for y, v in face},
+                            "kind": "improper",
+                        })
+    return {"passed": not violations, "violations": violations}
 
 
 class TestFaceRestrict:
@@ -145,6 +196,17 @@ class TestFaceCondition:
         assert not report.passed
         assert any(all(e == "inf" for _, e in v.face) and len(v.face) == 2
                    for v in report.violations)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_report_equals_restriction_from_scratch(self, seed):
+        # check_face_condition restricts each face from a memoized prefix;
+        # the reference substitutes every finite face value from scratch
+        rng = random.Random(seed)
+        spec = (F5, F9, Q)[seed % 3]
+        model = (CoordModel.ORIGINAL, CoordModel.PSI)[seed // 3 % 2]
+        Z = random_face_cycle(rng, spec, model, 1 + seed // 6 % 4)
+        assert check_face_condition(Z).to_json() == reference_face_report(Z)
 
 
 class TestModulusCodim1:

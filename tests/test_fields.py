@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from modcycles.fields import (
     EXTENSION_MODULI,
+    FINITE_FIELD_MAX_ORDER,
     ExtensionNotSupported,
     FieldElement,
     NonPrimeCharacteristic,
     NotFiniteExtension,
     ReducibleExtensionPolynomial,
     UniPoly,
+    WrongField,
     ZeroElement,
     ZeroPolynomial,
     factor_univariate,
@@ -243,3 +245,93 @@ class TestMixedOperands:
         for op in (lambda: c + "1", lambda: c * None, lambda: c - [1], lambda: c / object()):
             with pytest.raises(TypeError):
                 op()
+
+
+# Degree >= 3 moduli reduce a product through more than one row.
+EXTENSIONS = {
+    "F9": F9,
+    "F8": standard_extension(2, 3),
+    "F16": standard_extension(2, 4),
+    "F64": standard_extension(2, 6),
+    "F81": standard_extension(3, 4),
+    "Q(i)": make_field(0, [1, 0, 1]),
+    "Q(sqrt2)": make_field(0, [-2, 0, 1]),
+    "Q(cbrt2)": make_field(0, [-2, 0, 0, 1]),
+}
+
+
+def extension_elements(spec):
+    coeff = (st.integers(0, spec.char - 1) if spec.char
+             else st.fractions(min_value=-9, max_value=9, max_denominator=5))
+    return st.lists(coeff, min_size=spec.degree, max_size=spec.degree).map(spec.element)
+
+
+class TestExtensionArithmetic:
+    """Extension ``+``, ``-`` and ``*`` work on padded tuples and precomputed
+    reduction rows; each result equals the validating rebuild through
+    ``spec.element``, which reduces by polynomial division."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(EXTENSIONS)), st.data())
+    def test_ops_equal_validating_rebuild(self, name, data):
+        spec = EXTENSIONS[name]
+        a = data.draw(extension_elements(spec))
+        b = data.draw(extension_elements(spec))
+        schoolbook = [0] * (2 * spec.degree - 1)
+        for i, x in enumerate(a.value):
+            for j, y in enumerate(b.value):
+                schoolbook[i + j] += x * y
+        assert a * b == spec.element(schoolbook)
+        assert a + b == spec.element([x + y for x, y in zip(a.value, b.value)])
+        assert a - b == spec.element([x - y for x, y in zip(a.value, b.value)])
+        assert -a == spec.element([-x for x in a.value])
+        for r in (a * b, a + b, a - b, -a):
+            assert r.spec is spec and len(r.value) == spec.degree
+            assert all(isinstance(c, int if spec.char else Fraction) for c in r.value)
+
+    def test_long_sequences_reduce_mod_mu(self):
+        # u^2 = -1 in F9, and u^6 = u^3 + u^2 in F2[u]/(u^4 + u + 1)
+        assert F9.element([0, 0, 1]) == F9.element([-1]) == F9.gen_u * F9.gen_u
+        F16 = EXTENSIONS["F16"]
+        assert F16.element([0] * 6 + [1]) == F16.element([0, 0, 1, 1]) == F16.gen_u**6
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(sorted(EXTENSIONS)), st.data())
+    def test_rational_operands_coerce(self, name, data):
+        spec = EXTENSIONS[name]
+        a = data.draw(extension_elements(spec))
+        half = Fraction(1, 2) if spec.char != 2 else Fraction(1, 3)
+        assert a + 1 == 1 + a == a + spec.one
+        assert a - 1 == a - spec.one and 1 - a == spec.one - a
+        assert 3 * a == a * 3 == a * spec.element(3)
+        assert a * half == half * a == a * spec.element(half)
+
+    def test_mixed_specs_raise(self):
+        F8, Qi = EXTENSIONS["F8"], EXTENSIONS["Q(i)"]
+        pairs = [(F9.gen_u, F8.gen_u), (F9.gen_u, make_field(3).one),
+                 (Qi.gen_u, EXTENSIONS["Q(sqrt2)"].gen_u), (Qi.gen_u, Q.one)]
+        for a, b in pairs:
+            for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b * a):
+                with pytest.raises(WrongField):
+                    op()
+
+
+class TestFieldCache:
+    def test_equal_moduli_give_one_spec(self):
+        assert make_field(3, [1, 0, 1]) is make_field(3, [1, 0, 1])
+        assert make_field(3, UniPoly(make_field(3), [4, 3, 1])) is F9
+        assert make_field(5) is F5
+
+    def test_invalid_input_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ReducibleExtensionPolynomial):
+                make_field(5, [-1, 0, 1])
+            with pytest.raises(NonPrimeCharacteristic):
+                make_field(6)
+
+    def test_order_cap(self):
+        assert FINITE_FIELD_MAX_ORDER == 2**16
+        with pytest.raises(ExtensionNotSupported):
+            make_field(2, [1, 0, 0, 1] + [0] * 13 + [1])  # u^17 + u^3 + 1
+        with pytest.raises(ExtensionNotSupported):
+            make_field(257, [3, 0, 1])

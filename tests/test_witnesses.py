@@ -2,7 +2,10 @@
 
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -286,3 +289,9 @@ class TestBothConventions:
             D = ModulusDatum.monomial(spec, [1, 1])
             assert not rho_of_boundary(W, D, flip_inner=False)
             assert not rho_of_boundary(W, D, flip_inner=True)
+
+
+def test_demo_script_runs():
+    demo = Path(__file__).resolve().parent.parent / "scripts" / "demo_witnesses.py"
+    done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
