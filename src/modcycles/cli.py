@@ -16,6 +16,7 @@ from . import __version__
 from .fields import FieldError, make_field
 from .polyring import PolyError, VarSet, parse_poly, parse_ratfunc, parse_unipoly
 from .cycles import (
+    FACE_CHECK_MAX_N,
     CoordModel,
     CycleError,
     HypersurfaceCycle,
@@ -59,7 +60,6 @@ from . import serialize as ser
 from .suites import run_suites
 
 from .polyring import RatFunc
-from .fields import UniPoly
 
 
 class InputError(Exception):
@@ -342,7 +342,9 @@ def _add_io(p, modulus=True, inline=True):
         p.add_argument("--inline", help="inline polynomial text")
         p.add_argument("--field", help="Q | Fp:p | Fq:p:mu")
         p.add_argument("--model", default="psi", help="original | psi")
-        p.add_argument("--n", type=int, default=1, help="number of cube variables")
+        p.add_argument("--n", type=int, default=1,
+                       help="number of cube variables; face checks take at most "
+                            f"FACE_CHECK_MAX_N = {FACE_CHECK_MAX_N}")
     if modulus:
         p.add_argument("--modulus", help="comma-separated monomial exponents")
     p.add_argument("--out", help="write the report here instead of stdout")

@@ -81,6 +81,10 @@ class DegenerateCurve(CycleError):
     pass
 
 
+class CubeTooLarge(CycleError):
+    pass
+
+
 class CoordModel(Enum):
     ORIGINAL = "ORIGINAL"
     PSI = "PSI"
@@ -612,15 +616,27 @@ def _face_assignments(n: int, faces) -> Iterable[tuple]:
                 yield tuple((f"y{i}", v) for i, v in zip(subset, values))
 
 
+# Largest cube dimension n whose composite faces check_face_condition
+# enumerates for a hypersurface cycle: there are 3^n - 1 of them, so each
+# step in n costs about three and a half times the time of the one before.
+FACE_CHECK_MAX_N = 8
+
+
 def check_face_condition(Z) -> FaceReport:
     """Proper intersection with every composite face.
 
-    Hypersurfaces: no face restriction is identically zero.  Zero-cycles: no
-    y-coordinate sits on a face value (a coordinate equal to the model's
+    Hypersurfaces: no face restriction is identically zero; a cycle on a
+    cube of dimension above FACE_CHECK_MAX_N raises CubeTooLarge.  Zero-cycles:
+    no y-coordinate sits on a face value (a coordinate equal to the model's
     excluded value is reported separately).
     """
     violations = []
     if isinstance(Z, HypersurfaceCycle):
+        if Z.vars.n > FACE_CHECK_MAX_N:
+            raise CubeTooLarge(
+                f"n = {Z.vars.n} is above FACE_CHECK_MAX_N = {FACE_CHECK_MAX_N}: "
+                f"{3 ** Z.vars.n - 1} composite faces"
+            )
         assignments = list(_face_assignments(Z.vars.n, Z.model.faces))
         for _, p in Z.components():
             text = p.to_text()

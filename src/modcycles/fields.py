@@ -53,6 +53,10 @@ class WrongField(FieldError):
     pass
 
 
+class NotAPlace(FieldError):
+    """A place of k(t) is a polynomial of positive degree; a unit divides everything."""
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -65,91 +69,8 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Raw coefficient-vector arithmetic over the base field.
-#
-# Base values are ints (mod p) or Fractions; extension values are tuples of
-# base values of fixed length d.  These helpers never see FieldElement.
+# Field specifications and elements
 # ---------------------------------------------------------------------------
-
-
-def _base_add(char, a, b):
-    return (a + b) % char if char else a + b
-
-
-def _base_mul(char, a, b):
-    return (a * b) % char if char else a * b
-
-
-def _base_neg(char, a):
-    return (-a) % char if char else -a
-
-
-def _base_inv(char, a):
-    if char:
-        return pow(a, -1, char)
-    return Fraction(1) / a
-
-
-def _vec_trim(v):
-    while v and not v[-1]:
-        v.pop()
-    return v
-
-
-def _vec_add(char, a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = _base_add(char, x, y)
-    return _vec_trim(out)
-
-
-def _vec_scale(char, a, c):
-    return _vec_trim([_base_mul(char, x, c) for x in a])
-
-
-def _vec_mul(char, a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = _base_add(char, out[i + j], _base_mul(char, x, y))
-    return _vec_trim(out)
-
-
-def _vec_divmod(char, a, b):
-    # b nonzero; returns (q, r) with a = q*b + r, deg r < deg b
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = _base_inv(char, b[-1])
-    while len(a) >= len(b):
-        c = _base_mul(char, a[-1], inv_lead)
-        k = len(a) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] = _base_add(char, a[k + i], _base_neg(char, _base_mul(char, y, c)))
-        _vec_trim(a)
-        if not a:
-            break
-    return _vec_trim(q), a
-
-
-def _vec_mod_inv(char, a, mu):
-    # extended Euclid: s*a + t*mu = g; a invertible mod mu when deg g == 0
-    r0, r1 = list(mu), list(a)
-    s0, s1 = [], [1]
-    while r1:
-        q, r = _vec_divmod(char, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _vec_add(char, s0, _vec_scale(char, _vec_mul(char, q, s1), _base_neg(char, 1)))
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible")
-    return _vec_divmod(char, _vec_scale(char, s0, _base_inv(char, r0[0])), mu)[1]
 
 
 def _reduction_rows(char, ext):
@@ -157,19 +78,16 @@ def _reduction_rows(char, ext):
     # d: for k = d .. 2d-2, the pair (k, the (i, c) pairs of the nonzero
     # coefficients c u^i of u^k mod mu)
     d = len(ext) - 1
-    first = [_base_neg(char, c) for c in ext[:d]]  # u^d = -(mu - u^d)
+    first = [-c % char if char else -c for c in ext[:d]]  # u^d = -(mu - u^d)
     row, rows = first, []
     for k in range(d, 2 * d - 1):
         rows.append((k, tuple((i, c) for i, c in enumerate(row) if c)))
         # u * row, with its u^d term folded back in through ``first``
-        shifted = [0 if char else Fraction(0)] + row[:-1]
-        row = [_base_add(char, lo, _base_mul(char, row[-1], c)) for lo, c in zip(shifted, first)]
+        top, shifted = row[-1], [0 if char else Fraction(0)] + row[:-1]
+        row = [lo + top * c for lo, c in zip(shifted, first)]
+        if char:
+            row = [x % char for x in row]
     return tuple(rows)
-
-
-# ---------------------------------------------------------------------------
-# Field specifications and elements
-# ---------------------------------------------------------------------------
 
 
 class FieldSpec:
@@ -229,9 +147,13 @@ class FieldSpec:
             return "Q"
         if not self.ext:
             return f"F{self.char}"
-        mu = _mu_text(self.char, self.ext)
-        base = "Q" if self.char == 0 else f"F{self.char}"
-        return f"{base}[u]/({mu})"
+        return f"{self.base.to_text()}[u]/({self._mu.to_text('u')})"
+
+    @cached_property
+    def _mu(self) -> "UniPoly":
+        """The modulus mu as a polynomial over the base field."""
+        base = self.base
+        return UniPoly._raw(base, [FieldElement(base, c) for c in self.ext])
 
     # -- element construction ----------------------------------------------
 
@@ -258,10 +180,9 @@ class FieldSpec:
                 return FieldElement(self, x % self.char)
             return FieldElement(self, self._base_value(x))
         if isinstance(x, (list, tuple)):
-            coeffs = _vec_trim([self.base._base_value(c) for c in x])
-            if len(coeffs) >= len(self.ext):
-                coeffs = _vec_divmod(self.char, coeffs, list(self.ext))[1]
-            return FieldElement(self, self._pad(coeffs))
+            if len(x) > self.degree:
+                x = (UniPoly(self.base, x) % self._mu).coeffs
+            return FieldElement(self, self._pad([self.base._base_value(c) for c in x]))
         # base scalar embedded as a constant
         v = self.base._base_value(x)
         return FieldElement(self, self._pad([v] if v else []))
@@ -452,11 +373,19 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        s = self.spec
-        if isinstance(self.value, tuple):
-            vec = _vec_trim(list(self.value))
-            return FieldElement(s, s._pad(_vec_mod_inv(s.char, vec, list(s.ext))))
-        return FieldElement(s, _base_inv(s.char, self.value))
+        spec, c = self.spec, self.spec.char
+        if spec.ext is None:
+            return FieldElement(spec, pow(self.value, -1, c) if c else 1 / self.value)
+        # extended Euclid over the base: s0 * self = r0 (mod mu) throughout,
+        # ending at the gcd r0, a nonzero constant because mu is irreducible
+        base = spec.base
+        r0, r1 = spec._mu, UniPoly._raw(base, [FieldElement(base, v) for v in self.value])
+        s0, s1 = UniPoly.zero(base), UniPoly.const(base, 1)
+        while r1:
+            q, rem = divmod(r0, r1)
+            r0, r1, s0, s1 = r1, rem, s1, s0 - q * s1
+        scale = r0.coeffs[0].inverse()
+        return FieldElement(spec, spec._pad([(e * scale).value for e in s0.coeffs]))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -494,27 +423,9 @@ class FieldElement:
 
     def to_text(self) -> str:
         """Canonical text: decimal integers, 'a/b' fractions, u-polynomials."""
-        if not isinstance(self.value, tuple):
+        if self.spec.ext is None:
             return str(self.value)
-        parts = []
-        for e in range(len(self.value) - 1, -1, -1):
-            c = self.value[e]
-            if not c:
-                continue
-            mono = "" if e == 0 else ("u" if e == 1 else f"u^{e}")
-            parts.append((c, mono))
-        if not parts:
-            return "0"
-        out = []
-        for i, (c, mono) in enumerate(parts):
-            neg = isinstance(c, (int, Fraction)) and c < 0
-            mag = -c if neg else c
-            body = str(mag) if not mono else (mono if mag == 1 else f"{str(mag)}*{mono}")
-            if i == 0:
-                out.append(("-" if neg else "") + body)
-            else:
-                out.append((" - " if neg else " + ") + body)
-        return "".join(out)
+        return UniPoly(self.spec.base, self.value).to_text("u")
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +434,13 @@ class FieldElement:
 
 
 class UniPoly:
-    """Dense univariate polynomial, coefficients low-degree-first, no trailing zeros."""
+    """Dense univariate polynomial, coefficients low-degree-first, no trailing zeros.
+
+    The public constructor validates untrusted input: it coerces every
+    coefficient into ``spec`` and drops trailing zeros.  Arithmetic results
+    are built canonically from coefficients that are already elements of
+    ``spec`` and go through the trusted :meth:`_raw` instead.
+    """
 
     __slots__ = ("spec", "coeffs")
 
@@ -535,16 +452,27 @@ class UniPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
+    def _raw(cls, spec: FieldSpec, coeffs: Sequence[FieldElement]) -> "UniPoly":
+        """Trusted constructor: ``coeffs`` must be elements of ``spec``; only
+        trailing zeros are dropped, nothing is coerced."""
+        while coeffs and not coeffs[-1]:
+            coeffs = coeffs[:-1]
+        self = object.__new__(cls)
+        self.spec = spec
+        self.coeffs = tuple(coeffs)
+        return self
+
+    @classmethod
     def zero(cls, spec):
-        return cls(spec, [])
+        return cls._raw(spec, ())
 
     @classmethod
     def const(cls, spec, c):
-        return cls(spec, [c])
+        return cls._raw(spec, (spec.element(c),))
 
     @classmethod
     def x(cls, spec):
-        return cls(spec, [0, 1])
+        return cls._raw(spec, (spec.zero, spec.one))
 
     @property
     def degree(self) -> int:
@@ -577,33 +505,43 @@ class UniPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.spec, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        a, b = self.coeffs, other.coeffs
+        out = [x + y for x, y in zip(a, b)]
+        out += a[len(b):] or b[len(a):]
+        return UniPoly._raw(self.spec, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(self.spec, [-c for c in self.coeffs])
+        return UniPoly._raw(self.spec, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        a, b = self.coeffs, other.coeffs
+        out = [x - y for x, y in zip(a, b)]
+        out += a[len(b):] or [-y for y in b[len(a):]]
+        return UniPoly._raw(self.spec, out)
 
     def _coerce(self, other) -> "UniPoly":
         if isinstance(other, UniPoly):
+            if other.spec is not self.spec and other.spec != self.spec:
+                raise WrongField(
+                    f"mixed fields {self.spec.to_text()} and {other.spec.to_text()}"
+                )
             return other
         return UniPoly.const(self.spec, other)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if not self or not other:
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return UniPoly.zero(self.spec)
-        out = [self.spec.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(self.spec, out)
+        out = [self.spec.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] = out[j] + x * y
+        return UniPoly._raw(self.spec, out)
 
     __rmul__ = __mul__
 
@@ -620,20 +558,20 @@ class UniPoly:
         other = self._coerce(other)
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
+        *low, lead = other.coeffs
+        d, inv_lead = len(low), lead.inverse()
         rem = list(self.coeffs)
-        q = [self.spec.zero] * max(len(rem) - len(other.coeffs) + 1, 0)
-        inv_lead = other.leading.inverse()
-        while len(rem) >= len(other.coeffs):
-            c = rem[-1] * inv_lead
-            k = len(rem) - len(other.coeffs)
+        q = [self.spec.zero] * max(len(rem) - d, 0)
+        while len(rem) > d:
+            # the top term cancels exactly, so it is popped, not subtracted
+            c = rem.pop() * inv_lead
+            k = len(rem) - d
             q[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - b * c
+            for i, b in enumerate(low, k):
+                rem[i] = rem[i] - b * c
             while rem and not rem[-1]:
                 rem.pop()
-            if not rem:
-                break
-        return UniPoly(self.spec, q), UniPoly(self.spec, rem)
+        return UniPoly._raw(self.spec, q), UniPoly._raw(self.spec, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -645,10 +583,10 @@ class UniPoly:
         if not self:
             raise ZeroPolynomial("cannot make the zero polynomial monic")
         inv = self.leading.inverse()
-        return UniPoly(self.spec, [c * inv for c in self.coeffs])
+        return UniPoly._raw(self.spec, [c * inv for c in self.coeffs])
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(self.spec, [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        return UniPoly._raw(self.spec, [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
 
     def eval(self, x: FieldElement) -> FieldElement:
         """Evaluate at x; coefficients embed into x's field when it extends ours."""
@@ -672,6 +610,8 @@ class UniPoly:
         """Multiplicity of the monic irreducible pi in self (self nonzero)."""
         if not self:
             raise ZeroPolynomial("order of zero polynomial")
+        if pi.degree < 1:
+            raise NotAPlace(f"{pi.to_text()} has degree < 1, so it is not a place")
         k, f = 0, self
         while True:
             q, r = divmod(f, pi)
@@ -716,11 +656,6 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 # ---------------------------------------------------------------------------
 # Field construction
 # ---------------------------------------------------------------------------
-
-
-def _mu_text(char, ext):
-    spec = make_field(char)
-    return UniPoly(spec, list(ext)).to_text(var="u")
 
 
 def _freeze_mu(char: int, mu) -> tuple:
@@ -870,7 +805,7 @@ def _pth_root(f: UniPoly) -> UniPoly:
     out = []
     for i in range(0, len(f.coeffs), p):
         out.append(f.coeffs[i] ** (p ** (d - 1)))
-    return UniPoly(f.spec, out)
+    return UniPoly._raw(f.spec, out)
 
 
 def _squarefree_parts(f: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -932,7 +867,7 @@ def _frobenius_kernel(f: UniPoly) -> list[UniPoly]:
         vec[fc] = spec.one
         for r, pc in enumerate(pivots):
             vec[pc] = -m[r][fc]
-        basis.append(UniPoly(spec, vec))
+        basis.append(UniPoly._raw(spec, vec))
     return basis
 
 

@@ -28,6 +28,7 @@ from typing import Iterable, Mapping, Sequence
 from .fields import (
     FieldElement,
     FieldSpec,
+    NotAPlace,
     UniPoly,
     WrongField,
     ZeroElement,
@@ -45,6 +46,7 @@ from .cycles import (
     ParamCurve,
     UnfactorableEntry,
     ZeroCycle,
+    _place_field,
     curve_boundary,
 )
 
@@ -300,20 +302,15 @@ class Valuation:
         return "Valuation(infinity)" if self.pi is None else f"Valuation({self.pi.to_text()})"
 
     def residue_spec(self) -> FieldSpec:
-        base = self.field.base
-        if self.pi is None or self.pi.degree == 1:
-            return base
-        if base.is_extension:
-            raise UnfactorableEntry("residue fields over an extension base are not supported")
-        return make_field(base.char, [c.value for c in self.pi.coeffs])
+        if self.pi is None:
+            return self.field.base
+        return _place_field(self.field.base, self.pi)[0]
 
     def parameter_class(self) -> FieldElement:
         """The image of t in the residue field."""
         if self.pi is None:
             raise MilnorError("the infinite place has no finite parameter class")
-        if self.pi.degree == 1:
-            return -self.pi.coeff(0)
-        return self.residue_spec().gen_u
+        return _place_field(self.field.base, self.pi)[1]
 
     def order_of(self, f: RatFunc) -> int:
         if self.pi is None:
@@ -695,6 +692,8 @@ def xi_curve(fs: Sequence[RatFunc], u: RatFunc, pi: UniPoly, r: int) -> ParamCur
     if not fs and r == 0:
         raise ValueError("nothing to bound")
     spec = pi.spec
+    if pi.degree < 1 or pi.leading != spec.one:
+        raise NotAPlace(f"pi = {pi.to_text()} must be monic of positive degree")
     for f in fs:
         if f.ord_at(pi):
             raise SteinbergPrecondition("f entries must be units at pi")

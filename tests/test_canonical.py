@@ -1,9 +1,9 @@
 """Results built by the trusted constructors equal a validating rebuild.
 
-Arithmetic in ``MultiPoly`` and the re-weighting operations of the formal
-sums (``HypersurfaceCycle``, ``ZeroCycle``, ``MilnorElement``) skip
-validation because their results are canonical by construction; these tests
-rebuild each result through the public constructors and compare.
+Arithmetic in ``UniPoly`` and ``MultiPoly`` and the re-weighting operations
+of the formal sums (``HypersurfaceCycle``, ``ZeroCycle``, ``MilnorElement``)
+skip validation because their results are canonical by construction; these
+tests rebuild each result through the public constructors and compare.
 """
 
 import random
@@ -28,7 +28,7 @@ from modcycles.cycles import (
     prune_degenerate,
     psi_convert,
 )
-from modcycles.fields import UniPoly, WrongField, make_field
+from modcycles.fields import UniPoly, WrongField, make_field, poly_gcd
 from modcycles.milnor import FunctionField, MilnorElement, MilnorSymbol, Valuation, tame_symbol
 from modcycles.polyring import InexactDivision, MultiPoly, RatFunc, VarSet, parse_poly
 
@@ -111,6 +111,47 @@ class TestTrustedPolynomials:
             assert_canonical_poly(r)
         if b:
             assert (a * b).exact_div(b) == a
+
+
+def rand_unipoly(rng, spec, max_deg=6):
+    return UniPoly(spec, [rand_elem(rng, spec) for _ in range(rng.randrange(0, max_deg + 2))])
+
+
+def assert_canonical_unipoly(r):
+    assert not r.coeffs or r.coeffs[-1], "trailing zero stored"
+    assert all(c.spec is r.spec for c in r.coeffs)
+    assert UniPoly(r.spec, list(r.coeffs)) == r
+
+
+class TestTrustedUnivariate:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_arithmetic_results_are_canonical(self, seed):
+        rng = random.Random(seed)
+        spec = SPECS[seed % 3]
+        a, b = rand_unipoly(rng, spec), rand_unipoly(rng, spec)
+        c = rand_elem(rng, spec)
+        near = a + rand_unipoly(rng, spec, max_deg=1)  # shares a's top terms
+        results = [a + b, a - b, a - a, near - a, a + (-a), -a, a * b, a * c, a * 0,
+                   a + c, a - c, a.derivative(), poly_gcd(a, b),
+                   UniPoly.const(spec, c), UniPoly.const(spec, 0), UniPoly.x(spec)]
+        if a:
+            results.append(a.monic())
+        if b:
+            q, r = divmod(a, b)
+            results += [q, r, (a * b) // b]
+            assert a == q * b + r and r.degree < b.degree
+            assert (a * b) // b == a and not (a * b) % b
+        for r in results:
+            assert_canonical_unipoly(r)
+        assert near - a == near + (-a) and not (a - a)
+
+    def test_mixed_fields_raise(self):
+        # a trusted result never mixes coefficients of two fields
+        for a, b in ((UniPoly.zero(F5), UniPoly.x(F9)), (UniPoly.x(Q), UniPoly.x(F5))):
+            for op in (lambda: a + b, lambda: b - a, lambda: a * b, lambda: divmod(b, a + 1)):
+                with pytest.raises(WrongField):
+                    op()
 
 
 class TestTrustedCycles:

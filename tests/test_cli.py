@@ -7,6 +7,7 @@ import contextlib
 import pytest
 
 from modcycles.cli import main
+from modcycles.cycles import FACE_CHECK_MAX_N
 
 
 def run(argv):
@@ -131,6 +132,18 @@ class TestKTheory:
         code, rep = run_json(["ktheory", "tame", "--file", str(path), "--pi", "t"])
         assert code == 0
         assert rep["residue"]["symbols"] == [{"mult": 2, "entries": ["3"]}]
+
+    def test_tame_at_a_place_past_the_field_cap(self, tmp_path):
+        # the residue field F_{2^17} is refused as it is by boundary --curve
+        blob = {
+            "field": {"char": 2}, "function_field": True,
+            "symbols": [{"mult": 1, "entries": ["t + 1", "t^17 + t^3 + 1"]}],
+        }
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps(blob))
+        code, rep = run_json(["ktheory", "tame", "--file", str(path),
+                              "--pi", "t^17 + t^3 + 1"])
+        assert code == 2 and rep["error"]["type"] == "UnfactorableEntry"
 
     def test_reduce_theorem_backed(self, tmp_path):
         blob = {
@@ -264,3 +277,25 @@ class TestErrorPaths:
         code, rep = run_json(["check-cycle", "--inline", "1 - t1*y1", "--modulus", "1",
                               "--field", "Fq:2:u^17+u^3+1"])
         assert code == 2 and rep["error"]["type"] == "ExtensionNotSupported"
+
+    def test_xi_constant_pi_exits_2(self):
+        # a nonzero constant pi is the unit 1 after monic(), not a place
+        code, rep = run_json(["curves", "xi", "--field", "Fp:5", "--entries", "t - 2",
+                              "--unit", "3", "--pi", "3"])
+        assert code == 2 and rep["error"]["type"] == "NotAPlace"
+
+    def test_face_check_cube_cap_exits_2(self):
+        code, rep = run_json(["check-cycle", "--inline", "1 - t1*t2*y1", "--field", "Fp:7",
+                              "--modulus", "1,1", "--n", str(FACE_CHECK_MAX_N + 1)])
+        assert code == 2 and rep["error"]["type"] == "CubeTooLarge"
+
+    def test_verify_face_check_above_the_cap_is_invalid(self, tmp_path):
+        code, rep = run_json(["generator", "--a", "3", "--r", "2", "--field", "Fp:7"])
+        cert = rep["certificate"]
+        entry = next(e for e in cert["transcript"] if e["check"] == "face_condition")
+        entry["data"]["cycle"]["n"] = FACE_CHECK_MAX_N + 1
+        cert["transcript"] = [entry]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        code, rep = run_json(["verify", "--file", str(path)])
+        assert code == 1 and rep == {"valid": False}

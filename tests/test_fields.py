@@ -13,6 +13,7 @@ from modcycles.fields import (
     ExtensionNotSupported,
     FieldElement,
     NonPrimeCharacteristic,
+    NotAPlace,
     NotFiniteExtension,
     ReducibleExtensionPolynomial,
     UniPoly,
@@ -174,6 +175,14 @@ class TestFactorization:
         g = UniPoly(F5, [1, 1]) * UniPoly(F5, [3, 1])
         assert poly_gcd(f, g) == UniPoly(F5, [1, 1])
 
+    def test_ord_at_rejects_a_unit(self):
+        # a unit divides everything, so the multiplicity would never end
+        f = UniPoly(F5, [1, 1]) ** 2
+        assert f.ord_at(UniPoly(F5, [1, 1])) == 2
+        for pi in (UniPoly.const(F5, 1), UniPoly.const(F5, 3)):
+            with pytest.raises(NotAPlace):
+                f.ord_at(pi)
+
 
 class TestNorm:
     def test_spec_example(self):
@@ -219,6 +228,12 @@ class TestElementText:
         assert F5.element(9).to_text() == "4"
         assert F9.element([1, 2]).to_text() == "2*u + 1"
         assert F9.element([0, 1]).to_text() == "u"
+
+    def test_extension_text_over_q(self):
+        cbrt2, i = make_field(0, [-2, 0, 0, 1]), make_field(0, [1, 0, 1])
+        assert cbrt2.element([Fraction(-1, 2), 0, -1]).to_text() == "-u^2 - 1/2"
+        assert cbrt2.element([0, Fraction(3, 4), 1]).to_text() == "u^2 + 3/4*u"
+        assert i.element([0, Fraction(-5, 3)]).to_text() == "-5/3*u"
 
 
 class TestMixedOperands:
@@ -288,6 +303,16 @@ class TestExtensionArithmetic:
         for r in (a * b, a + b, a - b, -a):
             assert r.spec is spec and len(r.value) == spec.degree
             assert all(isinstance(c, int if spec.char else Fraction) for c in r.value)
+
+    @pytest.mark.parametrize("name", sorted(EXTENSIONS))
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_inverse(self, name, data):
+        spec = EXTENSIONS[name]
+        a = data.draw(extension_elements(spec))
+        for x in (a, spec.gen_u, spec.element(3 if spec.char != 3 else 2)):
+            if x:
+                assert x * x.inverse() == spec.one
 
     def test_long_sequences_reduce_mod_mu(self):
         # u^2 = -1 in F9, and u^6 = u^3 + u^2 in F2[u]/(u^4 + u + 1)
