@@ -32,6 +32,7 @@ from .cycles import (
 from .milnor import (
     FunctionField,
     K2_ORACLE_MAX_Q,
+    XI_MAX_POWER,
     MilnorError,
     Valuation,
     k2_table,
@@ -48,6 +49,7 @@ from .milnor import (
     MilnorSymbol,
 )
 from .witnesses import (
+    GENERATOR_MAX_R,
     WitnessError,
     bounding_surface,
     generator_cycle,
@@ -386,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generator", help="generator cycle with rho = a")
     p.add_argument("--a", required=True, help="the target residue value")
-    p.add_argument("--r", type=int, default=2, help="number of t-variables")
+    p.add_argument("--r", type=int, default=2,
+                   help=f"number of t-variables, at most GENERATOR_MAX_R = {GENERATOR_MAX_R}")
     p.add_argument("--field", required=True)
     p.add_argument("--level0-degeneracy", choices=("on", "off"), default="on")
     p.add_argument("--out")
@@ -410,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entries", help="comma-separated field entries, or ';'-separated rational functions for xi")
     p.add_argument("--unit", help="the unit u for xi")
     p.add_argument("--pi", help="the uniformizer for xi")
-    p.add_argument("--power", type=int, default=1, help="the exponent r for xi")
+    p.add_argument("--power", type=int, default=1,
+                   help=f"the exponent r for xi, |r| at most XI_MAX_POWER = {XI_MAX_POWER}")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_curves)
 

@@ -185,12 +185,12 @@ def _strip_excluded_factors(p: MultiPoly, model: CoordModel) -> MultiPoly:
     vanishes at y_j = 1; that cheap test decides each division."""
     if model is not CoordModel.ORIGINAL or p.vars.n == 0 or p.is_constant:
         return p
-    one = MultiPoly.const(p.spec, p.vars, 1)
     for j in range(1, p.vars.n + 1):
         name = f"y{j}"
-        at_one = {name: p.spec.one}
-        factor = one - MultiPoly.variable(p.spec, p.vars, name)
-        while not p.is_constant and not p.substitute(at_one):
+        factor = None
+        while not p.is_constant and not p.restrict_face(name, 1):
+            if factor is None:
+                factor = MultiPoly.const(p.spec, p.vars, 1) - MultiPoly.variable(p.spec, p.vars, name)
             p = p.exact_div(factor)
     return p
 
@@ -443,20 +443,12 @@ class ParamCurve:
 # ---------------------------------------------------------------------------
 
 
-def _restrict_poly(p: MultiPoly, y_name: str, face) -> MultiPoly:
-    """Single-face restriction; INFINITY means leading-coefficient extraction."""
-    if face is INFINITY:
-        d = p.degree_in(y_name) if p else 0
-        return p.coefficient_of(y_name, d).drop_var(y_name)
-    val = p.spec.element(face)
-    return p.substitute({y_name: val}, drop=True)
-
-
 def face_restrict(Z: HypersurfaceCycle, i: int, face) -> HypersurfaceCycle:
     """Restrict to the face y_i = face value, reindexing the remaining y's.
 
     Components restricting to a nonzero constant disappear; an identically
-    zero restriction is an improper intersection and raises.
+    zero restriction is an improper intersection and raises, naming the
+    first such component in text order.
     """
     n = Z.vars.n
     if not 1 <= i <= n:
@@ -464,17 +456,25 @@ def face_restrict(Z: HypersurfaceCycle, i: int, face) -> HypersurfaceCycle:
     if face not in Z.model.faces:
         raise ValueError(f"{_face_text(face)} is not a face value of {Z.model.value}")
     name = f"y{i}"
-    out = []
-    for mult, p in Z.components():
-        g = _restrict_poly(p, name, face)
+    model = Z.model
+    out: dict[MultiPoly, int] = {}
+    improper = []
+    for p, mult in Z.terms.items():
+        g = p.restrict_face(name, face)
         if not g:
-            raise ImproperFaceIntersection(
-                f"V({p.to_text()}) contains the face y{i}={_face_text(face)}"
-            )
+            improper.append(p)
+            continue
+        g = _strip_excluded_factors(g, model)
         if g.is_constant:
             continue
-        out.append((mult, g))
-    return HypersurfaceCycle(Z.spec, VarSet(Z.vars.r, n - 1), Z.model, out)
+        g = normalize_component(g)
+        out[g] = out.get(g, 0) + mult
+    if improper:
+        p = min(improper, key=MultiPoly.to_text)
+        raise ImproperFaceIntersection(
+            f"V({p.to_text()}) contains the face y{i}={_face_text(face)}"
+        )
+    return HypersurfaceCycle._trusted((Z.spec, VarSet(Z.vars.r, n - 1), model), out)
 
 
 def is_degenerate(p: MultiPoly) -> bool:
@@ -580,40 +580,47 @@ class FaceReport:
 
 
 def _finite_restrict(finite: tuple, restricted: dict) -> MultiPoly:
-    """Restriction to the finite face ``finite``, a tuple of (name, value)
-    pairs; ``restricted`` memoizes it per finite face, starting from
-    ``{(): p}``, so each new face is one substitution into its prefix."""
+    """Restriction to the finite face ``finite``, a tuple of (index, value)
+    pairs in ascending index order, with the restricted variables dropped;
+    ``restricted`` memoizes it per finite face, starting from ``{(): p}``,
+    so each new face is one kernel restriction of its prefix.  The k pairs
+    before (i, v) all have smaller indices, so y_i is y_(i-k) in the ring of
+    the prefix."""
     g = restricted.get(finite)
     if g is None:
-        g = _finite_restrict(finite[:-1], restricted)
-        name, v = finite[-1]
-        g = restricted[finite] = g.substitute({name: g.spec.element(v)})
+        i, v = finite[-1]
+        prefix = _finite_restrict(finite[:-1], restricted)
+        g = restricted[finite] = prefix.restrict_face(f"y{i - len(finite) + 1}", v)
     return g
 
 
-def _corner_restrict(assignment: Sequence[tuple[str, object]], restricted: dict) -> MultiPoly:
-    """Composite-face restriction: finite substitutions first, then the joint
-    corner coefficient for the variables sent to infinity.  The ambient ring
-    is kept, since callers only test the result against zero."""
-    g = _finite_restrict(tuple(a for a in assignment if a[1] is not INFINITY), restricted)
+def _corner_is_proper(assignment: Sequence[tuple[int, object]], restricted: dict) -> bool:
+    """Whether the composite face ``assignment`` of (index, value) pairs
+    restricts p to a nonzero polynomial: the finite restriction, then the
+    joint corner for the variables sent to infinity, i.e. the terms that
+    attain every top degree at once, all degrees read off the finite
+    restriction before any is extracted."""
+    finite = tuple(a for a in assignment if a[1] is not INFINITY)
+    g = _finite_restrict(finite, restricted)
     if not g:
-        return g
-    # joint top multidegree, all computed before extraction
-    degs = [(name, g.degree_in(name)) for name, v in assignment if v is INFINITY]
-    for name, d in degs:
-        g = g.coefficient_of(name, d)
-        if not g:
-            return g
-    return g
+        return False
+    r = g.vars.r
+    cols = [r + i - 1 - sum(j < i for j, _ in finite) for i, v in assignment if v is INFINITY]
+    if not cols:
+        return True
+    terms = g.terms
+    tops = [(c, max(e[c] for e in terms)) for c in cols]
+    return any(all(e[c] == d for c, d in tops) for e in terms)
 
 
 def _face_assignments(n: int, faces) -> Iterable[tuple]:
-    """All nonempty composite faces, in a fixed deterministic order:
-    by subset size, then variable indices, then face-value pattern."""
+    """All nonempty composite faces as (index, value) pairs, in a fixed
+    deterministic order: by subset size, then variable indices, then
+    face-value pattern."""
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(1, n + 1), size):
             for values in itertools.product(faces, repeat=size):
-                yield tuple((f"y{i}", v) for i, v in zip(subset, values))
+                yield tuple(zip(subset, values))
 
 
 # Largest cube dimension n whose composite faces check_face_condition
@@ -638,17 +645,18 @@ def check_face_condition(Z) -> FaceReport:
                 f"{3 ** Z.vars.n - 1} composite faces"
             )
         assignments = list(_face_assignments(Z.vars.n, Z.model.faces))
-        for _, p in Z.components():
-            text = p.to_text()
+        # components in text order, faces in enumeration order
+        bad = []
+        for p in Z.terms:
             restricted = {(): p}
-            for assignment in assignments:
-                g = _corner_restrict(assignment, restricted)
-                if not g:
-                    violations.append(FaceViolation(
-                        text,
-                        tuple((v, _face_text(f)) for v, f in assignment),
-                        "improper",
-                    ))
+            faces = [a for a in assignments if not _corner_is_proper(a, restricted)]
+            if faces:
+                bad.append((p.to_text(), faces))
+        for text, faces in sorted(bad, key=lambda b: b[0]):
+            violations.extend(
+                FaceViolation(text, tuple((f"y{i}", _face_text(v)) for i, v in a), "improper")
+                for a in faces
+            )
         return FaceReport(violations)
     if isinstance(Z, ZeroCycle):
         face_vals = [Z.spec.element(f) for f in Z.model.faces if f is not INFINITY]
@@ -834,7 +842,7 @@ def psi_convert(obj, to_model: CoordModel):
         if obj.model is to_model:
             raise WrongModel("cycle already lives in the target model")
         out = []
-        for m, p in obj.components():
+        for p, m in obj.terms.items():
             q = _convert_poly(p, to_model)
             if not q or q.is_constant:
                 continue

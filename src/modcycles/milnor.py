@@ -79,6 +79,10 @@ class IndistinctEntries(MilnorError):
     pass
 
 
+class PowerTooLarge(MilnorError):
+    pass
+
+
 class FunctionField:
     """The rational function field k(t) over an exact base field."""
 
@@ -684,11 +688,20 @@ def totaro_mult_curve(f: FieldElement, g: FieldElement,
     return ParamCurve(spec, CoordModel.ORIGINAL, [t, h], base_t_coords)
 
 
+# Largest |r| that xi_curve accepts.  The last entry u * pi^r has degree
+# |r| * deg(pi), and the cost grows faster than linearly in r: on a 2-core
+# x86 box `curves xi` with a linear pi takes about 0.3 s at r = 256 and
+# 3 s at r = 1024.
+XI_MAX_POWER = 256
+
+
 def xi_curve(fs: Sequence[RatFunc], u: RatFunc, pi: UniPoly, r: int) -> ParamCurve:
     """The graph curve of (f_1, ..., f_n, u * pi^r) over the parameter line.
 
     Entries must be pairwise distinct rational functions and the f_i and u
     units at pi; its boundary realizes the total residue of the symbol."""
+    if abs(r) > XI_MAX_POWER:
+        raise PowerTooLarge(f"|r| is capped at XI_MAX_POWER = {XI_MAX_POWER}, got r = {r}")
     if not fs and r == 0:
         raise ValueError("nothing to bound")
     spec = pi.spec

@@ -309,6 +309,36 @@ class MultiPoly:
                 result = result.drop_var(name)
         return result
 
+    def restrict_face(self, name: str, face) -> "MultiPoly":
+        """Restriction to the face ``name`` = ``face`` of the cube, with
+        ``name`` removed from the ring, in one pass over the terms.
+
+        ``face`` is 0, 1 or INFINITY; the face at infinity keeps the terms of
+        top degree in ``name`` (leading-coefficient extraction)."""
+        i = self.vars.index(name)
+        terms = self.terms
+        if face is INFINITY:
+            top = max((e[i] for e in terms), default=0)
+            out = {e[:i] + e[i + 1:]: c for e, c in terms.items() if e[i] == top}
+        elif face == 0:
+            out = {e[:i] + e[i + 1:]: c for e, c in terms.items() if not e[i]}
+        elif face == 1:
+            out = {}
+            for e, c in terms.items():
+                key = e[:i] + e[i + 1:]
+                s = out.get(key)
+                if s is None:
+                    out[key] = c
+                else:
+                    s = s + c
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+        else:
+            raise ValueError(f"{face!r} is not a face value (0, 1 or INFINITY)")
+        return MultiPoly._raw(self.spec, self.vars.drop(name), out)
+
     def drop_var(self, name: str) -> "MultiPoly":
         """Remove a variable not occurring in any term, reindexing the rest."""
         i = self.vars.index(name)
@@ -586,16 +616,25 @@ class RatFunc:
         self.den = den
 
     @classmethod
+    def _raw(cls, num: UniPoly, den: UniPoly) -> "RatFunc":
+        """Trusted constructor: ``num/den`` must already be reduced, with
+        ``den`` monic over the same field (1 when ``num`` is zero)."""
+        self = object.__new__(cls)
+        self.num = num
+        self.den = den
+        return self
+
+    @classmethod
     def const(cls, spec: FieldSpec, c) -> "RatFunc":
-        return cls(UniPoly.const(spec, c), UniPoly.const(spec, 1))
+        return cls._raw(UniPoly.const(spec, c), UniPoly.const(spec, 1))
 
     @classmethod
     def param(cls, spec: FieldSpec) -> "RatFunc":
-        return cls(UniPoly.x(spec), UniPoly.const(spec, 1))
+        return cls._raw(UniPoly.x(spec), UniPoly.const(spec, 1))
 
     @classmethod
     def from_poly(cls, p: UniPoly) -> "RatFunc":
-        return cls(p, UniPoly.const(p.spec, 1))
+        return cls._raw(p, UniPoly.const(p.spec, 1))
 
     @property
     def spec(self) -> FieldSpec:

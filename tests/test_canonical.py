@@ -30,7 +30,7 @@ from modcycles.cycles import (
 )
 from modcycles.fields import UniPoly, WrongField, make_field, poly_gcd
 from modcycles.milnor import FunctionField, MilnorElement, MilnorSymbol, Valuation, tame_symbol
-from modcycles.polyring import InexactDivision, MultiPoly, RatFunc, VarSet, parse_poly
+from modcycles.polyring import INFINITY, InexactDivision, MultiPoly, RatFunc, VarSet, parse_poly
 
 F5 = make_field(5)
 Q = make_field(0)
@@ -112,6 +112,30 @@ class TestTrustedPolynomials:
         if b:
             assert (a * b).exact_div(b) == a
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_face_kernel_equals_the_reference_restriction(self, seed):
+        # restrict_face is one pass; the reference substitutes and drops the
+        # variable, or extracts the top coefficient and drops it
+        rng = random.Random(seed)
+        spec = SPECS[seed % 3]
+        vars = VarSet(1, 3)
+        name = f"y{rng.randrange(1, 4)}"
+        a = rand_poly(rng, spec, vars)
+        # a multiple of y - 1 vanishes at the face 1 only after cancellation
+        y = MultiPoly.variable(spec, vars, name)
+        for p in (a, a * (y - 1), a * (y - 1) + rand_poly(rng, spec, vars, max_terms=2)):
+            for face in (0, 1, INFINITY):
+                got = p.restrict_face(name, face)
+                if face is INFINITY:
+                    want = p.coefficient_of(name, p.degree_in(name) if p else 0).drop_var(name)
+                else:
+                    want = p.substitute({name: spec.element(face)}, drop=True)
+                assert got == want
+                assert got.vars == vars.drop(name)
+                assert_canonical_poly(got)
+        assert not (a * (y - 1)).restrict_face(name, 1)
+
 
 def rand_unipoly(rng, spec, max_deg=6):
     return UniPoly(spec, [rand_elem(rng, spec) for _ in range(rng.randrange(0, max_deg + 2))])
@@ -145,6 +169,22 @@ class TestTrustedUnivariate:
         for r in results:
             assert_canonical_unipoly(r)
         assert near - a == near + (-a) and not (a - a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_rational_function_constants_are_canonical(self, seed):
+        # const, param and from_poly skip the gcd of the validating constructor
+        rng = random.Random(seed)
+        spec = SPECS[seed % 3]
+        one = UniPoly.const(spec, 1)
+        p = rand_unipoly(rng, spec)
+        c = rand_elem(rng, spec)
+        for f, num in ((RatFunc.const(spec, c), UniPoly.const(spec, c)),
+                       (RatFunc.const(spec, 0), UniPoly.zero(spec)),
+                       (RatFunc.param(spec), UniPoly.x(spec)),
+                       (RatFunc.from_poly(p), p)):
+            assert f == RatFunc(num, one)
+            assert f.den == one and f.num == num
 
     def test_mixed_fields_raise(self):
         # a trusted result never mixes coefficients of two fields

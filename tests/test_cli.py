@@ -8,6 +8,8 @@ import pytest
 
 from modcycles.cli import main
 from modcycles.cycles import FACE_CHECK_MAX_N
+from modcycles.milnor import XI_MAX_POWER
+from modcycles.witnesses import GENERATOR_MAX_R
 
 
 def run(argv):
@@ -288,6 +290,16 @@ class TestErrorPaths:
         code, rep = run_json(["check-cycle", "--inline", "1 - t1*t2*y1", "--field", "Fp:7",
                               "--modulus", "1,1", "--n", str(FACE_CHECK_MAX_N + 1)])
         assert code == 2 and rep["error"]["type"] == "CubeTooLarge"
+
+    def test_generator_r_cap_exits_2(self):
+        code, rep = run_json(["generator", "--a", "3", "--r", str(GENERATOR_MAX_R + 1),
+                              "--field", "Fp:7"])
+        assert code == 2 and rep["error"]["type"] == "TooManyParameters"
+
+    def test_xi_power_cap_exits_2(self):
+        code, rep = run_json(["curves", "xi", "--field", "Fp:5", "--entries", "t - 2",
+                              "--unit", "3", "--pi", "t - 1", "--power", str(XI_MAX_POWER + 1)])
+        assert code == 2 and rep["error"]["type"] == "PowerTooLarge"
 
     def test_verify_face_check_above_the_cap_is_invalid(self, tmp_path):
         code, rep = run_json(["generator", "--a", "3", "--r", "2", "--field", "Fp:7"])

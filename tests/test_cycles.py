@@ -91,6 +91,24 @@ def reference_face_report(Z):
     return {"passed": not violations, "violations": violations}
 
 
+def reference_face_restrict(Z, i, face):
+    """face_restrict rebuilt through the validating constructor from the
+    substitute / coefficient_of restriction of each component."""
+    name = f"y{i}"
+    out, improper = [], []
+    for mult, p in Z.components():
+        if face is INFINITY:
+            g = p.coefficient_of(name, p.degree_in(name)).drop_var(name)
+        else:
+            g = p.substitute({name: p.spec.element(face)}, drop=True)
+        if not g:
+            improper.append(p)
+        out.append((mult, g))
+    if improper:
+        return f"V({improper[0].to_text()}) contains the face {name}={'inf' if face is INFINITY else face}"
+    return HypersurfaceCycle(Z.spec, VarSet(Z.vars.r, Z.vars.n - 1), Z.model, out)
+
+
 class TestFaceRestrict:
     def test_face_to_unit_is_empty(self):
         Z = cyc("1 - t1*t2*3*y1")
@@ -117,6 +135,49 @@ class TestFaceRestrict:
         Z = cyc("1 - t1*y1^2 - t2*y1", model=CoordModel.ORIGINAL)
         got = face_restrict(Z, 1, INFINITY)
         assert got == cyc("t1", n=0, model=CoordModel.ORIGINAL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_equals_a_validating_rebuild(self, seed):
+        rng = random.Random(seed)
+        spec = (F5, F9, Q)[seed % 3]
+        model = (CoordModel.ORIGINAL, CoordModel.PSI)[seed // 3 % 2]
+        n = 1 + seed // 6 % 4
+        Z = random_face_cycle(rng, spec, model, n)
+        for i in range(1, n + 1):
+            for face in model.faces:
+                want = reference_face_restrict(Z, i, face)
+                if isinstance(want, str):
+                    with pytest.raises(ImproperFaceIntersection) as exc:
+                        face_restrict(Z, i, face)
+                    assert str(exc.value) == want
+                else:
+                    assert face_restrict(Z, i, face) == want
+
+    def test_original_restriction_strips_a_gained_puncture_factor(self):
+        # at y1 = 0 the component becomes 1 - y2, supported on the puncture
+        Z = cyc("1 - y2 + y1*y2", n=2, model=CoordModel.ORIGINAL)
+        assert not face_restrict(Z, 1, 0)
+        assert face_restrict(Z, 1, 0) == reference_face_restrict(Z, 1, 0)
+        W = cyc("(1 - y2)*(1 + t1*y2) + y1*y2", n=2, model=CoordModel.ORIGINAL)
+        assert face_restrict(W, 1, 0) == cyc("1 + t1*y1", model=CoordModel.ORIGINAL)
+
+    def test_psi_components_with_one_restriction_merge(self):
+        vars = VarSet(2, 2)
+        p, q = (parse_poly(text, F7, vars) for text in ("1 + t1*y2 + y1", "2 + 2*t1*y2 + 3*y1"))
+        Z = HypersurfaceCycle(F7, vars, CoordModel.PSI, [(2, p), (3, q)])
+        assert len(Z.terms) == 2
+        assert face_restrict(Z, 1, 0) == cyc("1 + t1*y1").scale(5)
+        Z = HypersurfaceCycle(F7, vars, CoordModel.PSI, [(2, p), (-2, q)])
+        assert not face_restrict(Z, 1, 0).terms
+
+    def test_improper_message_names_the_first_component_in_text_order(self):
+        vars = VarSet(2, 2)
+        comps = [parse_poly(text, F7, vars) for text in ("t2*y1 + y1*y2", "t1*y1 + y1*y2")]
+        Z = HypersurfaceCycle(F7, vars, CoordModel.PSI, [(1, comps[0]), (1, comps[1])])
+        with pytest.raises(ImproperFaceIntersection) as exc:
+            face_restrict(Z, 1, 0)
+        assert str(exc.value) == "V(t1*y1 + y1*y2) contains the face y1=0"
 
 
 class TestDegeneracy:
@@ -196,6 +257,17 @@ class TestFaceCondition:
         assert not report.passed
         assert any(all(e == "inf" for _, e in v.face) and len(v.face) == 2
                    for v in report.violations)
+
+    def test_joint_corner_at_n4_equals_restriction_from_scratch(self):
+        # the staircase y1^2*y2 / y1*y2^2 (times y3*y4) has no joint corner
+        # at y1 = y2 = inf, although extracting y1 and then y2 leaves t1
+        for model in CoordModel:
+            Z = cyc("t1*y1^2*y2*y3*y4 + t2*y1*y2^2*y3*y4 + 1", n=4, model=model)
+            report = check_face_condition(Z)
+            assert report.to_json() == reference_face_report(Z)
+            if model is CoordModel.ORIGINAL:
+                assert any(v.face == (("y1", "inf"), ("y2", "inf")) for v in report.violations)
+                assert not any(v.face == (("y1", "inf"),) for v in report.violations)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**30))

@@ -1,9 +1,11 @@
 """The residue invariant and the certificate-producing witness generators."""
 
+import importlib.util
 import json
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +20,8 @@ from modcycles.cycles import (
     ModulusDatum,
     boundary,
 )
+from modcycles import serialize as ser
+from modcycles import witnesses
 from modcycles.witnesses import (
     DegreeTooHigh,
     MalformedCertificate,
@@ -276,6 +280,82 @@ class TestVerifyCertificate:
         a = zero_cycle_vanishing_witness(z, D11_F7)
         b = zero_cycle_vanishing_witness(z, D11_F7)
         assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+
+
+def load_workloads():
+    """The benchmark's workload module, for its certificate mutators."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def verdict(cert):
+    try:
+        return verify_certificate(cert)
+    except MalformedCertificate as exc:
+        return f"MalformedCertificate: {exc}"
+
+
+class TestDecodeOnce:
+    @staticmethod
+    def count_decodes(monkeypatch):
+        calls = []
+        decode = ser.cycle_from_json
+
+        def counted(data):
+            calls.append(json.dumps(data, sort_keys=True))
+            return decode(data)
+
+        monkeypatch.setattr(ser, "cycle_from_json", counted)
+        return calls
+
+    def test_repeated_cycle_is_decoded_once_per_certificate(self, monkeypatch):
+        Z, cert = generator_cycle(F7.element(3), 2)
+        blob = json.loads(json.dumps(cert.to_json()))
+        cycles = {json.dumps(e["data"]["cycle"], sort_keys=True) for e in blob["transcript"]}
+        assert len(blob["transcript"]) == 4 and len(cycles) == 1
+        calls = self.count_decodes(monkeypatch)
+        assert verify_certificate(blob)
+        assert len(calls) == 1
+        # a second certificate, even an identical one, decodes again
+        assert verify_certificate(json.loads(json.dumps(blob)))
+        assert len(calls) == 2
+        generator_cycle(F7.element(3), 2)
+        assert len(calls) == 3
+
+    def test_certificates_verified_in_turn_keep_their_verdicts(self, monkeypatch):
+        W = cyc("1 - t1*t2*(2*y1*y2 + 3*y1 + 4*y2 + 5)", n=2)
+        a = json.loads(json.dumps(verify_rho_reciprocity(W, D11_F7).to_json()))
+        b = json.loads(json.dumps(a))
+        # b's modulus entry sees a degree-2 cycle; its other entries share a's
+        b["transcript"][1]["data"]["cycle"]["terms"][0]["poly"] = "1 - t1*t2*y1^2*y2"
+        alone = [verdict(a), verdict(b)]
+        assert alone == [True, False]
+        calls = self.count_decodes(monkeypatch)
+        assert [verdict(a), verdict(b), verdict(a)] == alone + [True]
+        # one cycle for a's three entries; the shared and the mutated cycle for
+        # b; a's cycle again for the second a
+        assert len(calls) == 1 + 2 + 1
+
+    def test_benchmark_mutants_keep_their_verdicts_without_the_memo(self, monkeypatch, tmp_path):
+        wl = load_workloads()
+        m = types.SimpleNamespace(**{name: importlib.import_module(f"modcycles.{name}")
+                                     for name in ("fields", "polyring", "cycles", "witnesses")})
+        bench = wl.CertRoundtrip(m, 42, str(tmp_path))
+        certs = []
+        for i, mode in bench.mutants:
+            cert = json.loads(json.dumps(bench._build(*bench.specs[i]).to_json()))
+            (wl.mutate_transcript_data if mode == "data" else wl.mutate_claim)(cert)
+            certs.append(cert)
+        assert len(certs) == 120
+        with_memo = [verdict(c) for c in certs]
+        run_check = witnesses._run_check
+        monkeypatch.setattr(witnesses, "_run_check",
+                            lambda check, data, memo: run_check(check, data, {}))
+        assert [verdict(c) for c in certs] == with_memo
+        assert all(v is False for v, (_, mode) in zip(with_memo, bench.mutants) if mode == "data")
 
 
 class TestBothConventions:
