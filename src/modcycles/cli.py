@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .fields import FieldError, make_field
@@ -352,7 +353,10 @@ def _add_io(p, modulus=True, inline=True):
     p.add_argument("--out", help="write the report here instead of stdout")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in the parser, each call gets a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="modcycles",
         description="exact cycle calculus with modulus: checkers, boundaries, "

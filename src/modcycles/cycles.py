@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
+from functools import lru_cache
+from math import comb
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -799,37 +801,62 @@ def check_modulus_zerocycle(Z: ZeroCycle, D: ModulusDatum) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1024)
+def _binomial_row(to_psi: bool, d: int, b: int) -> tuple:
+    """The exponents and integer coefficients of the image of y^b, in one
+    variable of degree d: (w - 1)^b * w^(d - b) going to PSI, (1 - y)^(d - b)
+    going to ORIGINAL."""
+    if to_psi:
+        return tuple((d - b + k, (-1) ** (b - k) * comb(b, k)) for k in range(b + 1))
+    return tuple((k, (-1) ** k * comb(d - b, k)) for k in range(d - b + 1))
+
+
 def _convert_poly(p: MultiPoly, to_model: CoordModel) -> MultiPoly:
-    """Substitute y -> psi(y) per variable and clear denominators."""
-    spec, vars = p.spec, p.vars
-    out = p
-    one = MultiPoly.const(spec, vars, 1)
-    for i in range(vars.n):
-        name = f"y{i+1}"
-        yv = MultiPoly.variable(spec, vars, name)
-        d = out.degree_in(name) if out else 0
-        if d == 0:
-            continue
-        if to_model is CoordModel.PSI:
-            # original coordinate y = (w - 1)/w in the new coordinate w
-            num, den = yv - one, yv
-        else:
-            # psi coordinate w = 1/(1 - y) in the new coordinate y
-            num, den = one, one - yv
-        num_pows, den_pows = [one, num], [one, den]
-        for _ in range(d - 1):
-            num_pows.append(num_pows[-1] * num)
-            den_pows.append(den_pows[-1] * den)
-        acc = MultiPoly.zero(spec, vars)
-        for e in range(d + 1):
-            ce = out.coefficient_of(name, e)
-            if ce:
-                for f in (num_pows[e], den_pows[d - e]):
-                    if f != one:
-                        ce = ce * f
-                acc = acc + ce
-        out = acc
-    return out
+    """Substitute y -> psi(y) per variable and clear denominators, in one pass.
+
+    Substituting y_i leaves the degree in every other y_j unchanged, so each
+    d_i = deg_{y_i} p is read off p up front.  A term then contributes its
+    coefficient times the product of one binomial row per y_i (see
+    :func:`_binomial_row`); integer factors of +-1 add or subtract the
+    coefficient, other integers are coerced once per call."""
+    spec, vars, terms = p.spec, p.vars, p.terms
+    r = vars.r
+    if not terms:
+        return p
+    to_psi = to_model is CoordModel.PSI
+    degs = [max(e[r + i] for e in terms) for i in range(vars.n)]
+    expansions: dict[tuple, list] = {}  # y-exponents -> [(y-exponents, integer)]
+    scalars: dict[int, FieldElement] = {}
+    out: dict[tuple, FieldElement] = {}
+    for e, c in terms.items():
+        ey = e[r:]
+        expansion = expansions.get(ey)
+        if expansion is None:
+            expansion = [((), 1)]
+            for d, b in zip(degs, ey):
+                row = _binomial_row(to_psi, d, b)
+                expansion = [(x + (k,), m * a) for x, m in expansion for k, a in row]
+            expansions[ey] = expansion
+        et = e[:r]
+        for x, m in expansion:
+            key = et + x
+            s = out.get(key)
+            if m == 1:
+                s = c if s is None else s + c
+            elif m == -1:
+                s = -c if s is None else s - c
+            else:
+                k = scalars.get(m)
+                if k is None:
+                    k = scalars[m] = spec.element(m)
+                if not k:
+                    continue
+                s = c * k if s is None else s + c * k
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return MultiPoly._raw(spec, vars, out)
 
 
 def psi_convert(obj, to_model: CoordModel):

@@ -22,6 +22,7 @@ between arbitrary factors and a single free variable name.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add
 from typing import Mapping, Sequence
 
@@ -85,6 +86,10 @@ class VarSet:
         return [f"t{i+1}" for i in range(self.r)] + [f"y{i+1}" for i in range(self.n)]
 
     def index(self, name: str) -> int:
+        i = _name_index(self.r, self.n).get(name)
+        if i is not None:
+            return i
+        # other spellings of a valid name, such as t01, and unknown names
         if len(name) >= 2 and name[0] in "ty" and name[1:].isdigit():
             k = int(name[1:])
             if name[0] == "t" and 1 <= k <= self.r:
@@ -96,6 +101,12 @@ class VarSet:
     def drop(self, name: str) -> "VarSet":
         i = self.index(name)
         return VarSet(self.r - 1, self.n) if i < self.r else VarSet(self.r, self.n - 1)
+
+
+@lru_cache(maxsize=64)
+def _name_index(r: int, n: int) -> dict[str, int]:
+    """Variable name -> position in the exponent vector of ``VarSet(r, n)``."""
+    return {name: i for i, name in enumerate(VarSet(r, n).names())}
 
 
 class MultiPoly:
@@ -217,6 +228,13 @@ class MultiPoly:
                 return MultiPoly._raw(self.spec, self.vars, {})
             return MultiPoly._raw(self.spec, self.vars, {e: v * c for e, v in self.terms.items()})
         other = self._coerce(other)
+        # a monomial factor shifts exponents injectively and multiplies by a
+        # nonzero scalar, so nothing merges and nothing cancels
+        poly, mono = (self, other) if len(other.terms) == 1 else (other, self)
+        if len(mono.terms) == 1:
+            ((e2, c2),) = mono.terms.items()
+            return MultiPoly._raw(self.spec, self.vars, {
+                tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in poly.terms.items()})
         out: dict[tuple, FieldElement] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -679,7 +697,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._raw(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -696,7 +714,12 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if not self.num:
             raise ZeroDivisionError("inverse of zero")
-        return RatFunc(self.den, self.num)
+        # den/num is reduced too; only its denominator needs making monic
+        lead = self.num.leading
+        if lead == self.spec.one:
+            return RatFunc._raw(self.den, self.num)
+        lead_inv = lead.inverse()
+        return RatFunc._raw(self.den * lead_inv, self.num * lead_inv)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()

@@ -78,6 +78,16 @@ def assert_canonical_poly(r):
     assert MultiPoly(r.spec, r.vars, r.terms) == r
 
 
+def generic_product(a, b):
+    """Term-by-term convolution, merging equal exponents and dropping zeros."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, a.spec.zero) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
 def assert_canonical_cycle(Z):
     assert all(Z.terms.values()), "zero multiplicity stored"
     for p in Z.terms:
@@ -136,6 +146,22 @@ class TestTrustedPolynomials:
                 assert_canonical_poly(got)
         assert not (a * (y - 1)).restrict_face(name, 1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_monomial_product_equals_the_generic_product(self, seed):
+        # a one-term factor on either side takes the shift-and-scale path
+        rng = random.Random(seed)
+        spec = SPECS[seed % 3]
+        vars = VarSet(rng.randrange(3), rng.randrange(1, 3))
+        exp = tuple(rng.randrange(3) for _ in range(vars.count))
+        mono = MultiPoly(spec, vars, {exp: rand_elem(rng, spec) or spec.one})
+        zero = MultiPoly.zero(spec, vars)
+        for a in (rand_poly(rng, spec, vars), mono, zero):
+            for x, y in ((mono, a), (a, mono), (zero, a), (a, zero)):
+                r = x * y
+                assert_canonical_poly(r)
+                assert r.terms == generic_product(x, y)
+
 
 def rand_unipoly(rng, spec, max_deg=6):
     return UniPoly(spec, [rand_elem(rng, spec) for _ in range(rng.randrange(0, max_deg + 2))])
@@ -185,6 +211,26 @@ class TestTrustedUnivariate:
                        (RatFunc.from_poly(p), p)):
             assert f == RatFunc(num, one)
             assert f.den == one and f.num == num
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_rational_negation_and_inverse_are_canonical(self, seed):
+        # both skip the gcd of the validating constructor
+        rng = random.Random(seed)
+        spec = SPECS[seed % 3]
+        f = rand_ratfunc(rng, spec)
+        if rng.random() < 0.5:
+            f = f / rand_ratfunc(rng, spec)
+        for g in (f, RatFunc.const(spec, 0)):
+            neg = -g
+            assert neg == RatFunc(-g.num, g.den)
+            assert neg.num == -g.num and neg.den == g.den
+        inv = f.inverse()
+        assert inv == RatFunc(f.den, f.num)
+        assert inv.den.leading == spec.one
+        assert inv.inverse() == f and f * inv == RatFunc.const(spec, 1)
+        with pytest.raises(ZeroDivisionError):
+            RatFunc.const(spec, 0).inverse()
 
     def test_mixed_fields_raise(self):
         # a trusted result never mixes coefficients of two fields

@@ -6,7 +6,7 @@ import contextlib
 
 import pytest
 
-from modcycles.cli import main
+from modcycles.cli import build_parser, main
 from modcycles.cycles import FACE_CHECK_MAX_N
 from modcycles.milnor import XI_MAX_POWER
 from modcycles.witnesses import GENERATOR_MAX_R
@@ -311,3 +311,45 @@ class TestErrorPaths:
         path.write_text(json.dumps(cert))
         code, rep = run_json(["verify", "--file", str(path)])
         assert code == 1 and rep == {"valid": False}
+
+
+class TestParser:
+    VERIFY = ["verify", "--file"]
+    CHECK = ["check-cycle", "--inline", "1 - 3*t1*t2*y1", "--field", "Fp:7", "--modulus", "1,1"]
+
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_namespaces_do_not_leak_between_calls(self, tmp_path):
+        ap = build_parser()
+        verify = self.VERIFY + [str(tmp_path / "cert.json")]
+        a = ap.parse_args(verify)
+        b = ap.parse_args(self.CHECK)
+        assert a is not b and b.file is None and not hasattr(a, "inline")
+        fresh = build_parser.__wrapped__()
+        assert vars(a) == vars(fresh.parse_args(verify))
+        assert vars(b) == vars(fresh.parse_args(self.CHECK))
+
+    def test_outputs_match_a_fresh_parser(self, tmp_path):
+        _, rep = run_json(["generator", "--a", "3", "--r", "2", "--field", "Fp:7"])
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(rep["certificate"]))
+        verify = self.VERIFY + [str(cert)]
+        cached = [run(verify), run(self.CHECK), run(verify)]
+        build_parser.cache_clear()
+        fresh = [run(verify)]
+        build_parser.cache_clear()
+        fresh += [run(self.CHECK)]
+        build_parser.cache_clear()
+        fresh += [run(verify)]
+        assert cached == fresh
+        assert cached[0] == (0, json.dumps({"valid": True}, indent=2) + "\n")
+
+    def test_argparse_error_exits_2_with_usage(self, capsys):
+        run(self.CHECK)
+        for argv in (["check-cycle", "--bogus"], ["no-such-command"], []):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage: modcycles" in capsys.readouterr().err
+        assert run(self.CHECK)[0] == 0

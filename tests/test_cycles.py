@@ -21,6 +21,7 @@ from modcycles.cycles import (
     ParamCurve,
     UndefinedAtPole,
     ZeroCycle,
+    _convert_poly,
     boundary,
     check_face_condition,
     check_modulus_codim1,
@@ -38,6 +39,8 @@ F5 = make_field(5)
 F7 = make_field(7)
 Q = make_field(0)
 F9 = make_field(3, [1, 0, 1])
+F8 = make_field(2, [1, 1, 0, 1])
+QI = make_field(0, [1, 0, 1])
 
 
 def cyc(text, spec=F7, r=2, n=1, model=CoordModel.PSI):
@@ -330,6 +333,97 @@ class TestModulusZeroCycle:
         pt = ZeroCycle(F7, CoordModel.PSI, 2, 0,
                        [(1, ClosedPoint(F7, [F7.element(2), F7.element(3)], []))])
         assert check_modulus_zerocycle(pt, D2)
+
+
+def reference_convert_poly(p, to_model):
+    """Substitute psi one variable at a time, as products of MultiPoly powers."""
+    spec, vars = p.spec, p.vars
+    out = p
+    one = MultiPoly.const(spec, vars, 1)
+    for i in range(vars.n):
+        name = f"y{i+1}"
+        yv = MultiPoly.variable(spec, vars, name)
+        d = out.degree_in(name) if out else 0
+        if to_model is CoordModel.PSI:
+            num, den = yv - one, yv  # y = (w - 1)/w
+        else:
+            num, den = one, one - yv  # w = 1/(1 - y)
+        acc = MultiPoly.zero(spec, vars)
+        for e in range(d + 1):
+            acc = acc + out.coefficient_of(name, e) * num**e * den ** (d - e)
+        out = acc
+    return out
+
+
+def rand_exponent(rng, vars):
+    """t-degrees up to 2, y-degrees up to 3."""
+    return (tuple(rng.randrange(3) for _ in range(vars.r))
+            + tuple(rng.randrange(4) for _ in range(vars.n)))
+
+
+def rand_scalar(rng, spec):
+    if spec.is_extension:
+        digits = [rng.randint(-2, 2) for _ in range(spec.degree)]
+        return spec.element(digits if spec.char else [Fraction(c) for c in digits])
+    return spec.element(rng.randint(-3, 3))
+
+
+class TestConvertKernel:
+    SPECS = (F5, Q, F9, F8, QI)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_equals_the_per_variable_substitution(self, seed):
+        rng = random.Random(seed)
+        spec = self.SPECS[seed % len(self.SPECS)]
+        vars = VarSet(rng.randrange(3), rng.randrange(1, 5))
+        terms = {}
+        for _ in range(rng.randrange(7)):
+            terms[rand_exponent(rng, vars)] = rand_scalar(rng, spec)
+        p = MultiPoly(spec, vars, terms)
+        for model in CoordModel:
+            q = _convert_poly(p, model)
+            assert q.terms == reference_convert_poly(p, model).terms
+            assert all(q.terms.values()), "zero coefficient stored"
+            assert q.spec is p.spec and q.vars == p.vars
+
+    def test_binomial_coefficients_beyond_one(self):
+        # (w - 1)^2 = w^2 - 2w + 1 and (1 - y)^3 = 1 - 3y + 3y^2 - y^3
+        vars = VarSet(0, 1)
+        assert _convert_poly(parse_poly("y1^2", Q, vars), CoordModel.PSI) == \
+            parse_poly("y1^2 - 2*y1 + 1", Q, vars)
+        assert _convert_poly(parse_poly("1", Q, vars), CoordModel.ORIGINAL) == \
+            parse_poly("1", Q, vars)
+        assert _convert_poly(parse_poly("y1^3 + 2", Q, vars), CoordModel.ORIGINAL) == \
+            parse_poly("1 + 2*(1 - y1)^3", Q, vars)
+        # over F3, 1 + 2*(1 - y)^3 = 3 - 6y + 6y^2 - 2y^3 = y^3: the
+        # coefficient 3 vanishes and the constants 1 + 2 cancel
+        F3 = make_field(3)
+        q = _convert_poly(parse_poly("y1^3 + 2", F3, vars), CoordModel.ORIGINAL)
+        assert q.terms == {(3,): F3.one}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_cycles_round_trip(self, seed):
+        # components with constant term 1 carry no factor y_i, which the
+        # round trip through the ORIGINAL model would drop
+        rng = random.Random(seed)
+        spec = self.SPECS[seed % len(self.SPECS)]
+        vars = VarSet(rng.randrange(3), rng.randrange(1, 5))
+        comps = []
+        for _ in range(rng.randrange(1, 4)):
+            terms = {(0,) * vars.count: spec.one}
+            for _ in range(rng.randrange(1, 5)):
+                e = rand_exponent(rng, vars)
+                if any(e):
+                    terms[e] = rand_scalar(rng, spec)
+            p = MultiPoly(spec, vars, terms)
+            if not p.is_constant:
+                comps.append((rng.choice((-2, -1, 1, 3)), p))
+        Z = HypersurfaceCycle(spec, vars, CoordModel.PSI, comps)
+        Zo = psi_convert(Z, CoordModel.ORIGINAL)
+        assert Zo.model is CoordModel.ORIGINAL
+        assert psi_convert(Zo, CoordModel.PSI) == Z
 
 
 class TestPsiConvert:

@@ -1,6 +1,7 @@
 """Sparse multivariate polynomials: parsing, arithmetic, division, rational functions."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,30 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_poly("1 + * 2", F7, VarSet(1, 0))
         assert err.value.position == 4
+
+
+class TestVarSet:
+    def test_every_name_maps_to_its_exponent_position(self):
+        for r, n in ((0, 1), (2, 3), (3, 0), (12, 4)):
+            vars = VarSet(r, n)
+            assert [vars.index(name) for name in vars.names()] == list(range(r + n))
+            if r:
+                assert vars.index(f"t0{r}") == r - 1  # another spelling of t{r}
+
+    def test_unknown_names_raise(self):
+        for r, n in ((0, 1), (2, 3), (3, 0)):
+            vars = VarSet(r, n)
+            for name in ("t0", "y0", f"t{r+1}", f"y{n+1}", "u", "x1", "", "t", "y-1", "t1 "):
+                with pytest.raises(UnknownVariable, match=f"^{re.escape(name)} is not a variable of "):
+                    vars.index(name)
+        with pytest.raises(UnknownVariable):
+            VarSet(2, 1).drop("y2")
+
+    def test_drop_and_equality_are_unchanged(self):
+        assert VarSet(2, 3).drop("t1") == VarSet(1, 3)
+        assert VarSet(2, 3).drop("y3") == VarSet(2, 2)
+        assert VarSet(2, 3) == VarSet(2, 3) and hash(VarSet(2, 3)) == hash(VarSet(2, 3))
+        assert not hasattr(VarSet(1, 1), "__dict__")
 
 
 class TestRoundTrip:
