@@ -2,8 +2,9 @@
 """Walk through the main constructions on small explicit inputs.
 
 Prints the nontriviality generator and its residue, a level-0 bounding
-surface, a hyperbola witness for a 0-cycle, the Steinberg witness curve and
-its boundary, and the residue realization of a function-field symbol.
+surface, hyperbola witnesses for 0-cycles at levels 0 and 1, the Steinberg
+witness curve and its boundary, and the residue realization of a
+function-field symbol.
 """
 
 import sys
@@ -54,11 +55,16 @@ def main() -> None:
           f"re-verified {verify_certificate(cert)}")
     print(f"surface witness: {cert.witnesses[0]['terms'][0]['poly']}")
 
-    print("\n== a rational point bounds on a hyperbola ==")
+    print("\n== a rational point bounds on a hyperbola, at every level ==")
     z = ClosedPoint(F7, [F7.element(2), F7.element(3)], [])
     cert = zero_cycle_vanishing_witness(z, D)
     print(f"point (2, 3): certificate valid {cert.valid}, "
           f"re-verified {verify_certificate(cert)}")
+    z1 = ClosedPoint(F7, [F7.element(2), F7.element(3)], [F7.element(4)])
+    cert = zero_cycle_vanishing_witness(z1, D, n=1)
+    curve = cert.witnesses[1]["components"]
+    print(f"point (2, 3; 4) at level 1: curve ({', '.join(curve)}), "
+          f"certificate valid {cert.valid}, re-verified {verify_certificate(cert)}")
 
     print("\n== the Steinberg relation bounds ==")
     curve = totaro_steinberg_curve(F7.element(3))

@@ -967,10 +967,15 @@ def factor_univariate(f: UniPoly) -> Factorization:
     Complete factorization over finite fields (squarefree decomposition
     followed by deterministic Berlekamp splitting).  Over Q only rational
     roots are extracted; a rootless cofactor of degree 2 or 3 is certified
-    irreducible and anything larger is returned unfactored.
+    irreducible and anything larger is returned unfactored.  A polynomial of
+    degree 1 is its own factorization over every field; otherwise extensions
+    of Q raise ExtensionNotSupported.
     """
     if not f:
         raise ZeroPolynomial("cannot factor the zero polynomial")
+    if f.degree == 1:
+        # irreducible over every field, extensions of Q included
+        return Factorization(f.leading, [FactorPart(f.monic(), 1, True)])
     if f.spec.char == 0:
         if f.spec.is_extension:
             raise ExtensionNotSupported("factorization over extensions of Q is not supported")

@@ -165,9 +165,6 @@ class MultiPoly:
 
     # -- canonical identity ----------------------------------------------------
 
-    def _sorted_items(self) -> tuple:
-        return tuple(sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True))
-
     def __eq__(self, other):
         return (
             isinstance(other, MultiPoly)
@@ -178,7 +175,7 @@ class MultiPoly:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.spec, self.vars, self._sorted_items()))
+            self._hash = hash((self.spec, self.vars, frozenset(self.terms.items())))
         return self._hash
 
     def __bool__(self):
@@ -419,7 +416,7 @@ class MultiPoly:
             return "0"
         names = self.vars.names()
         parts = []
-        for e, c in self._sorted_items():
+        for e, c in sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True):
             mono = "*".join(
                 names[i] if k == 1 else f"{names[i]}^{k}"
                 for i, k in enumerate(e)
@@ -730,7 +727,8 @@ class RatFunc:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        return RatFunc(self.num**k, self.den**k)
+        # a power of a reduced fraction with a monic denominator is reduced
+        return RatFunc._raw(self.num**k, self.den**k)
 
     def compose(self, inner: "RatFunc") -> "RatFunc":
         """self(inner(s)) by Horner in RatFunc arithmetic."""

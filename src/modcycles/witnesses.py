@@ -35,12 +35,7 @@ from .cycles import (
     curve_avoids_divisor,
     curve_boundary,
     prune_degenerate,
-)
-from .milnor import (
-    MilnorElement,
-    MilnorSymbol,
-    k2_presentation_oracle,
-    phi_map,
+    psi_convert,
 )
 from . import serialize as ser
 
@@ -252,15 +247,6 @@ def _run_check(check: str, data: dict, memo: dict):
         emb = _decoded(memo, "embedding_from_json", data["embedding"], spec)
         D = ser.modulus_from_json(data["modulus"], spec)
         return curve_avoids_divisor(emb, D)
-    if check == "k2_trivial":
-        return k2_presentation_oracle(int(data["q"])).trivial
-    if check == "finite_field_symbol_vanishing":
-        # theorem applicability: finite coefficient field, symbol length >= 2
-        spec = ser.spec_from_json(data["field"])
-        return spec.is_finite and int(data["length"]) >= 2
-    if check == "obstruction_reported":
-        # informational: the recorded symbol is the image under the cycle map
-        return True
     raise MalformedCertificate(f"unknown check kind {check!r}")
 
 
@@ -472,12 +458,15 @@ def _hyperbola_embedding(spec: FieldSpec, coords: Sequence[FieldElement],
 def zero_cycle_vanishing_witness(z: ClosedPoint, D: ModulusDatum, n: int = 0,
                                  model: CoordModel = CoordModel.ORIGINAL,
                                  variant: str = "plain") -> WitnessCertificate:
-    """Certificate that a 0-cycle off a monomial modulus bounds (n = 0), or
-    the reduction transcript with the obstruction symbol (n >= 1).
+    """Certificate that a 0-cycle off a monomial modulus bounds, at any level n.
 
     The witness curve is a hyperbola through the point, disjoint from the
-    divisor; for n = 0 the graph with component (s - c1) on it has boundary
-    exactly the point, pushed forward along the closed immersion.
+    divisor.  Over it sits the graph curve with components (s - c1, y_1, ...,
+    y_n), the y_i taken as constants in the ORIGINAL model: constants that are
+    not 0, 1 or infinity meet no face, so the boundary of the curve, pushed
+    forward along the closed immersion, is exactly the point.  Over an
+    extension field the construction runs over the residue field, which the
+    claim's point records.
     """
     spec = z.residue_spec
     r = len(z.t_coords)
@@ -487,18 +476,7 @@ def zero_cycle_vanishing_witness(z: ClosedPoint, D: ModulusDatum, n: int = 0,
         raise WrongLevel("point has the wrong number of cube coordinates")
     if not D.is_monomial:
         raise UnsupportedModulus("witnesses are constructed for monomial moduli")
-    transcript = []
     memo = {}
-    base_changed = spec.is_extension
-    if base_changed:
-        # the construction runs over the residue field; the push-forward to the
-        # base ambient is the recorded reduction step
-        transcript.append(_entry(
-            "obstruction_reported",
-            {"note": "base change to the residue field",
-             "residue": ser.spec_to_json(spec)},
-            True, True,
-        ))
     ambient_D = ModulusDatum.monomial(spec, D.monomial_exponents)
     zc = ZeroCycle(spec, model, r, n, [(1, z)])
     zc_json = ser.zerocycle_to_json(zc, ambient_D)
@@ -507,67 +485,43 @@ def zero_cycle_vanishing_witness(z: ClosedPoint, D: ModulusDatum, n: int = 0,
     face = check_face_condition(zc)
     if not face.passed:
         raise WitnessError(f"point violates the face condition: {face.violations}")
-    transcript.append(_checked("modulus_zerocycle", {"cycle": zc_json}, True, memo))
-    transcript.append(_checked("face_condition", {"cycle": zc_json}, True, memo))
 
     emb, s0 = _hyperbola_embedding(spec, z.t_coords, variant)
     emb_json = ser.embedding_to_json(emb)
     field_json = ser.spec_to_json(spec)
-    transcript.append(_checked(
-        "point_on_curve",
-        {"field": field_json, "embedding": emb_json,
-         "parameter": ser.element_to_json(s0),
-         "point_t": [ser.element_to_json(c) for c in z.t_coords]},
-        True, memo,
-    ))
-    transcript.append(_checked(
-        "curve_avoids_divisor",
-        {"field": field_json, "embedding": emb_json,
-         "modulus": ser.modulus_to_json(ambient_D)},
-        True, memo,
-    ))
-    witnesses = [{"embedding": emb_json, "field": field_json}]
-
-    if n == 0:
-        comp = RatFunc.param(spec) - RatFunc.const(spec, s0)
-        curve = ParamCurve(spec, CoordModel.ORIGINAL, [comp], graph_over_base=True)
-        curve_json = ser.curve_to_json(curve)
-        target = ZeroCycle(spec, CoordModel.ORIGINAL, r, 0, [(1, ClosedPoint(spec, z.t_coords, ()))])
-        transcript.append(_checked(
+    y = z.y_coords if model is CoordModel.ORIGINAL else \
+        psi_convert(z, CoordModel.ORIGINAL).y_coords
+    comps = [RatFunc.param(spec) - RatFunc.const(spec, s0)] + [RatFunc.const(spec, c) for c in y]
+    curve = ParamCurve(spec, CoordModel.ORIGINAL, comps, graph_over_base=True)
+    curve_json = ser.curve_to_json(curve)
+    target = ZeroCycle(spec, CoordModel.ORIGINAL, r, n, [(1, ClosedPoint(spec, z.t_coords, y))])
+    transcript = [
+        _checked("modulus_zerocycle", {"cycle": zc_json}, True, memo),
+        _checked("face_condition", {"cycle": zc_json}, True, memo),
+        _checked(
+            "point_on_curve",
+            {"field": field_json, "embedding": emb_json,
+             "parameter": ser.element_to_json(s0),
+             "point_t": [ser.element_to_json(c) for c in z.t_coords]},
+            True, memo,
+        ),
+        _checked(
+            "curve_avoids_divisor",
+            {"field": field_json, "embedding": emb_json,
+             "modulus": ser.modulus_to_json(ambient_D)},
+            True, memo,
+        ),
+        _checked(
             "curve_boundary_equals",
             {"curve": curve_json, "embedding": emb_json,
              "target": ser.zerocycle_to_json(target)},
             True, memo,
-        ))
-        witnesses.append(curve_json)
-        claim = {
-            "vanishing": "the point bounds on a divisor-avoiding rational curve",
-            "point": zc_json,
-            "variant": variant,
-        }
-    else:
-        # no chain is fabricated: record the obstruction symbol at the pushed
-        # point and, over finite fields, the applicable vanishing facts
-        sym = MilnorSymbol(spec, z.y_coords)
-        sym_entries = [ser.element_to_json(c) for c in z.y_coords]
-        transcript.append(_entry(
-            "obstruction_reported",
-            {"symbol": sym_entries, "at": [ser.element_to_json(c) for c in z.t_coords]},
-            True, True,
-        ))
-        if spec.is_finite and n >= 2:
-            transcript.append(_checked(
-                "finite_field_symbol_vanishing",
-                {"field": field_json, "length": n},
-                True, memo,
-            ))
-            if n == 2 and spec.order <= 64:
-                transcript.append(_checked("k2_trivial", {"q": spec.order}, True, memo))
-        claim = {
-            "reduction": "push to the witness curve; the class is the recorded symbol",
-            "point": zc_json,
-            "obstruction": sym_entries,
-            "variant": variant,
-            "vanishing_claimed": bool(spec.is_finite and n >= 2),
-        }
+        ),
+    ]
+    claim = {
+        "vanishing": "the point bounds on a divisor-avoiding rational curve",
+        "point": zc_json,
+        "variant": variant,
+    }
+    witnesses = [{"embedding": emb_json, "field": field_json}, curve_json]
     return WitnessCertificate(claim, witnesses, transcript, _convention(model, True))

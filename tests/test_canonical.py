@@ -122,6 +122,22 @@ class TestTrustedPolynomials:
         if b:
             assert (a * b).exact_div(b) == a
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_hash_ignores_term_order(self, seed):
+        # the hash is of the term set, so equal polynomials built in another
+        # order hash alike
+        rng = random.Random(seed)
+        spec = SPECS[seed % 3]
+        vars = VarSet(1, 2)
+        a = rand_poly(rng, spec, vars)
+        items = list(a.terms.items())
+        rng.shuffle(items)
+        b = MultiPoly(spec, vars, dict(reversed(items)))
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert hash(a) == hash(MultiPoly(spec, vars, dict(items)))
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**30))
     def test_face_kernel_equals_the_reference_restriction(self, seed):
@@ -231,6 +247,25 @@ class TestTrustedUnivariate:
         assert inv.inverse() == f and f * inv == RatFunc.const(spec, 1)
         with pytest.raises(ZeroDivisionError):
             RatFunc.const(spec, 0).inverse()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_rational_power_is_canonical(self, seed):
+        # a power of a reduced fraction is reduced: __pow__ skips the gcd
+        rng = random.Random(seed)
+        spec = SPECS[seed % 3]
+        f = rand_ratfunc(rng, spec)
+        if rng.random() < 0.5:
+            f = f / rand_ratfunc(rng, spec)
+        for g in (f, RatFunc.const(spec, 0), RatFunc.param(spec) - 1):
+            for k in range(4):
+                got = g**k
+                want = RatFunc(g.num**k, g.den**k)
+                assert got == want
+                assert got.num == want.num and got.den == want.den
+                assert got.den.leading == spec.one
+            if g:
+                assert g**-2 == RatFunc(g.den**2, g.num**2)
 
     def test_mixed_fields_raise(self):
         # a trusted result never mixes coefficients of two fields

@@ -105,6 +105,23 @@ class TestWitnesses:
         code, rep = run_json(["verify", "--file", str(out)])
         assert code == 0 and rep == {"valid": True}
 
+    def test_zero_cycle_level1_and_verify(self, tmp_path):
+        blob = {
+            "field": {"char": 7}, "model": "ORIGINAL", "r": 2, "n": 1,
+            "modulus": {"exponents": [1, 1]},
+            "points": [{"mult": 1, "t": ["2", "3"], "y": ["4"]}],
+        }
+        src = tmp_path / "z1.json"
+        src.write_text(json.dumps(blob))
+        out = tmp_path / "cert.json"
+        code, _ = run(["witness-zero-cycle", "--file", str(src), "--out", str(out)])
+        assert code == 0
+        cert = json.loads(out.read_text())
+        assert "vanishing" in cert["claim"]
+        assert cert["transcript"][-1]["check"] == "curve_boundary_equals"
+        code, rep = run_json(["verify", "--file", str(out)])
+        assert code == 0 and rep == {"valid": True}
+
     def test_generator(self):
         code, rep = run_json(["generator", "--a", "3", "--r", "2", "--field", "Fp:7"])
         assert code == 0 and rep["rho"] == "3"
@@ -256,6 +273,23 @@ class TestErrorPaths:
         path.write_text(json.dumps(cert))
         code, rep = run_json(["verify", "--file", str(path)])
         assert code == 2 and rep["error"]["type"] == "MalformedCertificate"
+
+    @pytest.mark.parametrize("kind, data", [
+        ("obstruction_reported", {"symbol": ["4"], "at": ["2", "3"]}),
+        ("finite_field_symbol_vanishing", {"field": {"char": 7}, "length": 2}),
+        ("k2_trivial", {"q": 7}),
+    ])
+    def test_removed_check_kind_exits_2(self, tmp_path, kind, data):
+        # certificates written before these kinds were removed no longer verify
+        code, rep = run_json(["generator", "--a", "3", "--r", "2", "--field", "Fp:7"])
+        cert = rep["certificate"]
+        cert["transcript"].append({"check": kind, "data": data, "expected": True,
+                                   "status": "pass"})
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        code, rep = run_json(["verify", "--file", str(path)])
+        assert code == 2 and rep["error"]["type"] == "MalformedCertificate"
+        assert kind in rep["error"]["message"]
 
     @pytest.mark.parametrize("argv, error", [
         (["ktheory", "reduce"], "InputError"),

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modcycles import fields
 from modcycles.fields import (
     EXTENSION_MODULI,
     FINITE_FIELD_MAX_ORDER,
     ExtensionNotSupported,
+    FactorPart,
+    Factorization,
     FieldElement,
     NonPrimeCharacteristic,
     NotAPlace,
@@ -115,6 +118,16 @@ class TestFieldAxioms:
             assert a * a.inverse() == spec.one
 
 
+def general_factorization(f):
+    """The factorization path a polynomial of degree >= 2 takes over a base field."""
+    if f.spec.char == 0:
+        return fields._rational_factor(f)
+    return Factorization(f.leading, [
+        FactorPart(irr.monic(), m, True)
+        for g, m in fields._squarefree_parts(f.monic()) for irr in fields._berlekamp_factor(g)
+    ])
+
+
 class TestFactorization:
     def test_spec_example_f5(self):
         f = UniPoly(F5, [1, 0, 1])
@@ -169,6 +182,24 @@ class TestFactorization:
         assert fac.expand() == f
         mults = {p.poly.to_text(): p.multiplicity for p in fac.parts}
         assert mults == {"t - 1/2": 2, "t + 3": 1}
+
+    def test_linear_is_its_own_factorization_over_every_field(self):
+        # runs before the refusal of extensions of Q; over a base field the
+        # result equals the general path's
+        rng = random.Random(8)
+        for spec in [F5, make_field(7), Q] + [EXTENSIONS[k] for k in sorted(EXTENSIONS)]:
+            for _ in range(12):
+                a = spec.element([rng.randrange(-5, 6) for _ in range(spec.degree)]
+                                 if spec.is_extension else rng.randrange(-5, 6))
+                lead = spec.element(rng.choice([1, 2, 3, -1, 4])) or spec.one
+                f = UniPoly(spec, [a * lead, lead])
+                fac = factor_univariate(f)
+                assert fac.unit == lead and fac.expand() == f
+                assert fac.parts == (FactorPart(f.monic(), 1, True),)
+                if not spec.is_extension:
+                    assert fac.parts == general_factorization(f).parts
+        with pytest.raises(ExtensionNotSupported):
+            factor_univariate(UniPoly(EXTENSIONS["Q(i)"], [1, 0, 1]))
 
     def test_gcd(self):
         f = UniPoly(F5, [1, 1]) * UniPoly(F5, [2, 1])

@@ -19,6 +19,7 @@ from modcycles.cycles import (
     HypersurfaceCycle,
     ModulusDatum,
     boundary,
+    psi_convert,
 )
 from modcycles import serialize as ser
 from modcycles import witnesses
@@ -51,6 +52,54 @@ def cyc(text, spec=F7, r=2, n=1):
 
 
 D11_F7 = ModulusDatum.monomial(F7, [1, 1])
+
+
+ZERO_CYCLE_KINDS = ["modulus_zerocycle", "face_condition", "point_on_curve",
+                    "curve_avoids_divisor", "curve_boundary_equals"]
+
+F9 = make_field(3, [1, 0, 1])
+QI = make_field(0, [1, 0, 1])
+# field -> (spec, t-coordinates, three y-coordinates off 0 and 1)
+LEVEL_POINTS = {
+    "F5": (F5, [F5.element(2), F5.element(3)], [F5.element(c) for c in (4, 2, 3)]),
+    "F7": (F7, [F7.element(2), F7.element(3)], [F7.element(c) for c in (4, 6, 2)]),
+    "Q": (Q, [Q.element(2), Q.element(Fraction(-1, 3))],
+          [Q.element(c) for c in (5, Fraction(1, 2), -1)]),
+    "F9": (F9, [F9.element([1, 1]), F9.element(2)],
+           [F9.element(c) for c in ([0, 1], [2, 1], 2)]),
+    "Q(i)": (QI, [QI.element([1, 1]), QI.element(3)],
+             [QI.element(c) for c in ([0, 1], [2, -1], 3)]),
+}
+
+# check kinds of earlier releases: they proved nothing and are gone
+REMOVED_KINDS = [
+    ("obstruction_reported", {"symbol": ["4", "2"], "at": ["2", "3"]}),
+    ("finite_field_symbol_vanishing", {"field": {"char": 5}, "length": 2}),
+    ("k2_trivial", {"q": 5}),
+]
+
+F7_POINT_CERT_TEXT = (
+    '{"claim": {"vanishing": "the point bounds on a divisor-avoiding rational curve", '
+    '"point": {"field": {"char": 7}, "model": "ORIGINAL", "r": 2, "n": 0, "modulus": '
+    '{"exponents": [1, 1]}, "points": [{"mult": 1, "t": ["2", "3"], "y": []}]}, "variant": '
+    '"plain"}, "witnesses": [{"embedding": ["s", "(6)/(s)"], "field": {"char": 7}}, '
+    '{"field": {"char": 7}, "model": "ORIGINAL", "graph_over_base": true, "components": ["t'
+    ' + 5"]}], "transcript": [{"check": "modulus_zerocycle", "data": {"cycle": {"field": '
+    '{"char": 7}, "model": "ORIGINAL", "r": 2, "n": 0, "modulus": {"exponents": [1, 1]}, '
+    '"points": [{"mult": 1, "t": ["2", "3"], "y": []}]}}, "expected": true, "status": '
+    '"pass"}, {"check": "face_condition", "data": {"cycle": {"field": {"char": 7}, "model":'
+    ' "ORIGINAL", "r": 2, "n": 0, "modulus": {"exponents": [1, 1]}, "points": [{"mult": 1, '
+    '"t": ["2", "3"], "y": []}]}}, "expected": true, "status": "pass"}, {"check": '
+    '"point_on_curve", "data": {"field": {"char": 7}, "embedding": ["s", "(6)/(s)"], '
+    '"parameter": "2", "point_t": ["2", "3"]}, "expected": true, "status": "pass"}, '
+    '{"check": "curve_avoids_divisor", "data": {"field": {"char": 7}, "embedding": ["s", '
+    '"(6)/(s)"], "modulus": {"exponents": [1, 1]}}, "expected": true, "status": "pass"}, '
+    '{"check": "curve_boundary_equals", "data": {"curve": {"field": {"char": 7}, "model": '
+    '"ORIGINAL", "graph_over_base": true, "components": ["t + 5"]}, "embedding": ["s", '
+    '"(6)/(s)"], "target": {"field": {"char": 7}, "model": "ORIGINAL", "r": 2, "n": 0, '
+    '"points": [{"mult": 1, "t": ["2", "3"], "y": []}]}}, "expected": true, "status": '
+    '"pass"}], "convention": {"model": "ORIGINAL", "level0_degeneracy": true}}'
+)
 
 
 class TestRho:
@@ -187,28 +236,76 @@ class TestZeroCycleWitness:
         with pytest.raises(PointOnModulus):
             zero_cycle_vanishing_witness(z, D11_F7)
 
-    def test_n1_reports_obstruction_without_vanishing_claim(self):
+    def test_n1_proves_vanishing_on_the_graph_curve(self):
         z = ClosedPoint(F5, [F5.element(2), F5.element(3)], [F5.element(4)])
         cert = zero_cycle_vanishing_witness(z, ModulusDatum.monomial(F5, [1, 1]), n=1)
-        assert cert.valid
-        assert cert.claim["obstruction"] == ["4"]
-        assert cert.claim["vanishing_claimed"] is False
+        assert cert.valid and verify_certificate(cert)
+        assert set(cert.claim) == {"vanishing", "point", "variant"}
+        entry = cert.transcript[-1]
+        assert entry["check"] == "curve_boundary_equals"
+        # s - 2 and the constant coordinate 4; the boundary is the point itself
+        assert entry["data"]["curve"]["components"] == ["t + 3", "4"]
+        assert entry["data"]["target"]["points"] == [{"mult": 1, "t": ["2", "3"], "y": ["4"]}]
+        assert cert.witnesses[1] == entry["data"]["curve"]
 
-    def test_n2_finite_attaches_oracle(self):
+    def test_n2_finite_proves_vanishing_without_the_oracle(self):
         z = ClosedPoint(F5, [F5.element(2), F5.element(3)],
                         [F5.element(4), F5.element(2)])
         cert = zero_cycle_vanishing_witness(z, ModulusDatum.monomial(F5, [1, 1]), n=2)
         assert cert.valid and verify_certificate(cert)
-        assert cert.claim["vanishing_claimed"] is True
-        kinds = [e["check"] for e in cert.transcript]
-        assert "finite_field_symbol_vanishing" in kinds and "k2_trivial" in kinds
+        assert "vanishing" in cert.claim
+        assert [e["check"] for e in cert.transcript] == ZERO_CYCLE_KINDS
 
-    def test_extension_point_records_base_change(self):
-        F9 = make_field(3, [1, 0, 1])
+    def test_extension_point_records_its_residue_field_in_the_claim(self):
         z = ClosedPoint(F9, [F9.element([1, 1]), F9.element(2)], [])
         cert = zero_cycle_vanishing_witness(z, ModulusDatum.monomial(F9, [1, 1]))
         assert cert.valid and verify_certificate(cert)
-        assert any("base change" in str(e["data"].get("note", "")) for e in cert.transcript)
+        assert cert.claim["point"]["field"] == ser.spec_to_json(F9)
+        assert [e["check"] for e in cert.transcript] == ZERO_CYCLE_KINDS
+
+    def test_psi_point_carries_its_original_coordinates_on_the_curve(self):
+        z = ClosedPoint(F7, [F7.element(2), F7.element(3)], [F7.element(4)])
+        cert = zero_cycle_vanishing_witness(z, D11_F7, n=1, model=CoordModel.PSI)
+        assert cert.valid and verify_certificate(cert)
+        assert cert.claim["point"]["model"] == "PSI"
+        data = cert.transcript[-1]["data"]
+        # the PSI coordinate 4 is (4 - 1)/4 = 6 in the ORIGINAL model
+        assert data["curve"]["components"] == ["t + 5", "6"]
+        assert data["target"]["model"] == "ORIGINAL"
+        assert data["target"]["points"][0]["y"] == ["6"]
+
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("field", sorted(LEVEL_POINTS))
+    def test_every_level_field_model_and_variant(self, field, n):
+        spec, t, y = LEVEL_POINTS[field]
+        D = ModulusDatum.monomial(spec, [1, 2])
+        for model in CoordModel:
+            for variant in ("plain", "product_base"):
+                z = ClosedPoint(spec, t, y[:n])
+                cert = zero_cycle_vanishing_witness(z, D, n=n, model=model, variant=variant)
+                assert cert.valid
+                assert verify_certificate(json.loads(json.dumps(cert.to_json())))
+                assert [e["check"] for e in cert.transcript] == ZERO_CYCLE_KINDS
+                assert set(cert.claim) == {"vanishing", "point", "variant"}
+                # the curve bounds the claimed point, read in the ORIGINAL model
+                point, _ = ser.zerocycle_from_json(cert.claim["point"])
+                if model is CoordModel.PSI:
+                    point = psi_convert(point, CoordModel.ORIGINAL)
+                target, _ = ser.zerocycle_from_json(cert.transcript[-1]["data"]["target"])
+                assert target == point and point.n == n
+
+    def test_n0_certificate_text_is_pinned(self):
+        z = ClosedPoint(F7, [F7.element(2), F7.element(3)], [])
+        cert = zero_cycle_vanishing_witness(z, D11_F7)
+        assert json.dumps(cert.to_json()) == F7_POINT_CERT_TEXT
+
+    @pytest.mark.parametrize("kind, data", REMOVED_KINDS)
+    def test_removed_check_kinds_are_malformed(self, kind, data):
+        z = ClosedPoint(F5, [F5.element(2), F5.element(3)], [F5.element(4), F5.element(2)])
+        cert = zero_cycle_vanishing_witness(z, ModulusDatum.monomial(F5, [1, 1]), n=2)
+        cert.transcript.append({"check": kind, "data": data, "expected": True, "status": "pass"})
+        with pytest.raises(MalformedCertificate, match=kind):
+            verify_certificate(cert)
 
 
 class TestVerifyCertificate:
