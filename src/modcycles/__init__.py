@@ -41,7 +41,6 @@ from .milnor import (
     MilnorSymbol,
     Valuation,
     k2_presentation_oracle,
-    param_curve_boundary,
     phi_map,
     psi_map,
     smith_normal_form,

@@ -29,6 +29,7 @@ from .cycles import (
     check_modulus_zerocycle,
     curve_boundary,
     psi_convert,
+    pushforward_closed_immersion,
 )
 from .milnor import (
     FunctionField,
@@ -87,6 +88,15 @@ def _parse_model(text: str) -> CoordModel:
         return CoordModel(text.upper())
     except ValueError:
         raise InputError(f"model must be 'original' or 'psi', got {text!r}") from None
+
+
+def _parse_scalar(text: str, spec):
+    """A field element from decimal or fraction text such as 3, -2 or 1/2."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"cannot read {text!r} as a field element") from None
+    return spec.element(value)
 
 
 def _parse_modulus(text: str, spec) -> ModulusDatum:
@@ -167,10 +177,11 @@ def cmd_boundary(args) -> int:
     if args.curve:
         data = _load_json(args.curve)
         C = ser.curve_from_json(data)
-        emb = None
         if "embedding" in data:
             emb = ser.embedding_from_json(data["embedding"], C.spec)
-        out = curve_boundary(C, embedding=emb, flip_inner=args.flip_sign)
+            out = pushforward_closed_immersion(C, emb).boundary(args.flip_sign)
+        else:
+            out = curve_boundary(C, flip_inner=args.flip_sign)
         _emit(ser.zerocycle_to_json(out), args)
         return 0
     Z, D = _load_cycle(args)
@@ -215,7 +226,7 @@ def cmd_witness_zero_cycle(args) -> int:
 
 def cmd_generator(args) -> int:
     spec = _parse_field(args.field)
-    a = spec.element(Fraction(args.a)) if spec.char == 0 else spec.element(int(args.a))
+    a = _parse_scalar(args.a, spec)
     Z, cert = generator_cycle(a, args.r, level0_flag=args.level0_degeneracy == "on")
     report = {
         "cycle": ser.cycle_to_json(Z, ModulusDatum.monomial(spec, [1] * args.r)),
@@ -273,7 +284,7 @@ def cmd_curves(args) -> int:
         raise InputError(f"curves {args.curve_kind} needs {', '.join(missing)}")
     spec = _parse_field(args.field)
     if args.curve_kind == "totaro":
-        entries = [spec.element(Fraction(x)) for x in args.entries.split(",")]
+        entries = [_parse_scalar(x, spec) for x in args.entries.split(",")]
         if args.relation == "steinberg":
             f1, extra = entries[0], entries[1:]
             curve = totaro_steinberg_curve(f1, extra)
@@ -283,15 +294,7 @@ def cmd_curves(args) -> int:
                 raise InputError("the multiplicativity curve takes exactly f,g")
             curve = totaro_mult_curve(entries[0], entries[1])
             out = verify_mult_curve(curve, entries[0], entries[1])
-        report = {
-            "curve": ser.curve_to_json(curve),
-            "boundary": ser.zerocycle_to_json(out.actual),
-            "identity": bool(out.ok),
-            "sign": out.sign,
-        }
-        _emit(report, args)
-        return 0 if out.ok else 1
-    if args.curve_kind == "xi":
+    else:
         fs = [parse_ratfunc(x, spec) for x in args.entries.split(";")]
         u = parse_ratfunc(args.unit, spec)
         pi = parse_unipoly(args.pi, spec).monic()
@@ -299,15 +302,14 @@ def cmd_curves(args) -> int:
         ff = FunctionField(spec)
         sym = MilnorElement(ff, [(1, MilnorSymbol(ff, fs + [u * RatFunc.from_poly(pi) ** args.power]))])
         out = verify_xi_curve(curve, sym)
-        report = {
-            "curve": ser.curve_to_json(curve),
-            "boundary": ser.zerocycle_to_json(out.actual),
-            "identity": bool(out.ok),
-            "sign": out.sign,
-        }
-        _emit(report, args)
-        return 0 if out.ok else 1
-    raise InputError(f"unknown curves action {args.curve_kind!r}")
+    report = {
+        "curve": ser.curve_to_json(curve),
+        "boundary": ser.zerocycle_to_json(out.actual),
+        "identity": bool(out.ok),
+        "sign": out.sign,
+    }
+    _emit(report, args)
+    return 0 if out.ok else 1
 
 
 def cmd_convert_model(args) -> int:

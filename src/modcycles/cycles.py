@@ -933,92 +933,63 @@ def _place_field(spec: FieldSpec, pi: UniPoly) -> tuple[FieldSpec, FieldElement]
     return ell, ell.gen_u
 
 
-def _zero_places(h: RatFunc) -> list[tuple[UniPoly, int]]:
-    """Monic irreducible zeros of h with multiplicities (finite places only)."""
-    if not h.num:
-        raise ValueError("identically zero")
+def _places(poly: UniPoly) -> list[tuple[UniPoly, int]]:
+    """The finite places where poly vanishes: its monic irreducible factors
+    with multiplicities.  Raises UnfactorableEntry when a factor is not
+    certified irreducible (see factor_univariate for the bounds)."""
+    if poly.degree < 1:
+        return []
     out = []
-    if h.num.degree > 0:
-        fac = factor_univariate(h.num)
-        for part in fac.parts:
-            if not part.irreducible:
-                raise UnfactorableEntry(
-                    f"cannot enumerate zeros of {h.num.to_text()}: "
-                    f"unfactored cofactor {part.poly.to_text()}"
-                )
-            out.append((part.poly, part.multiplicity))
+    for part in factor_univariate(poly).parts:
+        if not part.irreducible:
+            raise UnfactorableEntry(
+                f"cannot enumerate places of {poly.to_text()}: "
+                f"unfactored cofactor {part.poly.to_text()}"
+            )
+        out.append((part.poly, part.multiplicity))
     return out
 
 
-def _value_or_inf(g: RatFunc, at_infinity: bool, x: FieldElement | None):
-    if at_infinity:
-        return g.value_at_infinity()
-    return g.eval(x)
-
-
-def curve_boundary(curve: ParamCurve, *, embedding: Sequence[RatFunc] | None = None,
-                   domain_poles: Sequence[UniPoly] = (),
+def curve_boundary(curve: ParamCurve, *, domain_poles: Sequence[UniPoly] = (),
                    flip_inner: bool = False) -> ZeroCycle:
     """Cubical boundary of a parametric curve as a 0-cycle one level down.
 
-    Candidate points are the parameter values (closed points of the parameter
-    line, plus the point at infinity for constant-base curves) where some
-    component meets a face, with multiplicity the order of vanishing.  Points
-    whose remaining coordinates hit the model's puncture are outside the cube
-    and are discarded; hitting another face is an improper boundary.  Graph
-    curves and embedded curves discard the parameter at infinity and at poles
-    of the embedding, which lie outside the affine base.
+    Candidate points are the parameter values where some component g meets a
+    face, with multiplicity the order of vanishing of h = 1/g at the face at
+    infinity and of h = g - c at a finite face c: the closed points of the
+    parameter line where h vanishes, plus the point at infinity for
+    constant-base curves.  Places dividing one of ``domain_poles`` lie outside
+    the source curve and are skipped.  Points whose remaining coordinates hit
+    the model's puncture are outside the cube and are discarded; hitting
+    another face is an improper boundary.  A graph curve's boundary lies over
+    the parameter line; the boundary of a curve embedded in A^r is the
+    push-forward of that one (see EmbeddedCurve).
     """
     spec, model = curve.spec, curve.model
     faces = model.faces
-    pos_face, neg_face = model.boundary_pair
+    neg_face = model.boundary_pair[1]
     excluded = model.excluded_value
-    n = curve.n
-    if embedding is not None:
-        r_out = len(embedding)
-    elif curve.graph_over_base:
-        r_out = 1
-    else:
-        r_out = len(curve.base_t_coords)
+    graph = curve.graph_over_base
     terms = []
-    affine_base = curve.graph_over_base or embedding is not None
 
-    # gather candidates: (place | INFINITY marker, component index, face, mult)
+    # gather candidates: (place | None for infinity, component index, face, mult)
     candidates: list[tuple] = []
     for idx, g in enumerate(curve.components):
         for face in faces:
-            if face is INFINITY:
-                targets = _zero_places(g.inverse()) if g.num.degree > 0 or g.den.degree > 0 else []
-                # poles of g: zeros of 1/g
-                for pi, m in targets:
-                    candidates.append((pi, idx, face, m))
-                if not affine_base:
-                    o = g.ord_at_infinity()
-                    if o < 0:
-                        candidates.append((None, idx, face, -o))
-            else:
-                diff = g - RatFunc.const(spec, face)
-                if not diff.num:
-                    raise DegenerateCurve("component identically a face value")
-                for pi, m in _zero_places(diff):
-                    candidates.append((pi, idx, face, m))
-                if not affine_base:
-                    o = diff.ord_at_infinity()
-                    if o > 0:
-                        candidates.append((None, idx, face, o))
+            h = g.inverse() if face is INFINITY else g - RatFunc.const(spec, face)
+            candidates.extend((pi, idx, face, m) for pi, m in _places(h.num))
+            if not graph:
+                o = h.ord_at_infinity()
+                if o > 0:
+                    candidates.append((None, idx, face, o))
 
     for place, idx, face, mult in candidates:
-        at_inf = place is None
-        if not at_inf:
-            if any(dp.degree > 0 and not (dp % place) for dp in domain_poles):
-                continue
-            if embedding is not None and any(
-                e.den.degree > 0 and not (e.den % place) for e in embedding
-            ):
-                continue  # the embedding has a pole here: outside the source curve
-            ell, root = _place_field(spec, place)
-        else:
+        if place is None:
             ell, root = spec, None
+        elif any(dp.degree > 0 and not (dp % place) for dp in domain_poles):
+            continue
+        else:
+            ell, root = _place_field(spec, place)
 
         ex_val = None if excluded is INFINITY else ell.embed(spec.element(excluded))
         face_vals = [ell.embed(spec.element(f)) for f in faces if f is not INFINITY]
@@ -1027,7 +998,7 @@ def curve_boundary(curve: ParamCurve, *, embedding: Sequence[RatFunc] | None = N
         # point is outside the cube entirely, which takes precedence over any
         # face hit, so evaluate everything before classifying
         y_vals = [
-            _value_or_inf(g, at_inf, root)
+            g.value_at_infinity() if place is None else g.eval(root)
             for j, g in enumerate(curve.components)
             if j != idx
         ]
@@ -1041,21 +1012,10 @@ def curve_boundary(curve: ParamCurve, *, embedding: Sequence[RatFunc] | None = N
             if v is INFINITY or v in face_vals:
                 raise ImproperBoundary(
                     f"a remaining component hits a face on the boundary point at "
-                    f"{'infinity' if at_inf else place.to_text()}"
+                    f"{'infinity' if place is None else place.to_text()}"
                 )
 
-        # base coordinates
-        if embedding is not None:
-            t_vals = []
-            for e in embedding:
-                v = _value_or_inf(e, at_inf, root)
-                if v is INFINITY:
-                    t_vals = None  # closure point lies over infinity of A^r
-                    break
-                t_vals.append(v)
-            if t_vals is None:
-                continue
-        elif curve.graph_over_base:
+        if graph:
             t_vals = [root]
         else:
             t_vals = [ell.embed(c) if ell != spec else c for c in curve.base_t_coords]
@@ -1066,7 +1026,8 @@ def curve_boundary(curve: ParamCurve, *, embedding: Sequence[RatFunc] | None = N
         if flip_inner:
             sign = -sign
         terms.append((sign * mult, ClosedPoint(ell, t_vals, y_vals)))
-    return ZeroCycle(spec, model, r_out, n - 1, terms)
+    r_out = 1 if graph else len(curve.base_t_coords)
+    return ZeroCycle(spec, model, r_out, curve.n - 1, terms)
 
 
 def pushforward_closed_immersion(obj, embedding: Sequence[RatFunc],
@@ -1075,7 +1036,9 @@ def pushforward_closed_immersion(obj, embedding: Sequence[RatFunc],
     closed immersion given by coordinate functions of the parameter.
 
     Points map by coordinate composition with multiplicity 1.  When a modulus
-    datum is attached, every image point must avoid the divisor.
+    datum is attached, every image point must avoid the divisor.  A curve
+    must be a graph over the parameter line (ValueError otherwise); its
+    image is an EmbeddedCurve.
     """
     if isinstance(obj, ZeroCycle):
         if obj.r != 1:
@@ -1107,7 +1070,13 @@ def pushforward_closed_immersion(obj, embedding: Sequence[RatFunc],
 
 
 class EmbeddedCurve:
-    """A parametric curve together with a closed immersion of its base into A^r."""
+    """A graph curve together with a closed immersion of its parameter line
+    into A^r.
+
+    Its boundary is the push-forward of the boundary on the parameter line.
+    The poles of the embedding lie outside the source curve, so boundary
+    points there are dropped before pushing forward.
+    """
 
     __slots__ = ("curve", "embedding")
 
@@ -1116,7 +1085,9 @@ class EmbeddedCurve:
         self.embedding = embedding
 
     def boundary(self, flip_inner: bool = False) -> ZeroCycle:
-        return curve_boundary(self.curve, embedding=self.embedding, flip_inner=flip_inner)
+        poles = [e.den for e in self.embedding]
+        line = curve_boundary(self.curve, domain_poles=poles, flip_inner=flip_inner)
+        return pushforward_closed_immersion(line, self.embedding)
 
 
 def curve_avoids_divisor(embedding: Sequence[RatFunc], D: ModulusDatum) -> bool:

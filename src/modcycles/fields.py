@@ -14,6 +14,7 @@ constant coefficient least significant for extensions).
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence, Union
@@ -550,8 +551,9 @@ class UniPoly:
         while n:
             if n & 1:
                 acc = acc * base
-            base = base * base
             n >>= 1
+            if n:  # the square after the top bit would go unused
+                base = base * base
         return acc
 
     def __divmod__(self, other):
@@ -681,9 +683,10 @@ def make_field(characteristic: int, mu=None) -> FieldSpec:
 
     mu may be a UniPoly over the base or a low-degree-first coefficient
     sequence.  Irreducibility is checked by trial factorization over finite
-    fields and by rational-root extraction (degree <= 3) over Q.  Finite
-    extensions of more than FINITE_FIELD_MAX_ORDER elements raise
-    ExtensionNotSupported.  Equal inputs return the same interned spec.
+    fields and by rational-root extraction (degree <= 3, within the bounds
+    of factor_univariate) over Q.  Finite extensions of more than
+    FINITE_FIELD_MAX_ORDER elements raise ExtensionNotSupported.  Equal
+    inputs return the same interned spec.
     """
     ext = None if mu is None else _freeze_mu(characteristic, mu)
     return _validated_field(characteristic, ext)
@@ -710,6 +713,10 @@ def _validated_field(char: int, ext: tuple | None) -> FieldSpec:
     if char == 0 and poly.degree > 3:
         raise ExtensionNotSupported(
             "irreducibility over Q is certified only up to degree 3"
+        )
+    if char == 0 and not _rational_factor(poly).fully_factored:
+        raise ExtensionNotSupported(
+            f"irreducibility of {poly.to_text('u')} over Q is past the rational-root bounds"
         )
     if not is_irreducible(poly):
         raise ReducibleExtensionPolynomial(f"{poly.to_text('u')} factors over {base.to_text()}")
@@ -809,7 +816,8 @@ def _pth_root(f: UniPoly) -> UniPoly:
 
 
 def _squarefree_parts(f: UniPoly) -> list[tuple[UniPoly, int]]:
-    # monic f over a finite field -> [(g_i, m_i)] with f = prod g_i^{m_i}
+    # monic f -> [(g_i, m_i)] with f = prod g_i^{m_i}; the p-th root branches
+    # are reached only in characteristic p
     if f.degree <= 0:
         return []
     p = f.spec.char
@@ -901,6 +909,19 @@ def _berlekamp_factor(f: UniPoly) -> list[UniPoly]:
     return factors
 
 
+# Bounds that keep factorization finite on untrusted input.  A squarefree
+# part past a bound is returned unfactored, so place enumeration raises
+# UnfactorableEntry.  Worst cases measured at the bounds on one core of a
+# 2-core x86 box, Python 3.11: Berlekamp on a degree-64 part with 25 factors
+# over F_7 takes 0.4 s (the cost grows with the cube of the degree, and its
+# splitting step scans every field element: 1.4 s over F_101); over Q the
+# divisor scan of an end coefficient near 10^10 takes 0.02 s, and 1024
+# candidate roots of a degree-64 part take 0.5 s.
+BERLEKAMP_MAX_DEGREE = 64
+RATIONAL_ROOT_MAX_INT = 10**10
+RATIONAL_ROOT_MAX_TRIES = 1024
+
+
 def _divisors(n: int) -> list[int]:
     n = abs(n)
     out = []
@@ -914,9 +935,37 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _rational_parts(g: UniPoly, m: int) -> list[FactorPart]:
+    # monic squarefree g over Q with g(0) != 0, a factor of multiplicity m:
+    # peel off its rational roots by the rational root theorem; a rootless
+    # cofactor of degree 2 or 3 is irreducible
+    spec = g.spec
+    parts = []
+    tries = 0
+    while g.degree > 1:
+        lcm = math.lcm(*(c.value.denominator for c in g.coeffs))
+        a0 = int(g.coeffs[0].value * lcm)  # the integerized g has leading coefficient lcm
+        if max(abs(a0), lcm) > RATIONAL_ROOT_MAX_INT:
+            return parts + [FactorPart(g, m, False)]
+        root = None
+        for num, den, sign in itertools.product(_divisors(a0), _divisors(lcm), (1, -1)):
+            tries += 1
+            if tries > RATIONAL_ROOT_MAX_TRIES:
+                return parts + [FactorPart(g, m, False)]
+            cand = Fraction(sign * num, den)
+            if not g.eval(spec.element(cand)):
+                root = cand
+                break
+        if root is None:
+            break
+        lin = UniPoly(spec, [-root, 1])
+        parts.append(FactorPart(lin, m, True))
+        g = g // lin
+    return parts + [FactorPart(g, m, g.degree <= 3)]
+
+
 def _rational_factor(f: UniPoly) -> Factorization:
     spec = f.spec
-    unit = f.leading
     g = f.monic()
     parts: list[FactorPart] = []
     # strip roots at zero
@@ -926,50 +975,23 @@ def _rational_factor(f: UniPoly) -> Factorization:
         k += 1
     if k:
         parts.append(FactorPart(UniPoly.x(spec), k, True))
-    # integerize for the rational root theorem
-    while g.degree > 0:
-        denom_lcm = 1
-        for c in g.coeffs:
-            denom_lcm = denom_lcm * c.value.denominator // __import__("math").gcd(denom_lcm, c.value.denominator)
-        ints = [int(c.value * denom_lcm) for c in g.coeffs]
-        a0, aN = ints[0], ints[-1]
-        root = None
-        for num in _divisors(a0):
-            for den in _divisors(aN):
-                for s in (1, -1):
-                    cand = Fraction(s * num, den)
-                    if g.eval(spec.element(cand)) == spec.zero:
-                        root = cand
-                        break
-                if root is not None:
-                    break
-            if root is not None:
-                break
-        if root is None:
-            break
-        lin = UniPoly(spec, [-root, 1])
-        mult = 0
-        while True:
-            q, r = divmod(g, lin)
-            if r:
-                break
-            g, mult = q, mult + 1
-        parts.append(FactorPart(lin, mult, True))
-    if g.degree > 0:
-        # no rational roots remain; degree 2-3 cofactors are certified irreducible
-        parts.append(FactorPart(g, 1, g.degree <= 3))
-    return Factorization(unit, parts)
+    for h, m in _squarefree_parts(g):
+        parts.extend(_rational_parts(h, m))
+    return Factorization(f.leading, parts)
 
 
 def factor_univariate(f: UniPoly) -> Factorization:
     """Factor a nonzero univariate polynomial.
 
-    Complete factorization over finite fields (squarefree decomposition
-    followed by deterministic Berlekamp splitting).  Over Q only rational
-    roots are extracted; a rootless cofactor of degree 2 or 3 is certified
-    irreducible and anything larger is returned unfactored.  A polynomial of
-    degree 1 is its own factorization over every field; otherwise extensions
-    of Q raise ExtensionNotSupported.
+    Over finite fields: squarefree decomposition followed by deterministic
+    Berlekamp splitting of each squarefree part of degree at most
+    BERLEKAMP_MAX_DEGREE.  Over Q: squarefree decomposition, then the
+    rational roots of each part, found among at most RATIONAL_ROOT_MAX_TRIES
+    candidates while its integerized end coefficients are at most
+    RATIONAL_ROOT_MAX_INT; a rootless cofactor of degree 2 or 3 is certified
+    irreducible.  Parts past a bound, and larger rootless cofactors, are
+    returned unfactored.  A polynomial of degree 1 is its own factorization
+    over every field; otherwise extensions of Q raise ExtensionNotSupported.
     """
     if not f:
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -980,12 +1002,14 @@ def factor_univariate(f: UniPoly) -> Factorization:
         if f.spec.is_extension:
             raise ExtensionNotSupported("factorization over extensions of Q is not supported")
         return _rational_factor(f)
-    unit = f.leading
     parts = []
     for g, m in _squarefree_parts(f.monic()):
+        if g.degree > BERLEKAMP_MAX_DEGREE:
+            parts.append(FactorPart(g, m, False))
+            continue
         for irr in _berlekamp_factor(g):
             parts.append(FactorPart(irr.monic(), m, True))
-    return Factorization(unit, parts)
+    return Factorization(f.leading, parts)
 
 
 def is_irreducible(f: UniPoly) -> bool:
@@ -995,8 +1019,8 @@ def is_irreducible(f: UniPoly) -> bool:
     if f.degree == 1:
         return True
     if f.spec.char == 0:
-        fac = _rational_factor(f)
-        return len(fac.parts) == 1 and fac.parts[0].multiplicity == 1 and f.degree <= 3
+        parts = _rational_factor(f).parts
+        return len(parts) == 1 and parts[0].multiplicity == 1 and parts[0].irreducible
     sq = _squarefree_parts(f.monic())
     if len(sq) != 1 or sq[0][1] != 1:
         return False

@@ -32,7 +32,6 @@ from .fields import (
     UniPoly,
     WrongField,
     ZeroElement,
-    factor_univariate,
     make_field,
     norm_k1_finite,
     standard_extension,
@@ -44,9 +43,9 @@ from .cycles import (
     DegenerateCurve,
     FormalSum,
     ParamCurve,
-    UnfactorableEntry,
     ZeroCycle,
     _place_field,
+    _places,
     curve_boundary,
 )
 
@@ -378,22 +377,6 @@ def tame_symbol(v: Valuation, s: MilnorElement) -> MilnorElement:
     return MilnorElement(ell, terms)
 
 
-def _entry_places(f: RatFunc) -> list[UniPoly]:
-    places = []
-    for poly in (f.num, f.den):
-        if poly.degree < 1:
-            continue
-        fac = factor_univariate(poly)
-        for part in fac.parts:
-            if not part.irreducible:
-                raise UnfactorableEntry(
-                    f"cannot enumerate places of {poly.to_text()}: "
-                    f"unfactored cofactor {part.poly.to_text()}"
-                )
-            places.append(part.poly)
-    return places
-
-
 def total_delta(s: MilnorElement, include_infinity: bool = True) -> dict[Valuation, MilnorElement]:
     """Tame symbol at every place supporting some entry (plus infinity).
 
@@ -406,8 +389,9 @@ def total_delta(s: MilnorElement, include_infinity: bool = True) -> dict[Valuati
     seen: dict[tuple, UniPoly] = {}
     for sym in s.terms:
         for f in sym.entries:
-            for pi in _entry_places(f):
-                seen[(pi.degree, pi.to_text())] = pi
+            for poly in (f.num, f.den):
+                for pi, _ in _places(poly):
+                    seen[(pi.degree, pi.to_text())] = pi
     out: dict[Valuation, MilnorElement] = {}
     for key in sorted(seen):
         v = Valuation(field, seen[key])
@@ -793,7 +777,3 @@ def verify_graph_square(curve: ParamCurve) -> tuple[bool, int]:
     ok = set(lhs) == set(rhs) and all(lhs[k] == rhs[k] for k in lhs)
     return ok, sign
 
-
-# spec-facing alias: the parametric-curve boundary lives with the cycle
-# calculus but is part of this module's surface
-param_curve_boundary = curve_boundary

@@ -251,8 +251,9 @@ class MultiPoly:
         while k:
             if k & 1:
                 acc = acc * base
-            base = base * base
             k >>= 1
+            if k:  # the square after the top bit would go unused
+                base = base * base
         return acc
 
     def scale(self, c: FieldElement) -> "MultiPoly":
@@ -539,7 +540,10 @@ class _Parser:
                 v = v * self.factor()
             elif kind == "/" and self.allow_div:
                 self.toks.next()
-                v = v / self.factor()
+                d = self.factor()
+                if not d:
+                    raise ParseError("division by zero", pos)
+                v = v / d
             elif kind == "/":
                 raise ParseError("division is only allowed in numeric literals", pos)
             else:

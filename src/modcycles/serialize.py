@@ -45,7 +45,7 @@ def spec_from_json(data: dict) -> FieldSpec:
     ext = data.get("ext")
     if ext is None:
         return make_field(char)
-    return make_field(char, [Fraction(c) if char == 0 else int(Fraction(c)) for c in ext])
+    return make_field(char, [c if char == 0 else int(c) for c in _fractions(ext)])
 
 
 # -- field elements ----------------------------------------------------------
@@ -57,10 +57,17 @@ def element_to_json(e: FieldElement):
     return str(e.value)
 
 
+def _fractions(texts) -> list[Fraction]:
+    try:
+        return [Fraction(c) for c in texts]
+    except (ValueError, ZeroDivisionError):
+        raise SerializationError(f"cannot read {texts!r} as numbers") from None
+
+
 def element_from_json(data, spec: FieldSpec) -> FieldElement:
     if isinstance(data, list):
-        return spec.element([Fraction(c) for c in data])
-    return spec.element(Fraction(data))
+        return spec.element(_fractions(data))
+    return spec.element(_fractions([data])[0])
 
 
 # -- polynomials and rational functions --------------------------------------

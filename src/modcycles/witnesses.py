@@ -36,6 +36,7 @@ from .cycles import (
     curve_boundary,
     prune_degenerate,
     psi_convert,
+    pushforward_closed_immersion,
 )
 from . import serialize as ser
 
@@ -229,11 +230,10 @@ def _run_check(check: str, data: dict, memo: dict):
         return all(not v for v in vals)
     if check == "curve_boundary_equals":
         C = _decoded(memo, "curve_from_json", data["curve"])
-        spec = C.spec
-        emb = _decoded(memo, "embedding_from_json", data["embedding"], spec) \
+        emb = _decoded(memo, "embedding_from_json", data["embedding"], C.spec) \
             if "embedding" in data else None
         Z, _ = _decoded(memo, "zerocycle_from_json", data["target"])
-        got = curve_boundary(C, embedding=emb)
+        got = curve_boundary(C) if emb is None else pushforward_closed_immersion(C, emb).boundary()
         return ser.zerocycle_to_json(got) == ser.zerocycle_to_json(Z)
     if check == "point_on_curve":
         spec = ser.spec_from_json(data["field"])

@@ -1,15 +1,26 @@
 """Command-line surface: exit codes, schemas, determinism."""
 
-import io
-import json
 import contextlib
+import io
+import itertools
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from modcycles.cli import build_parser, main
-from modcycles.cycles import FACE_CHECK_MAX_N
+from modcycles.cycles import FACE_CHECK_MAX_N, ClosedPoint, ModulusDatum
+from modcycles.fields import (
+    BERLEKAMP_MAX_DEGREE,
+    RATIONAL_ROOT_MAX_INT,
+    UniPoly,
+    is_irreducible,
+    make_field,
+)
 from modcycles.milnor import XI_MAX_POWER
-from modcycles.witnesses import GENERATOR_MAX_R
+from modcycles.witnesses import GENERATOR_MAX_R, zero_cycle_vanishing_witness
 
 
 def run(argv):
@@ -218,6 +229,29 @@ class TestCurves:
         assert code == 0 and rep["points"] == report["boundary"]["points"]
         assert rep["points"] == [{"mult": 1, "t": [], "y": ["3", "5", "2"]}]
 
+    GRAPH_CURVE = {"field": {"char": 7}, "model": "ORIGINAL", "graph_over_base": True,
+                   "components": ["t - 2", "3"], "embedding": ["s", "6/s"]}
+
+    def test_boundary_curve_with_an_embedding_pushes_forward(self, tmp_path):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(self.GRAPH_CURVE))
+        code, out = run(["boundary", "--curve", str(path)])
+        assert code == 0
+        assert json.loads(out) == {
+            "field": {"char": 7}, "model": "ORIGINAL", "r": 2, "n": 1,
+            "points": [{"mult": 1, "t": ["2", "3"], "y": ["3"]}],
+        }
+        code, rep = run_json(["boundary", "--curve", str(path), "--flip-sign"])
+        assert code == 0 and rep["points"] == [{"mult": -1, "t": ["2", "3"], "y": ["3"]}]
+
+    def test_boundary_curve_embedding_needs_a_graph_curve(self, tmp_path):
+        data = dict(self.GRAPH_CURVE, base_t=["5"])
+        del data["graph_over_base"]
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(data))
+        code, rep = run_json(["boundary", "--curve", str(path)])
+        assert code == 2 and rep["error"]["type"] == "ValueError"
+
     def test_xi(self):
         code, rep = run_json([
             "curves", "xi", "--field", "Fp:5", "--entries", "t - 2",
@@ -387,3 +421,86 @@ class TestParser:
             assert exc.value.code == 2
             assert "usage: modcycles" in capsys.readouterr().err
         assert run(self.CHECK)[0] == 0
+
+
+def _tampered_certificate(entry_index, keys, value):
+    """The zero-cycle certificate of the F7 point (2, 3), cut down to one
+    transcript entry whose data has ``value`` at the path ``keys``."""
+    F7 = make_field(7)
+    pt = ClosedPoint(F7, [F7.element(2), F7.element(3)], [])
+    cert = zero_cycle_vanishing_witness(pt, ModulusDatum.monomial(F7, [1, 1]), n=0).to_json()
+    entry = cert["transcript"][entry_index]
+    cert["transcript"] = [entry]
+    node = entry["data"]
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return cert
+
+
+XI_Q = ["curves", "xi", "--field", "Q", "--unit", "3", "--pi", "t - 1", "--entries"]
+
+
+def _squarefree_f7_text(degree):
+    """A product of distinct monic irreducibles over F7 of degree at most 3,
+    none of them t - 1: every place it has fits a residue field."""
+    F7 = make_field(7)
+    f = UniPoly.const(F7, 1)
+    for d in (1, 3, 2):
+        for coeffs in itertools.product(range(7), repeat=d):
+            g = UniPoly(F7, list(coeffs) + [1])
+            if f.degree + d <= degree and g.eval(F7.one) and is_irreducible(g):
+                f = f * g
+    assert f.degree == degree
+    return f.to_text()
+
+
+class TestUntrustedInputInASubprocess:
+    """Malformed or oversized input ends in a JSON report and an exit code,
+    never a traceback or a hang."""
+
+    @pytest.mark.parametrize("argv, cert, exit_code, error", [
+        (["generator", "--a", "1/0", "--field", "Q"], None, 2, "InputError"),
+        (["curves", "totaro", "--field", "Q", "--entries", "1/0"], None, 2, "InputError"),
+        (["curves", "xi", "--field", "Q", "--entries", "t - 2/0", "--unit", "3", "--pi", "t - 1"],
+         None, 2, "ParseError"),
+        (["verify"], _tampered_certificate(0, ["cycle", "points", 0, "t", 0], "1/0"), 1, None),
+        (["verify"], _tampered_certificate(0, ["cycle", "field", "ext"], ["1/0", "0", "1"]),
+         1, None),
+        (["verify"], _tampered_certificate(-1, ["embedding", 0], "s/0"), 1, None),
+        # an embedding needs a graph curve
+        (["verify"], _tampered_certificate(-1, ["curve"], {
+            "field": {"char": 7}, "model": "ORIGINAL", "base_t": ["5"], "components": ["t + 5"],
+        }), 1, None),
+        # the factorization bounds, each at bound + 1
+        (["curves", "xi", "--field", "Fp:7", "--unit", "3", "--pi", "t - 1",
+          "--entries", _squarefree_f7_text(BERLEKAMP_MAX_DEGREE + 1)], None, 2, "UnfactorableEntry"),
+        (XI_Q + [f"t^2 + {RATIONAL_ROOT_MAX_INT + 1}"], None, 2, "UnfactorableEntry"),
+        # end coefficients with 19 and 27 divisors: 2 * 19 * 27 candidate roots
+        (XI_Q + [f"{3**18}*t^2 + {2**26}"], None, 2, "UnfactorableEntry"),
+        # a power that XI_MAX_POWER admits finishes, over Q too
+        (["curves", "xi", "--field", "Q", "--entries", "t - 2", "--unit", "3",
+          "--pi", "t - 1/2", "--power", str(XI_MAX_POWER)], None, 0, None),
+    ], ids=["generator-a-over-0", "totaro-entry-over-0", "xi-entry-over-0",
+            "verify-point-over-0", "verify-field-over-0", "verify-embedding-over-0",
+            "verify-embedding-on-constant-base", "berlekamp-degree", "rational-root-integer",
+            "rational-root-tries", "xi-max-power-over-q"])
+    def test_exit_code_and_json_report(self, tmp_path, argv, cert, exit_code, error):
+        if cert is not None:
+            path = tmp_path / "cert.json"
+            path.write_text(json.dumps(cert))
+            argv = argv + ["--file", str(path)]
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from modcycles.cli import main; sys.exit(main())",
+             *argv], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.stderr == ""
+        assert proc.returncode == exit_code
+        report = json.loads(proc.stdout)
+        if error is not None:
+            assert report["error"]["type"] == error
+        elif argv[0] == "verify":
+            assert report == {"valid": False}
+        else:
+            assert report["identity"] is True

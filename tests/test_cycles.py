@@ -1,7 +1,9 @@
 """The cubical complex: faces, boundary, degeneracy, admissibility, conversion,
 push-forward, and parametric curve boundaries."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -9,11 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcycles.fields import make_field, UniPoly
+from modcycles import serialize as ser
+from modcycles.fields import FieldError, UniPoly, make_field, standard_extension
+from modcycles.milnor import FunctionField, MilnorElement, MilnorError, MilnorSymbol, total_delta
 from modcycles.polyring import INFINITY, MultiPoly, RatFunc, VarSet, parse_poly, parse_ratfunc
 from modcycles.cycles import (
     ClosedPoint,
     CoordModel,
+    CycleError,
     HypersurfaceCycle,
     ImproperFaceIntersection,
     ModulusDatum,
@@ -488,11 +493,9 @@ class TestPushforward:
         emb = (s, RatFunc.const(F7, F7.element(6)) / s)
         comp = s - RatFunc.const(F7, 2)
         curve = ParamCurve(F7, CoordModel.ORIGINAL, [comp], graph_over_base=True)
-        direct = curve_boundary(curve, embedding=emb)
-        poles = [e.den for e in emb]
-        abstract = curve_boundary(curve, domain_poles=poles)
-        pushed = pushforward_closed_immersion(abstract, emb)
-        assert direct == pushed
+        pushed = pushforward_closed_immersion(curve, emb).boundary()
+        assert pushed == ZeroCycle(F7, CoordModel.ORIGINAL, 2, 0,
+                                   [(1, ClosedPoint(F7, [F7.element(2), F7.element(3)], []))])
 
     def test_modulus_guard(self):
         from modcycles.cycles import ModulusNotAvoided
@@ -537,7 +540,86 @@ class TestCurveBoundary:
         emb = (s, RatFunc.const(Q, c) / s, RatFunc.const(Q, 4))
         comp = s - RatFunc.const(Q, Fraction(1, 2))
         curve = ParamCurve(Q, CoordModel.ORIGINAL, [comp], graph_over_base=True)
-        b = curve_boundary(curve, embedding=emb)
+        b = pushforward_closed_immersion(curve, emb).boundary()
         target = ClosedPoint(Q, [Q.element(Fraction(1, 2)), Q.element(3), Q.element(4)], [])
         assert b == ZeroCycle(Q, CoordModel.ORIGINAL, 3, 0, [(1, target)])
         assert curve_avoids_divisor(emb, ModulusDatum.monomial(Q, [1, 2, 3]))
+
+
+# sha256 of _curve_boundary_corpus(), computed before embedded boundaries were
+# routed through the push-forward; the two paths must give the same records
+CURVE_BOUNDARY_CORPUS_SHA256 = "5d397fd2de36dfb0da7d92b8748d775168af784d60add1b6a0524237ca965383"
+
+
+def _corpus_scalar(rng, spec):
+    if spec.is_extension:
+        return spec.element([rng.randint(-2, 2) for _ in range(spec.degree)])
+    if spec.char == 0:
+        return spec.element(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    return spec.element(rng.randrange(spec.char))
+
+
+def _corpus_ratfunc(rng, spec):
+    while True:
+        num = UniPoly(spec, [_corpus_scalar(rng, spec) for _ in range(rng.randint(1, 4))])
+        den = UniPoly(spec, [_corpus_scalar(rng, spec) for _ in range(rng.randint(1, 3))])
+        if num and den:
+            return RatFunc(num, den)
+
+
+def _corpus_embedding(rng, spec):
+    s = RatFunc.param(spec)
+    c = spec.one + spec.one
+    kind = rng.randrange(3)
+    if kind == 0:  # the hyperbola of the 0-cycle witness
+        return (s, RatFunc.const(spec, c) / s)
+    if kind == 1:
+        return (s, RatFunc.const(spec, c) / s, RatFunc.const(spec, _corpus_scalar(rng, spec)))
+    return (s, _corpus_ratfunc(rng, spec))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (FieldError, CycleError, MilnorError, ValueError) as exc:
+        return {"error": type(exc).__name__}
+
+
+def _curve_boundary_corpus():
+    """JSON lines for seeded curves over F5, F7, Q, F9 and Q(i): the boundary
+    in both sign conventions, the boundary pushed forward along an embedding
+    of the parameter line, and the total residue of the curve's symbol."""
+    rng = random.Random(2024)
+    lines = []
+    for spec in (F5, F7, Q, standard_extension(3, 2), make_field(0, [1, 0, 1])):
+        ff = FunctionField(spec)
+        for _ in range(40):
+            model = rng.choice([CoordModel.ORIGINAL, CoordModel.PSI])
+            comps = [_corpus_ratfunc(rng, spec) for _ in range(rng.randint(1, 3))]
+            graph = rng.random() < 0.5
+            base = [] if graph else [_corpus_scalar(rng, spec) for _ in range(rng.randint(0, 2))]
+            emb = _corpus_embedding(rng, spec)
+            curve = _outcome(lambda: ParamCurve(spec, model, comps, base, graph))
+            if isinstance(curve, dict):
+                lines.append(curve)
+                continue
+            record = {"curve": ser.curve_to_json(curve), "embedding": ser.embedding_to_json(emb)}
+            for flip in (False, True):
+                record[f"boundary{int(flip)}"] = _outcome(
+                    lambda: ser.zerocycle_to_json(curve_boundary(curve, flip_inner=flip)))
+                record[f"pushed{int(flip)}"] = _outcome(
+                    lambda: ser.zerocycle_to_json(
+                        pushforward_closed_immersion(curve, emb).boundary(flip)))
+            sym = MilnorElement(ff, [(1, MilnorSymbol(ff, curve.components))])
+            record["delta"] = _outcome(lambda: [
+                [ser.place_to_json(v), ser.milnor_element_to_json(e)]
+                for v, e in total_delta(sym).items()
+            ])
+            lines.append(record)
+    return "\n".join(json.dumps(line, sort_keys=True) for line in lines)
+
+
+class TestCurveBoundaryCorpus:
+    def test_matches_the_pinned_corpus(self):
+        text = _curve_boundary_corpus()
+        assert hashlib.sha256(text.encode()).hexdigest() == CURVE_BOUNDARY_CORPUS_SHA256

@@ -201,6 +201,41 @@ class TestFactorization:
         with pytest.raises(ExtensionNotSupported):
             factor_univariate(UniPoly(EXTENSIONS["Q(i)"], [1, 0, 1]))
 
+    def test_repeated_irreducible_factor_over_q(self):
+        # each squarefree part is factored on its own, so (t^2 + 2)^2 is
+        # certified although t^4 + 4t^2 + 4 is past the degree-3 bound
+        quad = UniPoly(Q, [2, 0, 1])
+        half = UniPoly(Q, [Fraction(-1, 2), 1])
+        f = quad * quad * half**60
+        fac = factor_univariate(f)
+        assert fac.expand() == f
+        assert fac.parts == (FactorPart(half, 60, True), FactorPart(quad, 2, True))
+
+    def test_berlekamp_degree_bound(self):
+        F7 = make_field(7)
+        cap = fields.BERLEKAMP_MAX_DEGREE
+        at_cap = UniPoly(F7, [3, 1] + [0] * (cap - 2) + [1])
+        assert factor_univariate(at_cap).fully_factored
+        past = UniPoly(F7, [3, 1] + [0] * (cap - 1) + [1])
+        assert factor_univariate(past).parts == (FactorPart(past, 1, False),)
+
+    def test_rational_root_integer_bound(self):
+        cap = fields.RATIONAL_ROOT_MAX_INT
+        at_cap = UniPoly(Q, [cap, 0, 1])
+        assert factor_univariate(at_cap).parts == (FactorPart(at_cap, 1, True),)
+        past = UniPoly(Q, [cap + 1, 0, 1])
+        assert factor_univariate(past).parts == (FactorPart(past, 1, False),)
+
+    def test_rational_root_tries_bound(self):
+        # a rootless quadratic tries 2 * d(a0) * d(lead) candidate roots
+        assert fields.RATIONAL_ROOT_MAX_TRIES == 2 * 32 * 16 == 1024
+        at_cap = UniPoly(Q, [2**31, 0, 3**15])  # 2 * 32 * 16 candidates
+        assert factor_univariate(at_cap).fully_factored
+        past = UniPoly(Q, [2**26, 0, 3**18])  # 2 * 27 * 19 = 1026 candidates
+        assert not factor_univariate(past).fully_factored
+        with pytest.raises(ExtensionNotSupported):
+            make_field(0, [Fraction(2**26, 3**18), 0, 1])
+
     def test_gcd(self):
         f = UniPoly(F5, [1, 1]) * UniPoly(F5, [2, 1])
         g = UniPoly(F5, [1, 1]) * UniPoly(F5, [3, 1])
