@@ -5,10 +5,11 @@ residue over F_p, coefficient tuple of degree < deg(mu) over extensions.  All
 values are immutable and hashable, and arithmetic never leaves canonical form,
 so equality of representations is equality of field elements.
 
-Finite fields store a generator of the multiplicative group, found by
-exhaustive order testing in the canonical element enumeration (0, 1, ...,
+Finite fields store a generator of the multiplicative group: the first
+element of order q - 1 in the canonical element enumeration (0, 1, ...,
 p-1 for prime fields; coefficient tuples read as base-p numerals with the
-constant coefficient least significant for extensions).
+constant coefficient least significant for extensions), found by testing
+its powers at the prime divisors of q - 1.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ class ReducibleExtensionPolynomial(FieldError):
 
 class ExtensionNotSupported(FieldError):
     """Extension whose irreducibility cannot be certified at desk scale."""
+
+
+class FieldTooLarge(FieldError):
+    """A prime field with more than FINITE_FIELD_MAX_ORDER elements."""
 
 
 class ZeroElement(FieldError):
@@ -67,6 +72,20 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +249,17 @@ class FieldSpec:
 
     @cached_property
     def generator(self) -> "FieldElement":
-        """A multiplicative generator, the first in enumeration order."""
+        """A multiplicative generator, the first in enumeration order.
+
+        A nonzero e has order q - 1 exactly when e^((q - 1)/l) != 1 for
+        every prime l dividing q - 1.
+        """
         if not self.is_finite:
             raise NotFiniteExtension("generator requires a finite field")
-        q = self.order
+        n = self.order - 1
+        cofactors = [n // l for l in _prime_divisors(n)]
         for e in self.elements():
-            if not e:
-                continue
-            power, k = e, 1
-            while power != self.one:
-                power = power * e
-                k += 1
-            if k == q - 1:
+            if e and all(e**k != self.one for k in cofactors):
                 return e
         raise FieldError("no generator found")  # unreachable for valid specs
 
@@ -403,8 +421,9 @@ class FieldElement:
         while n:
             if n & 1:
                 acc = acc * base
-            base = base * base
             n >>= 1
+            if n:  # the square after the top bit would go unused
+                base = base * base
         return acc
 
     @property
@@ -604,12 +623,17 @@ class UniPoly:
         while n:
             if n & 1:
                 acc = (acc * base) % modulus
-            base = (base * base) % modulus
             n >>= 1
+            if n:  # the square after the top bit would go unused
+                base = (base * base) % modulus
         return acc
 
     def ord_at(self, pi: "UniPoly") -> int:
         """Multiplicity of the monic irreducible pi in self (self nonzero)."""
+        return self.split_at(pi)[0]
+
+    def split_at(self, pi: "UniPoly") -> tuple[int, "UniPoly"]:
+        """(k, g) with self = pi^k * g and pi not dividing g (self nonzero)."""
         if not self:
             raise ZeroPolynomial("order of zero polynomial")
         if pi.degree < 1:
@@ -618,7 +642,7 @@ class UniPoly:
         while True:
             q, r = divmod(f, pi)
             if r:
-                return k
+                return k, f
             k, f = k + 1, q
 
     def to_text(self, var: str = "t") -> str:
@@ -672,9 +696,12 @@ def _freeze_mu(char: int, mu) -> tuple:
     return tuple(vals)
 
 
-# Largest finite field make_field builds.  Construction searches for a
-# multiplicative generator and finite-field code enumerates elements or
-# tabulates discrete logs, each up to this many multiplications.
+# Largest finite field make_field builds, prime or extension.  It bounds
+# every cost that grows with the order q: is_prime's trial division of the
+# characteristic and the factorization of q - 1 (up to sqrt(q) divisions
+# each), Berlekamp's splitting scan over the elements, and the discrete-log
+# table (q - 1 products).  The generator test needs only a few powers per
+# candidate.
 FINITE_FIELD_MAX_ORDER = 2**16
 
 
@@ -684,9 +711,11 @@ def make_field(characteristic: int, mu=None) -> FieldSpec:
     mu may be a UniPoly over the base or a low-degree-first coefficient
     sequence.  Irreducibility is checked by trial factorization over finite
     fields and by rational-root extraction (degree <= 3, within the bounds
-    of factor_univariate) over Q.  Finite extensions of more than
-    FINITE_FIELD_MAX_ORDER elements raise ExtensionNotSupported.  Equal
-    inputs return the same interned spec.
+    of factor_univariate) over Q.  A prime characteristic above
+    FINITE_FIELD_MAX_ORDER raises FieldTooLarge before any primality test,
+    and a finite extension of more than FINITE_FIELD_MAX_ORDER elements
+    raises ExtensionNotSupported.  Equal inputs return the same interned
+    spec.
     """
     ext = None if mu is None else _freeze_mu(characteristic, mu)
     return _validated_field(characteristic, ext)
@@ -696,6 +725,11 @@ def make_field(characteristic: int, mu=None) -> FieldSpec:
 def _validated_field(char: int, ext: tuple | None) -> FieldSpec:
     # lru_cache stores only returned specs, so invalid input raises on every call
     if ext is None:
+        if char > FINITE_FIELD_MAX_ORDER:
+            raise FieldTooLarge(
+                f"F_{char} has more than FINITE_FIELD_MAX_ORDER = "
+                f"{FINITE_FIELD_MAX_ORDER} elements"
+            )
         if char != 0 and not is_prime(char):
             raise NonPrimeCharacteristic(f"{char} is not 0 or prime")
         return FieldSpec(char, None)

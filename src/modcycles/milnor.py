@@ -315,23 +315,19 @@ class Valuation:
             raise MilnorError("the infinite place has no finite parameter class")
         return _place_field(self.field.base, self.pi)[1]
 
-    def order_of(self, f: RatFunc) -> int:
-        if self.pi is None:
-            return f.ord_at_infinity()
-        return f.ord_at(self.pi)
+    def order_and_residue(self, f: RatFunc) -> tuple[int, FieldElement]:
+        """ord_v(f), and the residue of the unit part f * uniformizer^(-ord f).
 
-    def residue_unit(self, f: RatFunc) -> FieldElement:
-        """Residue of the unit part f * uniformizer^(-ord f)."""
+        At a finite place, one division loop each takes pi out of the
+        numerator and the denominator; the cofactors it leaves are evaluated
+        at the parameter class.
+        """
         if self.pi is None:
-            return f.num.leading / f.den.leading
-        m = self.order_of(f)
-        num, den = f.num, f.den
-        if m > 0:
-            num = num // self.pi**m
-        elif m < 0:
-            den = den // self.pi ** (-m)
+            return f.ord_at_infinity(), f.num.leading / f.den.leading
+        a, num = f.num.split_at(self.pi)
+        b, den = f.den.split_at(self.pi)
         x = self.parameter_class()
-        return num.eval(x) / den.eval(x)
+        return a - b, num.eval(x) / den.eval(x)
 
     def base_point(self) -> ClosedPoint:
         """The closed point of the affine parameter line at this place."""
@@ -355,11 +351,10 @@ def tame_symbol(v: Valuation, s: MilnorElement) -> MilnorElement:
     terms = []
     for sym, mult in s.items():
         n = sym.length
-        orders = [v.order_of(f) for f in sym.entries]
-        residues = [None] * n
+        split = [v.order_and_residue(f) for f in sym.entries]
+        orders = [m for m, _ in split]
+        residues = [r for _, r in split]
         hot = [i for i in range(n) if orders[i]]
-        for i in range(n):
-            residues[i] = v.residue_unit(sym.entries[i])
         minus_one = -ell.one
         for size in range(1, len(hot) + 1):
             for S in combinations(hot, size):

@@ -348,6 +348,14 @@ class TestErrorPaths:
                               "--field", "Fq:2:u^17+u^3+1"])
         assert code == 2 and rep["error"]["type"] == "ExtensionNotSupported"
 
+    @pytest.mark.parametrize("field", ["Fp:65537", "Fp:1000000000000000003",
+                                       "Fq:65537:u^2+3"])
+    def test_prime_field_cap_exits_2(self, field):
+        # 65537 is the first prime above FINITE_FIELD_MAX_ORDER; refused before
+        # the primality test, so the 19-digit prime does not hang
+        code, rep = run_json(["generator", "--a", "3", "--r", "2", "--field", field])
+        assert code == 2 and rep["error"]["type"] == "FieldTooLarge"
+
     def test_xi_constant_pi_exits_2(self):
         # a nonzero constant pi is the unit 1 after monic(), not a place
         code, rep = run_json(["curves", "xi", "--field", "Fp:5", "--entries", "t - 2",

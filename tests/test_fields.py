@@ -1,5 +1,6 @@
 """Exact field arithmetic, factorization, and the finite K_1 norm."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from modcycles.fields import (
     FactorPart,
     Factorization,
     FieldElement,
+    FieldTooLarge,
     NonPrimeCharacteristic,
     NotAPlace,
     NotFiniteExtension,
@@ -25,6 +27,7 @@ from modcycles.fields import (
     ZeroPolynomial,
     factor_univariate,
     is_irreducible,
+    is_prime,
     make_field,
     norm_k1_finite,
     poly_gcd,
@@ -426,3 +429,79 @@ class TestFieldCache:
             make_field(2, [1, 0, 0, 1] + [0] * 13 + [1])  # u^17 + u^3 + 1
         with pytest.raises(ExtensionNotSupported):
             make_field(257, [3, 0, 1])
+
+    def test_prime_cap(self, monkeypatch):
+        # 65537 is the first prime above the cap, 65521 the last one below it
+        assert make_field(65521).order == 65521
+
+        def no_primality_test(n):
+            raise AssertionError(f"is_prime({n}) ran")
+
+        # refused before the primality test, whose trial division of the
+        # 19-digit prime would not finish
+        monkeypatch.setattr(fields, "is_prime", no_primality_test)
+        for p in (65537, 1000000000000000003):
+            with pytest.raises(FieldTooLarge):
+                make_field(p)
+        with pytest.raises(FieldTooLarge):
+            make_field(65537, [3, 0, 1])
+
+
+def walked_generator(spec):
+    """The first nonzero element whose order, found by walking its powers,
+    is q - 1."""
+    for e in spec.elements():
+        if not e:
+            continue
+        power, k = e, 1
+        while power != spec.one:
+            power, k = power * e, k + 1
+        if k == spec.order - 1:
+            return e
+
+
+def monic_irreducibles(p, d):
+    base = make_field(p)
+    for low in itertools.product(range(p), repeat=d):
+        mu = list(low) + [1]
+        if is_irreducible(UniPoly(base, mu)):
+            yield mu
+
+
+class TestGenerator:
+    def test_matches_the_walked_order(self):
+        specs = [make_field(p) for p in range(2, 400) if is_prime(p)]
+        specs += [make_field(p, mu) for (p, _), mu in EXTENSION_MODULI.items()]
+        specs += [make_field(p, mu) for p in (2, 3, 5) for d in (2, 3)
+                  for mu in monic_irreducibles(p, d)]
+        assert len(specs) == 78 + 10 + (1 + 2) + (3 + 8) + (10 + 40)
+        for spec in specs:
+            assert spec.generator == walked_generator(spec), spec
+
+    @pytest.mark.parametrize("char, mu, value", [
+        (65521, None, 17),
+        (7, [3, 0, 0, 0, 1, 1], (3, 1, 0, 0, 0)),  # u^5 + u^4 + 3: u + 3
+        (2, [1, 0, 1, 1, 0, 1] + [0] * 10 + [1], (0, 1) + (0,) * 14),  # u^16+u^5+u^3+u^2+1: u
+    ])
+    def test_pinned_generators(self, char, mu, value):
+        assert make_field(char, mu).generator.value == value
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([F5, F9, make_field(2, [1, 1, 0, 1]), Q]), st.data())
+    def test_pow_matches_repeated_products(self, spec, data):
+        e = data.draw(elements_of(spec) if spec.ext is None else extension_elements(spec))
+        n = data.draw(st.integers(0, 40))
+        expected = spec.one
+        for _ in range(n):
+            expected = expected * e
+        assert e**n == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_powmod_matches_pow_then_mod(self, data):
+        f = UniPoly(F5, data.draw(st.lists(st.integers(0, 4), max_size=5)))
+        modulus = UniPoly(F5, data.draw(st.lists(st.integers(0, 4), min_size=2, max_size=5)))
+        if modulus.degree < 1:
+            modulus = UniPoly(F5, [1, 1])
+        n = data.draw(st.integers(0, 20))
+        assert f.powmod(n, modulus) == (f**n) % modulus

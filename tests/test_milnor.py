@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcycles.fields import UniPoly, make_field, norm_k1_finite
 from modcycles.polyring import RatFunc
@@ -122,6 +124,57 @@ class TestTameSymbol:
         a = sym5(t, RatFunc.const(F5, 2))
         b = sym5(t, RatFunc.const(F5, 3))
         assert tame_symbol(v, a + b.scale(2)) == tame_symbol(v, a) + tame_symbol(v, b).scale(2)
+
+
+def reference_order_and_residue(v, f):
+    """ord_v(f) by repeated division, and the residue after dividing by
+    pi^|ord| at once."""
+    if v.pi is None:
+        return f.den.degree - f.num.degree, f.num.leading / f.den.leading
+
+    def mult(g):
+        k = 0
+        while not g % v.pi:
+            g, k = g // v.pi, k + 1
+        return k
+
+    m = mult(f.num) - mult(f.den)
+    num, den = f.num, f.den
+    if m > 0:
+        num = num // v.pi**m
+    elif m < 0:
+        den = den // v.pi ** (-m)
+    x = v.parameter_class()
+    return m, num.eval(x) / den.eval(x)
+
+
+# places of degree 1 and 2 (t^2 - 2, t^2 + 1 irreducible) and infinity
+SPLIT_PLACES = [
+    (spec, pi)
+    for spec, quadratic in ((F5, [-2, 0, 1]), (F7, [1, 0, 1]), (Q, [1, 0, 1]))
+    for pi in ([-1, 1], [3, 1], quadratic, None)
+]
+
+
+class TestOrderAndResidue:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(SPLIT_PLACES), st.integers(-3, 3), st.data())
+    def test_matches_reference(self, place, m, data):
+        spec, pi = place
+        v = Valuation(FunctionField(spec), None if pi is None else UniPoly(spec, pi))
+        unit = st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(any)
+        g = UniPoly(spec, data.draw(unit))
+        h = UniPoly(spec, data.draw(unit))
+        if not g or not h:  # a nonzero integer list can vanish mod p
+            return
+        if pi is None:  # 1/t is the uniformizer at infinity
+            t_pow = UniPoly.x(spec) ** abs(m)
+            num, den = (g, h * t_pow) if m >= 0 else (g * t_pow, h)
+        else:
+            t_pow = v.pi ** abs(m)
+            num, den = (g * t_pow, h) if m >= 0 else (g, h * t_pow)
+        f = RatFunc(num, den)
+        assert v.order_and_residue(f) == reference_order_and_residue(v, f)
 
 
 class TestTotalDelta:
