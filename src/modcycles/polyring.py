@@ -612,7 +612,15 @@ def parse_poly(text: str, spec: FieldSpec, vars: VarSet) -> MultiPoly:
 
 class RatFunc:
     """A reduced rational function num/den in one parameter: monic denominator,
-    gcd(num, den) = 1."""
+    gcd(num, den) = 1, and denominator 1 for zero.
+
+    The public constructor validates and reduces untrusted input.  Arithmetic
+    is canonical by construction: a product cancels only across the two
+    fractions (gcd(a, d) and gcd(c, b) for a/b * c/d), a sum cancels only by
+    the common part of the denominators (Henrici), and both return through
+    the trusted :meth:`_raw`, so no result is reduced by a gcd of the full
+    products.
+    """
 
     __slots__ = ("num", "den")
 
@@ -686,6 +694,8 @@ class RatFunc:
 
     def _coerce(self, other) -> "RatFunc":
         if isinstance(other, RatFunc):
+            if other.spec is not self.spec and other.spec != self.spec:
+                raise WrongField("rational functions over different fields")
             return other
         if isinstance(other, UniPoly):
             return RatFunc.from_poly(other)
@@ -693,7 +703,29 @@ class RatFunc:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if not b.degree and not d.degree:
+            num, den = a + c, b
+        elif not b.degree:
+            num, den = a * d + c, d  # gcd(a*d + c, d) = gcd(c, d) = 1
+        elif not d.degree:
+            num, den = a + c * b, b
+        else:
+            g = _common(b, d)
+            if g is None:
+                num, den = a * d + c * b, b * d
+            else:
+                # Henrici: a*d' + c*b' is prime to b' = b/g and to d' = d/g,
+                # so over lcm(b, d) = b'*d it can share only factors of g
+                b1 = b // g
+                num = a * (d // g) + c * b1
+                g2 = _common(num, g)
+                if g2 is not None:
+                    num, d = num // g2, d // g2
+                den = b1 * d
+        if not num:
+            return RatFunc.const(self.spec, 0)
+        return RatFunc._raw(num, den)
 
     __radd__ = __add__
 
@@ -708,7 +740,17 @@ class RatFunc:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return RatFunc(self.num * o.num, self.den * o.den)
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if not a or not c:
+            return RatFunc.const(self.spec, 0)
+        # a/b and c/d are reduced, so only a with d and c with b can cancel
+        g = _common(a, d)
+        if g is not None:
+            a, d = a // g, d // g
+        g = _common(c, b)
+        if g is not None:
+            c, b = c // g, b // g
+        return RatFunc._raw(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -775,6 +817,15 @@ class RatFunc:
         if self.den.degree == 0 and self.den.coeff(0) == self.spec.one:
             return self.num.to_text(var)
         return f"({self.num.to_text(var)})/({self.den.to_text(var)})"
+
+
+def _common(f: UniPoly, g: UniPoly):
+    """The monic gcd of f and g when both have positive degree and it is
+    not 1; None otherwise, when there is nothing to cancel."""
+    if f.degree < 1 or g.degree < 1:
+        return None
+    h = poly_gcd(f, g)
+    return h if h.degree else None
 
 
 INFINITY = type("_Infinity", (), {

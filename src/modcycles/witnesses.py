@@ -9,6 +9,9 @@ party can re-verify without the generator.
 The residue invariant ``rho`` of a level-1 cycle V(f) with f = 1 - t1...tr*g
 reads off the linear coefficient of g(0, ..., 0, y1): the convention
 res_{y1=inf}(a*y1 + b) = a is fixed so that rho(V(1 - t1...tr*a*y1)) = a.
+That coefficient is a coefficient of f itself, which gives the scan identity
+rho(V(f)) = -[t1...tr*y1]f: one pass over the terms of f reads it, with no
+division by t1...tr and no substitution.
 The opposite sign convention negates rho; nothing downstream depends on the
 choice.
 """
@@ -82,22 +85,35 @@ class TooManyParameters(WitnessError):
 # ---------------------------------------------------------------------------
 
 
-def _component_rho(p: MultiPoly, D: ModulusDatum) -> FieldElement:
+def _component_rho(p: MultiPoly) -> FieldElement:
+    """rho of one component V(f): the scan identity rho(V(f)) = -[t1...tr*y1]f.
+
+    f must have constant term 1 and every other term divisible by t1...tr,
+    which is exactly when t1...tr divides f - 1; the terms of g = (1 - f) /
+    (t1...tr) at t = 0 are the terms of f whose t-part is (1, ..., 1), negated,
+    and they must have y1-degree at most 1.  One pass over the terms checks
+    both and reads the coefficient, without dividing or substituting.
+    """
     spec, vars = p.spec, p.vars
+    r = vars.r
     if p.constant_term != spec.one:
         raise NotNormalized(f"component {p.to_text()} is not normalized to constant term 1")
-    t_product = MultiPoly(spec, vars, {tuple([1] * vars.r + [0] * vars.n): spec.one})
-    one = MultiPoly.const(spec, vars, 1)
-    try:
-        q = (one - p).exact_div(t_product)
-    except InexactDivision:
-        raise NotNormalized(
-            f"t1...tr does not divide f - 1 for component {p.to_text()}"
-        ) from None
-    at_origin = q.substitute({f"t{i+1}": spec.zero for i in range(vars.r)})
-    if at_origin and at_origin.degree_in("y1") > 1:
+    ones = (1,) * r
+    too_high = False
+    for e in p.terms:
+        t = e[:r]
+        if 0 in t:
+            if any(e):
+                raise NotNormalized(
+                    f"t1...tr does not divide f - 1 for component {p.to_text()}"
+                )
+        elif e[r] > 1 and t == ones:
+            too_high = True
+    # after the scan, so that an unnormalized component reports that first
+    if too_high:
         raise DegreeTooHigh("the evaluated first-order part has y1-degree above 1")
-    return at_origin.coefficient_of("y1", 1).constant_term
+    c = p.terms.get(ones + (1,) + (0,) * (vars.n - 1))
+    return spec.zero if c is None else -c
 
 
 def rho(Z: HypersurfaceCycle, D: ModulusDatum) -> FieldElement:
@@ -117,7 +133,7 @@ def rho(Z: HypersurfaceCycle, D: ModulusDatum) -> FieldElement:
         raise UnsupportedModulus("rho is defined for the modulus with all exponents 1")
     total = Z.spec.zero
     for mult, p in Z.components():
-        total = total + _component_rho(p, D) * Z.spec.element(mult)
+        total = total + _component_rho(p) * Z.spec.element(mult)
     return total
 
 
@@ -325,7 +341,7 @@ def verify_rho_reciprocity(W: HypersurfaceCycle, D: ModulusDatum) -> WitnessCert
     ]
     bW = boundary(W)
     faces = [
-        {"poly": p.to_text(), "mult": m, "rho": ser.element_to_json(_component_rho(p, D))}
+        {"poly": p.to_text(), "mult": m, "rho": ser.element_to_json(_component_rho(p))}
         for m, p in bW.components()
     ]
     claim = {

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from modcycles.cli import build_parser, main
+from modcycles.cli import CURVES_MAX_ENTRIES, build_parser, main
 from modcycles.cycles import FACE_CHECK_MAX_N, ClosedPoint, ModulusDatum
 from modcycles.fields import (
     BERLEKAMP_MAX_DEGREE,
@@ -376,6 +376,19 @@ class TestErrorPaths:
         code, rep = run_json(["curves", "xi", "--field", "Fp:5", "--entries", "t - 2",
                               "--unit", "3", "--pi", "t - 1", "--power", str(XI_MAX_POWER + 1)])
         assert code == 2 and rep["error"]["type"] == "PowerTooLarge"
+
+    def test_totaro_entries_cap_exits_2(self):
+        entries = ",".join(str(2 + i % 4) for i in range(CURVES_MAX_ENTRIES + 1))
+        code, rep = run_json(["curves", "totaro", "--field", "Fp:7", "--entries", entries])
+        assert code == 2 and rep["error"]["type"] == "InputError"
+        assert "CURVES_MAX_ENTRIES" in rep["error"]["message"]
+
+    def test_xi_entries_cap_exits_2(self):
+        entries = ";".join(f"t - {2 + i}" for i in range(CURVES_MAX_ENTRIES + 1))
+        code, rep = run_json(["curves", "xi", "--field", "Q", "--entries", entries,
+                              "--unit", "3", "--pi", "t - 1"])
+        assert code == 2 and rep["error"]["type"] == "InputError"
+        assert "CURVES_MAX_ENTRIES" in rep["error"]["message"]
 
     def test_verify_face_check_above_the_cap_is_invalid(self, tmp_path):
         code, rep = run_json(["generator", "--a", "3", "--r", "2", "--field", "Fp:7"])

@@ -22,8 +22,9 @@ from modcycles.polyring import (
     parse_ratfunc,
     parse_unipoly,
 )
-from modcycles.fields import UniPoly, ZeroPolynomial
+from modcycles.fields import UniPoly, WrongField, ZeroPolynomial, poly_gcd
 
+F2 = make_field(2)
 F7 = make_field(7)
 Q = make_field(0)
 F9 = make_field(3, [1, 0, 1])
@@ -241,3 +242,102 @@ class TestRatFunc:
     def test_parse_unipoly_rejects_proper_fractions(self):
         with pytest.raises(ParseError):
             parse_unipoly("1/(1-t)", F7)
+
+
+def rand_scalar(rng, spec):
+    if spec.is_extension:
+        return spec.element([rng.randrange(spec.char) for _ in range(2)])
+    if spec.char:
+        return spec.element(rng.randrange(spec.char))
+    return spec.element(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+
+def rand_ratfunc(rng, spec, pool):
+    """A reduced fraction whose numerator and denominator are products of
+    factors drawn from a small shared pool, so that two of them often share
+    factors in their denominators or across numerator and denominator."""
+    num = UniPoly.const(spec, rand_scalar(rng, spec))
+    den = UniPoly.const(spec, rand_scalar(rng, spec) or spec.one)
+    for _ in range(rng.randrange(4)):
+        num = num * rng.choice(pool)
+    for _ in range(rng.randrange(4)):
+        den = den * rng.choice(pool)
+    return RatFunc(num, den)
+
+
+def factor_pool(rng, spec):
+    x = UniPoly.x(spec)
+    pool = [x - rand_scalar(rng, spec) for _ in range(3)]
+    return pool + [x * x + rand_scalar(rng, spec) * x + rand_scalar(rng, spec)]
+
+
+class TestRatFuncArithmetic:
+    """Sums and products cancel only what can cancel; each result must equal
+    the validating reduction of the unreduced cross-products."""
+
+    @staticmethod
+    def assert_reduced(f):
+        assert f.den.leading == f.spec.one
+        if f.num:
+            assert poly_gcd(f.num, f.den).degree == 0
+        else:
+            assert f.den == UniPoly.const(f.spec, 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_results_equal_the_reduced_cross_products(self, seed):
+        rng = random.Random(seed)
+        spec = [F2, F7, Q, F9][seed % 4]
+        pool = factor_pool(rng, spec)
+        f, g = rand_ratfunc(rng, spec, pool), rand_ratfunc(rng, spec, pool)
+        a, b, c, d = f.num, f.den, g.num, g.den
+        want = {
+            "+": RatFunc(a * d + c * b, b * d),
+            "-": RatFunc(a * d - c * b, b * d),
+            "*": RatFunc(a * c, b * d),
+        }
+        got = {"+": f + g, "-": f - g, "*": f * g}
+        if g:
+            want["/"] = RatFunc(a * d, b * c)
+            got["/"] = f / g
+        for op, h in got.items():
+            assert (h.num, h.den) == (want[op].num, want[op].den), op
+            self.assert_reduced(h)
+
+    def test_named_cancellations(self):
+        t = RatFunc.param(Q)
+        one = RatFunc.const(Q, 1)
+        zero = one / (t - one) - one / (t - one)
+        assert not zero and zero.den == UniPoly.const(Q, 1)
+        # the denominators agree, and the sum t + 1 cancels against them
+        h = t / (t**2 - one) + one / (t**2 - one)
+        assert h == one / (t - one)
+        self.assert_reduced(h)
+        p = t**2 / (t + one) * ((t + one) ** 3 / t**3)
+        assert p == (t + one) ** 2 / t
+        assert p.num == UniPoly(Q, [1, 2, 1]) and p.den == UniPoly.x(Q)
+
+    def test_mixed_fields_raise(self):
+        f, g = RatFunc.param(F7), RatFunc.param(Q)
+        for op in (lambda: f + g, lambda: f - g, lambda: f * g, lambda: f / g,
+                   lambda: RatFunc.const(F7, 0) * g):
+            with pytest.raises(WrongField):
+                op()
+
+    def test_arithmetic_never_uses_the_validating_constructor(self, monkeypatch):
+        rng = random.Random(11)
+        corpus = []
+        for k in range(120):
+            spec = [F2, F7, Q, F9][k % 4]
+            pool = factor_pool(rng, spec)
+            corpus.append((rand_ratfunc(rng, spec, pool), rand_ratfunc(rng, spec, pool)))
+
+        def refuse(self, num, den):
+            raise AssertionError("arithmetic went through RatFunc.__init__")
+
+        monkeypatch.setattr(RatFunc, "__init__", refuse)
+        for f, g in corpus:
+            results = [f + g, f - g, f * g, 3 * f, f + 1]
+            if g:
+                results += [f / g, f.compose(g)]
+

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from modcycles.fields import make_field
-from modcycles.polyring import VarSet, parse_poly
+from modcycles.polyring import InexactDivision, MultiPoly, VarSet, parse_poly
 from modcycles.cycles import (
     ClosedPoint,
     CoordModel,
@@ -146,6 +146,81 @@ class TestRho:
             W = _rand_admissible_cycle(rng, spec, 2, 2)
             D = ModulusDatum.monomial(spec, [1, 1])
             assert not rho(boundary(W), D)
+
+
+def reference_component_rho(p):
+    """rho of one component by exact division by t1...tr and substitution of
+    t = 0, the computation the one-scan kernel replaces."""
+    spec, vars = p.spec, p.vars
+    if p.constant_term != spec.one:
+        raise NotNormalized(f"component {p.to_text()} is not normalized to constant term 1")
+    t_product = MultiPoly(spec, vars, {tuple([1] * vars.r + [0] * vars.n): spec.one})
+    one = MultiPoly.const(spec, vars, 1)
+    try:
+        q = (one - p).exact_div(t_product)
+    except InexactDivision:
+        raise NotNormalized(
+            f"t1...tr does not divide f - 1 for component {p.to_text()}"
+        ) from None
+    at_origin = q.substitute({f"t{i+1}": spec.zero for i in range(vars.r)})
+    if at_origin and at_origin.degree_in("y1") > 1:
+        raise DegreeTooHigh("the evaluated first-order part has y1-degree above 1")
+    return at_origin.coefficient_of("y1", 1).constant_term
+
+
+def rand_rho_input(rng, spec, r, n):
+    """1 - t1...tr*g + terms of higher t-order, sometimes with a constant term
+    other than 1, a term missing some t, or y1^2 at t-part (1, ..., 1)."""
+    def scalar():
+        if spec.is_extension:
+            return spec.element([rng.randrange(spec.char) for _ in range(2)])
+        if spec.char:
+            return spec.element(rng.randrange(spec.char))
+        return spec.element(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+
+    terms = {(0,) * (r + n): spec.one if rng.random() < 0.8 else scalar()}
+    for _ in range(rng.randrange(6)):
+        t = tuple(rng.choice((1, 1, 1, 2)) for _ in range(r))
+        if rng.random() < 0.1:
+            j = rng.randrange(r)
+            t = t[:j] + (0,) + t[j + 1:]
+        y = tuple(rng.choice((0, 1, 1, 2)) if i == 0 else rng.randrange(2) for i in range(n))
+        if rng.random() < 0.05:
+            y = (2,) + y[1:]
+        terms[t + y] = scalar()
+    return MultiPoly(spec, VarSet(r, n), terms)
+
+
+def rho_outcome(fn, p):
+    try:
+        return ("value", fn(p))
+    except (NotNormalized, DegreeTooHigh) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+class TestRhoKernel:
+    @pytest.mark.parametrize("field", ["F5", "F7", "Q", "F9"])
+    def test_matches_the_reference_on_values_and_errors(self, field):
+        spec = {"F5": F5, "F7": F7, "Q": Q, "F9": F9}[field]
+        rng = random.Random(f"rho-kernel:{field}")
+        kinds = set()
+        for r in (1, 2, 3):
+            for n in (1, 2):
+                for _ in range(100):
+                    p = rand_rho_input(rng, spec, r, n)
+                    want = rho_outcome(reference_component_rho, p)
+                    assert rho_outcome(witnesses._component_rho, p) == want, p.to_text()
+                    kinds.add(want[0] if want[0] != "NotNormalized"
+                              else want[1].split()[0])
+        # values, both NotNormalized messages and DegreeTooHigh all occur
+        assert kinds == {"value", "component", "t1...tr", "DegreeTooHigh"}
+
+    def test_unnormalized_takes_priority_over_degree(self):
+        # y1^2 at t-part (1, 1) and a term without t2: the scan reports the latter
+        p = parse_poly("1 - t1*t2*y1^2 + t1*y1", F7, VarSet(2, 1))
+        for fn in (reference_component_rho, witnesses._component_rho):
+            with pytest.raises(NotNormalized, match="does not divide"):
+                fn(p)
 
 
 class TestRhoReciprocity:
