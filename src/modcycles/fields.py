@@ -117,11 +117,13 @@ class FieldSpec:
     leading 1; ``None`` means the base field itself.
     """
 
-    __slots__ = ("char", "ext", "_zero_coeff", "_rows", "__dict__")
+    __slots__ = ("char", "ext", "_fp_char", "_zero_coeff", "_rows", "__dict__")
 
     def __init__(self, char: int, ext: tuple | None):
         self.char = char
         self.ext = ext
+        # p for a prime field F_p, whose polynomials have int kernels; else 0
+        self._fp_char = char if ext is None else 0
         self._zero_coeff = 0 if char else Fraction(0)
         self._rows = _reduction_rows(char, ext) if ext else None
 
@@ -303,7 +305,8 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.spec.char, self.spec.ext, self.value))
+        # equal elements have equal values; the spec would only be hashed again
+        return hash(self.value)
 
     def _coerce(self, other) -> "FieldElement | None":
         """``other`` as an element of this field, or None when it is not a
@@ -397,6 +400,14 @@ class FieldElement:
             return FieldElement(spec, pow(self.value, -1, c) if c else 1 / self.value)
         # extended Euclid over the base: s0 * self = r0 (mod mu) throughout,
         # ending at the gcd r0, a nonzero constant because mu is irreducible
+        if c:
+            r0, r1 = list(spec.ext), _fp_strip(list(self.value))
+            s0, s1 = [], [1]
+            while r1:
+                q, rem = _fp_divmod(r0, r1, c)
+                r0, r1, s0, s1 = r1, rem, s1, _fp_sub(s0, _fp_mul(q, s1, c), c)
+            scale = pow(r0[0], -1, c)
+            return FieldElement(spec, spec._pad([v * scale % c for v in s0]))
         base = spec.base
         r0, r1 = spec._mu, UniPoly._raw(base, [FieldElement(base, v) for v in self.value])
         s0, s1 = UniPoly.zero(base), UniPoly.const(base, 1)
@@ -449,6 +460,64 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
+# Prime-field kernels on int lists
+# ---------------------------------------------------------------------------
+#
+# A polynomial over F_p as a list of residues mod p, low-degree-first, with
+# no trailing zeros (the zero polynomial is []).  Every kernel takes and
+# returns lists of that form, so no FieldElement is built inside a loop.
+
+
+def _fp_strip(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _fp_sub(a: list, b: list, p: int) -> list:
+    out = [(x - y) % p for x, y in zip(a, b)]
+    out += a[len(b):] or [-y % p for y in b[len(a):]]
+    return _fp_strip(out)
+
+
+def _fp_mul(a: list, b: list, p: int) -> list:
+    # the leading coefficients are nonzero mod the prime p, so is their product
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return [x % p for x in out]
+
+
+def _fp_divmod(a: list, b: list, p: int) -> tuple[list, list]:
+    """(q, r) with a = q*b + r and deg r < deg b, for a nonzero b."""
+    d = len(b) - 1
+    rem = list(a)
+    if len(rem) <= d:
+        return [], rem
+    inv = pow(b[-1], -1, p)
+    low = [(i, y) for i, y in enumerate(b[:d]) if y]
+    q = [0] * (len(rem) - d)
+    while len(rem) > d:
+        # the top term cancels exactly, so it is popped, not subtracted
+        c = rem.pop() * inv % p
+        k = len(rem) - d
+        q[k] = c
+        for i, y in low:
+            rem[k + i] = (rem[k + i] - y * c) % p
+        _fp_strip(rem)
+    return q, rem
+
+
+def _fp_monic(a: list, p: int) -> list:
+    inv = pow(a[-1], -1, p)
+    return a if inv == 1 else [x * inv % p for x in a]
+
+
+# ---------------------------------------------------------------------------
 # Univariate polynomials over a FieldSpec
 # ---------------------------------------------------------------------------
 
@@ -460,6 +529,12 @@ class UniPoly:
     coefficient into ``spec`` and drops trailing zeros.  Arithmetic results
     are built canonically from coefficients that are already elements of
     ``spec`` and go through the trusted :meth:`_raw` instead.
+
+    Over a prime field F_p, products, division with remainder, ``monic``,
+    ``powmod``, ``split_at`` and :func:`poly_gcd` run on the coefficients'
+    int residues (the ``_fp_*`` kernels) and wrap the result once through
+    the trusted :meth:`_from_ints`.  Over Q and extension fields they run on
+    FieldElement coefficients.
     """
 
     __slots__ = ("spec", "coeffs")
@@ -481,6 +556,19 @@ class UniPoly:
         self.spec = spec
         self.coeffs = tuple(coeffs)
         return self
+
+    @classmethod
+    def _from_ints(cls, spec: FieldSpec, vals: list) -> "UniPoly":
+        """Trusted constructor over a prime field: ``vals`` are residues mod
+        p, low-degree-first, with no trailing zeros."""
+        self = object.__new__(cls)
+        self.spec = spec
+        self.coeffs = tuple([FieldElement(spec, v) for v in vals])
+        return self
+
+    def _ints(self) -> list:
+        """The coefficients' residues, over a prime field."""
+        return [c.value for c in self.coeffs]
 
     @classmethod
     def zero(cls, spec):
@@ -553,6 +641,9 @@ class UniPoly:
 
     def __mul__(self, other):
         other = self._coerce(other)
+        p = self.spec._fp_char
+        if p:
+            return UniPoly._from_ints(self.spec, _fp_mul(self._ints(), other._ints(), p))
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return UniPoly.zero(self.spec)
@@ -579,6 +670,10 @@ class UniPoly:
         other = self._coerce(other)
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
+        p = self.spec._fp_char
+        if p:
+            q, r = _fp_divmod(self._ints(), other._ints(), p)
+            return UniPoly._from_ints(self.spec, q), UniPoly._from_ints(self.spec, r)
         *low, lead = other.coeffs
         d, inv_lead = len(low), lead.inverse()
         rem = list(self.coeffs)
@@ -603,6 +698,9 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if not self:
             raise ZeroPolynomial("cannot make the zero polynomial monic")
+        p = self.spec._fp_char
+        if p:
+            return UniPoly._from_ints(self.spec, _fp_monic(self._ints(), p))
         inv = self.leading.inverse()
         return UniPoly._raw(self.spec, [c * inv for c in self.coeffs])
 
@@ -619,6 +717,20 @@ class UniPoly:
         return acc
 
     def powmod(self, n: int, modulus: "UniPoly") -> "UniPoly":
+        p = self.spec._fp_char
+        if p:
+            modulus = self._coerce(modulus)
+            if not modulus:
+                raise ZeroDivisionError("division by zero polynomial")
+            m = modulus._ints()
+            acc, base = _fp_divmod([1], m, p)[1], _fp_divmod(self._ints(), m, p)[1]
+            while n:
+                if n & 1:
+                    acc = _fp_divmod(_fp_mul(acc, base, p), m, p)[1]
+                n >>= 1
+                if n:  # the square after the top bit would go unused
+                    base = _fp_divmod(_fp_mul(base, base, p), m, p)[1]
+            return UniPoly._from_ints(self.spec, acc)
         acc, base = UniPoly.const(self.spec, 1) % modulus, self % modulus
         while n:
             if n & 1:
@@ -638,6 +750,15 @@ class UniPoly:
             raise ZeroPolynomial("order of zero polynomial")
         if pi.degree < 1:
             raise NotAPlace(f"{pi.to_text()} has degree < 1, so it is not a place")
+        p = self.spec._fp_char
+        if p:
+            b = self._coerce(pi)._ints()
+            k, f = 0, self._ints()
+            while True:
+                q, r = _fp_divmod(f, b, p)
+                if r:
+                    return k, UniPoly._from_ints(self.spec, f) if k else self
+                k, f = k + 1, q
         k, f = 0, self
         while True:
             q, r = divmod(f, pi)
@@ -674,6 +795,12 @@ class UniPoly:
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd."""
+    p = a.spec._fp_char
+    if p and b.spec == a.spec:
+        x, y = a._ints(), b._ints()
+        while y:
+            x, y = y, _fp_divmod(x, y, p)[1]
+        return UniPoly._from_ints(a.spec, _fp_monic(x, p) if x else x)
     while b:
         a, b = b, a % b
     return a.monic() if a else a

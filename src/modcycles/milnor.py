@@ -193,7 +193,7 @@ def k1_value(e: MilnorElement) -> FieldElement:
     if spec is None:
         raise MilnorError("K_1 collapse is for symbols over a field")
     acc = spec.one
-    for sym, m in e.items():
+    for sym, m in e.terms.items():
         if sym.length != 1:
             raise MilnorError("not a K_1 element")
         acc = acc * sym.entries[0] ** m
@@ -349,7 +349,7 @@ def tame_symbol(v: Valuation, s: MilnorElement) -> MilnorElement:
         raise WrongField("tame symbols act on function-field elements")
     ell = v.residue_spec()
     terms = []
-    for sym, mult in s.items():
+    for sym, mult in s.terms.items():
         n = sym.length
         split = [v.order_and_residue(f) for f in sym.entries]
         orders = [m for m, _ in split]

@@ -23,7 +23,7 @@ between arbitrary factors and a single free variable name.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
+from operator import add, ge, sub
 from typing import Mapping, Sequence
 
 from .fields import (
@@ -378,10 +378,25 @@ class MultiPoly:
         return acc
 
     def exact_div(self, g: "MultiPoly") -> "MultiPoly":
-        """Return q with self == q*g, or raise InexactDivision."""
+        """Return q with self == q*g, or raise InexactDivision.
+
+        A one-term divisor c*x^e shifts every exponent by -e, and scales
+        every coefficient by 1/c unless c = 1; it divides exactly when no
+        exponent goes negative.  Longer divisors run the division loop on
+        the lex-leading term.
+        """
         g = self._coerce(g)
         if not g:
             raise ZeroDivisor("division by the zero polynomial")
+        if len(g.terms) == 1:
+            ((eg, cg),) = g.terms.items()
+            inv = None if cg == self.spec.one else cg.inverse()
+            out = {}
+            for e, c in self.terms.items():
+                if not all(map(ge, e, eg)):
+                    raise InexactDivision(f"{g.to_text()} does not divide {self.to_text()}")
+                out[tuple(map(sub, e, eg))] = c if inv is None else c * inv
+            return MultiPoly._raw(self.spec, self.vars, out)
         rem = dict(self.terms)
         out: dict[tuple, FieldElement] = {}
         eg, cg = g.leading_term()

@@ -36,6 +36,8 @@ F5 = make_field(5)
 Q = make_field(0)
 F9 = make_field(3, [1, 0, 1])
 SPECS = (F5, Q, F9)
+# UniPoly arithmetic over a prime field runs on int residues
+UNI_SPECS = SPECS + (make_field(2), make_field(7), make_field(65521))
 
 
 def rand_elem(rng, spec):
@@ -186,15 +188,17 @@ def rand_unipoly(rng, spec, max_deg=6):
 def assert_canonical_unipoly(r):
     assert not r.coeffs or r.coeffs[-1], "trailing zero stored"
     assert all(c.spec is r.spec for c in r.coeffs)
+    # the coercing constructor passes elements through, so check values too
+    assert all(r.spec.element(c.value).value == c.value for c in r.coeffs)
     assert UniPoly(r.spec, list(r.coeffs)) == r
 
 
 class TestTrustedUnivariate:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 2**30))
     def test_arithmetic_results_are_canonical(self, seed):
         rng = random.Random(seed)
-        spec = SPECS[seed % 3]
+        spec = UNI_SPECS[seed % len(UNI_SPECS)]
         a, b = rand_unipoly(rng, spec), rand_unipoly(rng, spec)
         c = rand_elem(rng, spec)
         near = a + rand_unipoly(rng, spec, max_deg=1)  # shares a's top terms
@@ -208,6 +212,12 @@ class TestTrustedUnivariate:
             results += [q, r, (a * b) // b]
             assert a == q * b + r and r.degree < b.degree
             assert (a * b) // b == a and not (a * b) % b
+        if b.degree >= 1:
+            results.append(a.powmod(rng.randrange(12), b))
+            if a:
+                k, g = (a * b * b).split_at(b)
+                results.append(g)
+                assert k >= 2 and g * b**k == a * b * b and g % b
         for r in results:
             assert_canonical_unipoly(r)
         assert near - a == near + (-a) and not (a - a)

@@ -34,7 +34,10 @@ from modcycles.fields import (
     standard_extension,
 )
 
+F2 = make_field(2)
 F5 = make_field(5)
+F7 = make_field(7)
+F65521 = make_field(65521)
 F9 = make_field(3, [1, 0, 1])
 Q = make_field(0)
 
@@ -496,12 +499,192 @@ class TestGenerator:
             expected = expected * e
         assert e**n == expected
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.data())
-    def test_powmod_matches_pow_then_mod(self, data):
-        f = UniPoly(F5, data.draw(st.lists(st.integers(0, 4), max_size=5)))
-        modulus = UniPoly(F5, data.draw(st.lists(st.integers(0, 4), min_size=2, max_size=5)))
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([F2, F5, F7, F65521]), st.data())
+    def test_powmod_matches_pow_then_mod(self, spec, data):
+        coeffs = st.integers(0, spec.char - 1)
+        f = UniPoly(spec, data.draw(st.lists(coeffs, max_size=5)))
+        modulus = UniPoly(spec, data.draw(st.lists(coeffs, min_size=2, max_size=5)))
         if modulus.degree < 1:
-            modulus = UniPoly(F5, [1, 1])
+            modulus = UniPoly(spec, [1, 1])
         n = data.draw(st.integers(0, 20))
         assert f.powmod(n, modulus) == (f**n) % modulus
+        assert f.powmod(n, modulus) == reference_powmod(f, n, modulus)
+
+
+# ---------------------------------------------------------------------------
+# The prime-field int kernels against the FieldElement loops they replace
+# ---------------------------------------------------------------------------
+
+
+def reference_mul(a, b):
+    spec = a.spec
+    out = [spec.zero] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs, i):
+            out[j] = out[j] + x * y
+    return UniPoly._raw(spec, out)
+
+
+def reference_divmod(a, b):
+    spec = a.spec
+    *low, lead = b.coeffs
+    d, inv_lead = len(low), lead.inverse()
+    rem = list(a.coeffs)
+    q = [spec.zero] * max(len(rem) - d, 0)
+    while len(rem) > d:
+        c = rem.pop() * inv_lead
+        k = len(rem) - d
+        q[k] = c
+        for i, y in enumerate(low, k):
+            rem[i] = rem[i] - y * c
+        while rem and not rem[-1]:
+            rem.pop()
+    return UniPoly._raw(spec, q), UniPoly._raw(spec, rem)
+
+
+def reference_monic(a):
+    inv = a.leading.inverse()
+    return UniPoly._raw(a.spec, [c * inv for c in a.coeffs])
+
+
+def reference_gcd(a, b):
+    while b:
+        a, b = b, reference_divmod(a, b)[1]
+    return reference_monic(a) if a else a
+
+
+def reference_powmod(f, n, modulus):
+    acc = reference_divmod(UniPoly.const(f.spec, 1), modulus)[1]
+    base = reference_divmod(f, modulus)[1]
+    for _ in range(n):
+        acc = reference_divmod(reference_mul(acc, base), modulus)[1]
+    return acc
+
+
+def reference_split_at(f, pi):
+    k = 0
+    while True:
+        q, r = reference_divmod(f, pi)
+        if r:
+            return k, f
+        k, f = k + 1, q
+
+
+def reference_inverse(x):
+    """Extended Euclid against mu on UniPoly values over the base field."""
+    spec = x.spec
+    base = spec.base
+    r0, r1 = spec._mu, UniPoly._raw(base, [FieldElement(base, v) for v in x.value])
+    s0, s1 = UniPoly.zero(base), UniPoly.const(base, 1)
+    while r1:
+        q, rem = reference_divmod(r0, r1)
+        r0, r1, s0, s1 = r1, rem, s1, s0 - reference_mul(q, s1)
+    scale = r0.coeffs[0].inverse()
+    return FieldElement(spec, spec._pad([(e * scale).value for e in s0.coeffs]))
+
+
+def rand_fp_poly(rng, spec, max_deg=7):
+    return UniPoly(spec, [rng.randrange(spec.char) for _ in range(rng.randrange(max_deg + 2))])
+
+
+def kernel_cases(spec, seed, count=40):
+    """Seeded (a, b, pi) over spec: b nonzero, pi of degree >= 1, a often a
+    multiple of a power of pi."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        a, b = rand_fp_poly(rng, spec), rand_fp_poly(rng, spec)
+        while not b:
+            b = rand_fp_poly(rng, spec)
+        pi = rand_fp_poly(rng, spec, max_deg=3)
+        while pi.degree < 1:
+            pi = rand_fp_poly(rng, spec, max_deg=3)
+        if rng.random() < 0.5:
+            a = reference_mul(a, reference_mul(pi, pi) if rng.random() < 0.5 else pi)
+        cases.append((a, b, pi, rng.randrange(30)))
+    return cases
+
+
+PRIME_FIELDS = (F2, F5, F7, F65521)
+
+
+class TestPrimeFieldKernels:
+    @pytest.mark.parametrize("spec", PRIME_FIELDS, ids=lambda s: s.to_text())
+    def test_results_equal_the_field_element_loops(self, spec):
+        for a, b, pi, n in kernel_cases(spec, spec.char):
+            assert a * b == reference_mul(a, b)
+            assert b * a == reference_mul(b, a)
+            assert divmod(a, b) == reference_divmod(a, b)
+            assert a // b == reference_divmod(a, b)[0] and a % b == reference_divmod(a, b)[1]
+            assert poly_gcd(a, b) == reference_gcd(a, b)
+            assert poly_gcd(b, a) == reference_gcd(b, a)
+            assert b.monic() == reference_monic(b)
+            assert a.powmod(n, pi) == reference_powmod(a, n, pi)
+            if a:
+                assert a.split_at(pi) == reference_split_at(a, pi)
+        zero, unit = UniPoly.zero(spec), UniPoly.const(spec, 1)
+        assert poly_gcd(zero, zero) == zero
+        assert divmod(zero, pi) == (zero, zero)
+        # modulo a unit everything is 0, the empty product included
+        assert pi.powmod(0, unit) == zero == reference_powmod(pi, 0, unit)
+
+    def test_inverse_matches_the_unipoly_euclid_on_every_element(self):
+        for (p, _), mu in EXTENSION_MODULI.items():
+            spec = make_field(p, mu)
+            for x in spec.elements():
+                if x:
+                    inv = x.inverse()
+                    assert inv == reference_inverse(x), (spec, x)
+                    assert type(inv.value) is tuple and len(inv.value) == spec.degree
+                    assert all(0 <= v < p for v in inv.value)
+
+    def test_no_field_element_arithmetic_on_the_int_paths(self, monkeypatch):
+        rng = random.Random(11)
+        polys = []
+        for spec in PRIME_FIELDS:
+            for a, b, pi, n in kernel_cases(spec, 100 + spec.char, count=8):
+                polys.append((a, b, pi, n, (reference_mul(a, b), reference_divmod(a, b),
+                                            reference_monic(b), reference_powmod(a, n, pi),
+                                            reference_split_at(a, pi) if a else None,
+                                            reference_gcd(a, b))))
+        ext = [x for spec in (F9, make_field(2, EXTENSION_MODULI[(2, 6)]), make_field(7, [1, 0, 1]))
+               for x in rng.sample([e for e in spec.elements() if e], 8)]
+        inverses = [reference_inverse(x) for x in ext]
+        inverse = FieldElement.inverse
+
+        def refuse(*args):
+            raise AssertionError("FieldElement arithmetic on an int path")
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "inverse"):
+            monkeypatch.setattr(FieldElement, name, refuse)
+        for a, b, pi, n, (prod, qr, monic, power, split, gcd) in polys:
+            assert a * b == prod
+            assert divmod(a, b) == qr
+            assert b.monic() == monic
+            assert a.powmod(n, pi) == power
+            if a:
+                assert a.split_at(pi) == split
+            assert poly_gcd(a, b) == gcd
+        assert [inverse(x) for x in ext] == inverses
+
+    def test_error_messages_are_unchanged(self):
+        a, zero = UniPoly(F7, [1, 2, 3]), UniPoly.zero(F7)
+        for op in (lambda: divmod(a, zero), lambda: a // zero, lambda: a % 0,
+                   lambda: a.powmod(3, zero)):
+            with pytest.raises(ZeroDivisionError, match="^division by zero polynomial$"):
+                op()
+        with pytest.raises(ZeroPolynomial, match="^cannot make the zero polynomial monic$"):
+            zero.monic()
+        with pytest.raises(ZeroPolynomial, match="^order of zero polynomial$"):
+            zero.split_at(a)
+        with pytest.raises(NotAPlace, match="^3 has degree < 1, so it is not a place$"):
+            a.split_at(UniPoly.const(F7, 3))
+        with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+            F9.zero.inverse()
+        other = UniPoly(F5, [1, 1])
+        for op in (lambda: a * other, lambda: divmod(a, other), lambda: a.powmod(2, other),
+                   lambda: a.split_at(other), lambda: poly_gcd(a, other)):
+            with pytest.raises(WrongField, match="^mixed fields F7 and F5$"):
+                op()

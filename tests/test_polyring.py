@@ -22,9 +22,10 @@ from modcycles.polyring import (
     parse_ratfunc,
     parse_unipoly,
 )
-from modcycles.fields import UniPoly, WrongField, ZeroPolynomial, poly_gcd
+from modcycles.fields import FieldElement, UniPoly, WrongField, ZeroPolynomial, poly_gcd
 
 F2 = make_field(2)
+F5 = make_field(5)
 F7 = make_field(7)
 Q = make_field(0)
 F9 = make_field(3, [1, 0, 1])
@@ -174,9 +175,13 @@ class TestOps:
         one = MultiPoly.const(F7, vs, 1)
         q = (one - f).exact_div(parse_poly("t1*t2", F7, vs))
         assert q == parse_poly("3*y1 + 2", F7, vs)
+        assert (one - f).exact_div(parse_poly("3*t1*t2", F7, vs)) == parse_poly("y1 + 3", F7, vs)
         assert f.exact_div(one) == f
-        with pytest.raises(InexactDivision):
+        with pytest.raises(InexactDivision, match=r"^t1\*t2 does not divide t1\*y1$"):
             parse_poly("t1*y1", F7, vs).exact_div(parse_poly("t1*t2", F7, vs))
+        for other in (parse_poly("t1*t2", F5, vs), parse_poly("t1*t2", F7, VarSet(2, 2))):
+            with pytest.raises(WrongField, match="^polynomials live in different rings$"):
+                f.exact_div(other)
         with pytest.raises(ZeroDivisor):
             f.exact_div(MultiPoly.zero(F7, vs))
 
@@ -208,6 +213,87 @@ class TestOps:
                 for e in range(p.degree_in(var) + 1):
                     total = total + p.coefficient_of(var, e) * y**e
                 assert total == p
+
+
+def reference_exact_div(f, g):
+    """The division loop on the lex-leading term, for any nonzero divisor."""
+    rem, out = dict(f.terms), {}
+    eg, cg = g.leading_term()
+    cg_inv = cg.inverse()
+    while rem:
+        ef = max(rem)
+        eq = tuple(a - b for a, b in zip(ef, eg))
+        if any(k < 0 for k in eq):
+            raise InexactDivision(f"{g.to_text()} does not divide {f.to_text()}")
+        cq = rem[ef] * cg_inv
+        out[eq] = cq
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(eq, e2))
+            s = rem.get(e, f.spec.zero) - cq * c2
+            if s:
+                rem[e] = s
+            else:
+                rem.pop(e, None)
+    return MultiPoly._raw(f.spec, f.vars, out)
+
+
+def division_outcome(f, g, divide):
+    try:
+        q = divide(f, g)
+    except InexactDivision as exc:
+        return type(exc), str(exc)
+    return q.terms
+
+
+def rand_coeff(rng, spec):
+    if spec.is_extension:
+        return spec.element([rng.randrange(spec.char) for _ in range(spec.degree)])
+    if spec.char:
+        return spec.element(rng.randrange(spec.char))
+    return spec.element(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+
+
+class TestMonomialExactDiv:
+    @pytest.mark.parametrize("spec", [F5, F7, Q, F9], ids=lambda s: s.to_text())
+    def test_monomial_divisors_match_the_division_loop(self, spec):
+        rng = random.Random(spec.char + spec.degree)
+        seen = {"exact": 0, "inexact": 0}
+        for _ in range(150):
+            vars = VarSet(rng.randrange(1, 4), rng.randrange(0, 3))
+            exp = tuple(rng.randrange(3) for _ in range(vars.count))
+            c = spec.one if rng.random() < 0.4 else rand_coeff(rng, spec) or spec.element(2)
+            mono = MultiPoly(spec, vars, {exp: c})
+            const = MultiPoly.const(spec, vars, c)
+            f = MultiPoly(spec, vars, {
+                tuple(rng.randrange(3) for _ in range(vars.count)): rand_coeff(rng, spec)
+                for _ in range(rng.randrange(1, 6))})
+            stray = MultiPoly(spec, vars, {(0,) * vars.count: spec.one})
+            for dividend in (f, f * mono, f * mono + stray, MultiPoly.zero(spec, vars)):
+                for divisor in (mono, const):
+                    got = division_outcome(dividend, divisor, MultiPoly.exact_div)
+                    want = division_outcome(dividend, divisor, reference_exact_div)
+                    assert got == want, (dividend, divisor)
+                    seen["exact" if isinstance(got, dict) else "inexact"] += 1
+        assert seen["exact"] > 600 and seen["inexact"] > 100, seen
+
+    def test_monic_monomial_division_multiplies_nothing(self, monkeypatch):
+        Qi = make_field(0, [1, 0, 1])
+        vs = VarSet(2, 2)
+        cases = []
+        for spec, text in ((F7, "2*y1*y2 + 3*y1 + 5*y2 + 6"),
+                           (Qi, "(2*u + 1)*y1*y2 + (u - 3)*y1 + 5*y2 + 1/2*u")):
+            d = parse_poly("t1*t2", spec, vs)
+            g = parse_poly(text, spec, vs) * parse_poly("t1^2 + t2 + 1", spec, vs)
+            cases.append((g * d, d, g))
+        assert len(cases[1][0].terms) == 12
+
+        def refuse(*args):
+            raise AssertionError("FieldElement product in a monic monomial division")
+
+        monkeypatch.setattr(FieldElement, "__mul__", refuse)
+        monkeypatch.setattr(FieldElement, "__rmul__", refuse)
+        for f, d, g in cases:
+            assert f.exact_div(d) == g
 
 
 class TestRatFunc:
