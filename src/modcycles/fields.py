@@ -117,13 +117,11 @@ class FieldSpec:
     leading 1; ``None`` means the base field itself.
     """
 
-    __slots__ = ("char", "ext", "_fp_char", "_zero_coeff", "_rows", "__dict__")
+    __slots__ = ("char", "ext", "_zero_coeff", "_rows", "__dict__")
 
     def __init__(self, char: int, ext: tuple | None):
         self.char = char
         self.ext = ext
-        # p for a prime field F_p, whose polynomials have int kernels; else 0
-        self._fp_char = char if ext is None else 0
         self._zero_coeff = 0 if char else Fraction(0)
         self._rows = _reduction_rows(char, ext) if ext else None
 
@@ -170,6 +168,11 @@ class FieldSpec:
         if not self.ext:
             return f"F{self.char}"
         return f"{self.base.to_text()}[u]/({self._mu.to_text('u')})"
+
+    @cached_property
+    def _lists(self) -> "_ResidueLists | _ElementLists":
+        """The kernels UniPoly arithmetic over this field runs on."""
+        return _ResidueLists(self) if self.char and self.ext is None else _ElementLists(self)
 
     @cached_property
     def _mu(self) -> "UniPoly":
@@ -400,22 +403,13 @@ class FieldElement:
             return FieldElement(spec, pow(self.value, -1, c) if c else 1 / self.value)
         # extended Euclid over the base: s0 * self = r0 (mod mu) throughout,
         # ending at the gcd r0, a nonzero constant because mu is irreducible
-        if c:
-            r0, r1 = list(spec.ext), _fp_strip(list(self.value))
-            s0, s1 = [], [1]
-            while r1:
-                q, rem = _fp_divmod(r0, r1, c)
-                r0, r1, s0, s1 = r1, rem, s1, _fp_sub(s0, _fp_mul(q, s1, c), c)
-            scale = pow(r0[0], -1, c)
-            return FieldElement(spec, spec._pad([v * scale % c for v in s0]))
-        base = spec.base
-        r0, r1 = spec._mu, UniPoly._raw(base, [FieldElement(base, v) for v in self.value])
-        s0, s1 = UniPoly.zero(base), UniPoly.const(base, 1)
+        k = spec.base._lists
+        r0, r1 = k.unwrap(spec._mu), k.from_values(self.value)
+        s0, s1 = [], k.one
         while r1:
-            q, rem = divmod(r0, r1)
-            r0, r1, s0, s1 = r1, rem, s1, s0 - q * s1
-        scale = r0.coeffs[0].inverse()
-        return FieldElement(spec, spec._pad([(e * scale).value for e in s0.coeffs]))
+            q, rem = k.divmod(r0, r1)
+            r0, r1, s0, s1 = r1, rem, s1, k.sub(s0, k.mul(q, s1))
+        return FieldElement(spec, spec._pad(k.values(k.divmod(s0, r0)[0])))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -460,61 +454,155 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# Prime-field kernels on int lists
+# Coefficient-list kernels
 # ---------------------------------------------------------------------------
 #
-# A polynomial over F_p as a list of residues mod p, low-degree-first, with
-# no trailing zeros (the zero polynomial is []).  Every kernel takes and
-# returns lists of that form, so no FieldElement is built inside a loop.
+# UniPoly arithmetic runs on plain lists of coefficients, low-degree-first,
+# with no trailing zeros (the zero polynomial is []).  A field's ``_lists``
+# holds the kernels for its coefficient form: int residues over a prime
+# field, where no FieldElement is built inside a loop, and FieldElements
+# over Q and extension fields.  The loops of ``powmod``, ``split_at``,
+# ``poly_gcd`` and ``FieldElement.inverse`` are written once on top of them.
 
 
-def _fp_strip(a: list) -> list:
+def _strip(a: list) -> list:
     while a and not a[-1]:
         a.pop()
     return a
 
 
-def _fp_sub(a: list, b: list, p: int) -> list:
-    out = [(x - y) % p for x, y in zip(a, b)]
-    out += a[len(b):] or [-y % p for y in b[len(a):]]
-    return _fp_strip(out)
+class _ResidueLists:
+    """Polynomials over the prime field ``spec`` as lists of residues mod p."""
+
+    __slots__ = ("spec", "p", "one")
+
+    def __init__(self, spec: FieldSpec):
+        self.spec, self.p, self.one = spec, spec.char, [1]
+
+    def unwrap(self, f: "UniPoly") -> list:
+        return [c.value for c in f.coeffs]
+
+    def wrap(self, a: list) -> "UniPoly":
+        spec = self.spec
+        f = object.__new__(UniPoly)
+        f.spec = spec
+        f.coeffs = tuple([FieldElement(spec, v) for v in a])
+        return f
+
+    def from_values(self, vals) -> list:
+        return _strip(list(vals))
+
+    def values(self, a: list) -> list:
+        return a
+
+    def add(self, a, b) -> list:
+        p = self.p
+        out = [(x + y) % p for x, y in zip(a, b)]
+        out += a[len(b):] or b[len(a):]
+        return _strip(out)
+
+    def sub(self, a, b) -> list:
+        p = self.p
+        out = [(x - y) % p for x, y in zip(a, b)]
+        out += a[len(b):] or [-y % p for y in b[len(a):]]
+        return _strip(out)
+
+    def mul(self, a, b) -> list:
+        # the leading coefficients are nonzero mod the prime p, so is their product
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        p = self.p
+        return [x % p for x in out]
+
+    def divmod(self, a, b) -> tuple[list, list]:
+        """(q, r) with a = q*b + r and deg r < deg b, for a nonzero b."""
+        p, d = self.p, len(b) - 1
+        rem = list(a)
+        if len(rem) <= d:
+            return [], rem
+        inv = pow(b[-1], -1, p)
+        low = [(i, y) for i, y in enumerate(b[:d]) if y]
+        q = [0] * (len(rem) - d)
+        while len(rem) > d:
+            # the top term cancels exactly, so it is popped, not subtracted
+            c = rem.pop() * inv % p
+            k = len(rem) - d
+            q[k] = c
+            for i, y in low:
+                rem[k + i] = (rem[k + i] - y * c) % p
+            _strip(rem)
+        return q, rem
+
+    def monic(self, a) -> list:
+        p = self.p
+        inv = pow(a[-1], -1, p)
+        return a if inv == 1 else [x * inv % p for x in a]
 
 
-def _fp_mul(a: list, b: list, p: int) -> list:
-    # the leading coefficients are nonzero mod the prime p, so is their product
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return [x % p for x in out]
+class _ElementLists:
+    """Polynomials over ``spec`` as lists of its FieldElements."""
 
+    __slots__ = ("spec", "one")
 
-def _fp_divmod(a: list, b: list, p: int) -> tuple[list, list]:
-    """(q, r) with a = q*b + r and deg r < deg b, for a nonzero b."""
-    d = len(b) - 1
-    rem = list(a)
-    if len(rem) <= d:
-        return [], rem
-    inv = pow(b[-1], -1, p)
-    low = [(i, y) for i, y in enumerate(b[:d]) if y]
-    q = [0] * (len(rem) - d)
-    while len(rem) > d:
-        # the top term cancels exactly, so it is popped, not subtracted
-        c = rem.pop() * inv % p
-        k = len(rem) - d
-        q[k] = c
-        for i, y in low:
-            rem[k + i] = (rem[k + i] - y * c) % p
-        _fp_strip(rem)
-    return q, rem
+    def __init__(self, spec: FieldSpec):
+        self.spec, self.one = spec, [spec.one]
 
+    def unwrap(self, f: "UniPoly") -> tuple:
+        return f.coeffs
 
-def _fp_monic(a: list, p: int) -> list:
-    inv = pow(a[-1], -1, p)
-    return a if inv == 1 else [x * inv % p for x in a]
+    def wrap(self, a: list) -> "UniPoly":
+        return UniPoly._raw(self.spec, a)
+
+    def from_values(self, vals) -> list:
+        return _strip([FieldElement(self.spec, v) for v in vals])
+
+    def values(self, a: list) -> list:
+        return [c.value for c in a]
+
+    def add(self, a, b) -> list:
+        out = [x + y for x, y in zip(a, b)]
+        out += a[len(b):] or b[len(a):]
+        return _strip(out)
+
+    def sub(self, a, b) -> list:
+        out = [x - y for x, y in zip(a, b)]
+        out += a[len(b):] or [-y for y in b[len(a):]]
+        return _strip(out)
+
+    def mul(self, a, b) -> list:
+        if not a or not b:
+            return []
+        out = [self.spec.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] = out[j] + x * y
+        return out
+
+    def divmod(self, a, b) -> tuple[list, list]:
+        """(q, r) with a = q*b + r and deg r < deg b, for a nonzero b."""
+        *low, lead = b
+        d, inv_lead = len(low), lead.inverse()
+        rem = list(a)
+        q = [self.spec.zero] * max(len(rem) - d, 0)
+        while len(rem) > d:
+            # the top term cancels exactly, so it is popped, not subtracted
+            c = rem.pop() * inv_lead
+            k = len(rem) - d
+            q[k] = c
+            for i, y in enumerate(low, k):
+                rem[i] = rem[i] - y * c
+            _strip(rem)
+        return q, rem
+
+    def monic(self, a) -> list:
+        inv = a[-1].inverse()
+        return [c * inv for c in a]
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +618,12 @@ class UniPoly:
     are built canonically from coefficients that are already elements of
     ``spec`` and go through the trusted :meth:`_raw` instead.
 
-    Over a prime field F_p, products, division with remainder, ``monic``,
-    ``powmod``, ``split_at`` and :func:`poly_gcd` run on the coefficients'
-    int residues (the ``_fp_*`` kernels) and wrap the result once through
-    the trusted :meth:`_from_ints`.  Over Q and extension fields they run on
-    FieldElement coefficients.
+    Sums, differences, products, division with remainder, ``monic``,
+    ``powmod``, ``split_at`` and :func:`poly_gcd` run on the field's
+    coefficient-list kernels (``spec._lists``) and wrap the result once.
+    Over a prime field F_p those lists hold int residues, so they make no
+    FieldElement arithmetic; over Q and extension fields they hold
+    FieldElements.
     """
 
     __slots__ = ("spec", "coeffs")
@@ -556,19 +645,6 @@ class UniPoly:
         self.spec = spec
         self.coeffs = tuple(coeffs)
         return self
-
-    @classmethod
-    def _from_ints(cls, spec: FieldSpec, vals: list) -> "UniPoly":
-        """Trusted constructor over a prime field: ``vals`` are residues mod
-        p, low-degree-first, with no trailing zeros."""
-        self = object.__new__(cls)
-        self.spec = spec
-        self.coeffs = tuple([FieldElement(spec, v) for v in vals])
-        return self
-
-    def _ints(self) -> list:
-        """The coefficients' residues, over a prime field."""
-        return [c.value for c in self.coeffs]
 
     @classmethod
     def zero(cls, spec):
@@ -612,11 +688,8 @@ class UniPoly:
         return self.coeffs[-1]
 
     def __add__(self, other):
-        other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
-        out = [x + y for x, y in zip(a, b)]
-        out += a[len(b):] or b[len(a):]
-        return UniPoly._raw(self.spec, out)
+        k, other = self.spec._lists, self._coerce(other)
+        return k.wrap(k.add(k.unwrap(self), k.unwrap(other)))
 
     __radd__ = __add__
 
@@ -624,11 +697,8 @@ class UniPoly:
         return UniPoly._raw(self.spec, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
-        out = [x - y for x, y in zip(a, b)]
-        out += a[len(b):] or [-y for y in b[len(a):]]
-        return UniPoly._raw(self.spec, out)
+        k, other = self.spec._lists, self._coerce(other)
+        return k.wrap(k.sub(k.unwrap(self), k.unwrap(other)))
 
     def _coerce(self, other) -> "UniPoly":
         if isinstance(other, UniPoly):
@@ -640,23 +710,14 @@ class UniPoly:
         return UniPoly.const(self.spec, other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        p = self.spec._fp_char
-        if p:
-            return UniPoly._from_ints(self.spec, _fp_mul(self._ints(), other._ints(), p))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly.zero(self.spec)
-        out = [self.spec.zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] = out[j] + x * y
-        return UniPoly._raw(self.spec, out)
+        k, other = self.spec._lists, self._coerce(other)
+        return k.wrap(k.mul(k.unwrap(self), k.unwrap(other)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative exponent {n} for a polynomial")
         acc, base = UniPoly.const(self.spec, 1), self
         while n:
             if n & 1:
@@ -670,24 +731,9 @@ class UniPoly:
         other = self._coerce(other)
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
-        p = self.spec._fp_char
-        if p:
-            q, r = _fp_divmod(self._ints(), other._ints(), p)
-            return UniPoly._from_ints(self.spec, q), UniPoly._from_ints(self.spec, r)
-        *low, lead = other.coeffs
-        d, inv_lead = len(low), lead.inverse()
-        rem = list(self.coeffs)
-        q = [self.spec.zero] * max(len(rem) - d, 0)
-        while len(rem) > d:
-            # the top term cancels exactly, so it is popped, not subtracted
-            c = rem.pop() * inv_lead
-            k = len(rem) - d
-            q[k] = c
-            for i, b in enumerate(low, k):
-                rem[i] = rem[i] - b * c
-            while rem and not rem[-1]:
-                rem.pop()
-        return UniPoly._raw(self.spec, q), UniPoly._raw(self.spec, rem)
+        k = self.spec._lists
+        q, r = k.divmod(k.unwrap(self), k.unwrap(other))
+        return k.wrap(q), k.wrap(r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -698,11 +744,8 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if not self:
             raise ZeroPolynomial("cannot make the zero polynomial monic")
-        p = self.spec._fp_char
-        if p:
-            return UniPoly._from_ints(self.spec, _fp_monic(self._ints(), p))
-        inv = self.leading.inverse()
-        return UniPoly._raw(self.spec, [c * inv for c in self.coeffs])
+        k = self.spec._lists
+        return k.wrap(k.monic(k.unwrap(self)))
 
     def derivative(self) -> "UniPoly":
         return UniPoly._raw(self.spec, [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
@@ -717,28 +760,21 @@ class UniPoly:
         return acc
 
     def powmod(self, n: int, modulus: "UniPoly") -> "UniPoly":
-        p = self.spec._fp_char
-        if p:
-            modulus = self._coerce(modulus)
-            if not modulus:
-                raise ZeroDivisionError("division by zero polynomial")
-            m = modulus._ints()
-            acc, base = _fp_divmod([1], m, p)[1], _fp_divmod(self._ints(), m, p)[1]
-            while n:
-                if n & 1:
-                    acc = _fp_divmod(_fp_mul(acc, base, p), m, p)[1]
-                n >>= 1
-                if n:  # the square after the top bit would go unused
-                    base = _fp_divmod(_fp_mul(base, base, p), m, p)[1]
-            return UniPoly._from_ints(self.spec, acc)
-        acc, base = UniPoly.const(self.spec, 1) % modulus, self % modulus
+        if n < 0:
+            raise ValueError(f"negative exponent {n} for a polynomial")
+        modulus = self._coerce(modulus)
+        if not modulus:
+            raise ZeroDivisionError("division by zero polynomial")
+        k = self.spec._lists
+        m = k.unwrap(modulus)
+        acc, base = k.divmod(k.one, m)[1], k.divmod(k.unwrap(self), m)[1]
         while n:
             if n & 1:
-                acc = (acc * base) % modulus
+                acc = k.divmod(k.mul(acc, base), m)[1]
             n >>= 1
             if n:  # the square after the top bit would go unused
-                base = (base * base) % modulus
-        return acc
+                base = k.divmod(k.mul(base, base), m)[1]
+        return k.wrap(acc)
 
     def ord_at(self, pi: "UniPoly") -> int:
         """Multiplicity of the monic irreducible pi in self (self nonzero)."""
@@ -750,21 +786,13 @@ class UniPoly:
             raise ZeroPolynomial("order of zero polynomial")
         if pi.degree < 1:
             raise NotAPlace(f"{pi.to_text()} has degree < 1, so it is not a place")
-        p = self.spec._fp_char
-        if p:
-            b = self._coerce(pi)._ints()
-            k, f = 0, self._ints()
-            while True:
-                q, r = _fp_divmod(f, b, p)
-                if r:
-                    return k, UniPoly._from_ints(self.spec, f) if k else self
-                k, f = k + 1, q
-        k, f = 0, self
+        k = self.spec._lists
+        b, f, n = k.unwrap(self._coerce(pi)), k.unwrap(self), 0
         while True:
-            q, r = divmod(f, pi)
+            q, r = k.divmod(f, b)
             if r:
-                return k, f
-            k, f = k + 1, q
+                return n, k.wrap(f) if n else self
+            f, n = q, n + 1
 
     def to_text(self, var: str = "t") -> str:
         if not self.coeffs:
@@ -795,15 +823,11 @@ class UniPoly:
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd."""
-    p = a.spec._fp_char
-    if p and b.spec == a.spec:
-        x, y = a._ints(), b._ints()
-        while y:
-            x, y = y, _fp_divmod(x, y, p)[1]
-        return UniPoly._from_ints(a.spec, _fp_monic(x, p) if x else x)
-    while b:
-        a, b = b, a % b
-    return a.monic() if a else a
+    k = a.spec._lists
+    x, y = k.unwrap(a), k.unwrap(a._coerce(b))
+    while y:
+        x, y = y, k.divmod(x, y)[1]
+    return k.wrap(k.monic(x) if x else [])
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,8 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError(f"negative exponent {k} for a polynomial")
         acc = MultiPoly.const(self.spec, self.vars, 1)
         base = self
         while k:

@@ -194,7 +194,7 @@ def assert_canonical_unipoly(r):
 
 
 class TestTrustedUnivariate:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=160, deadline=None)
     @given(st.integers(0, 2**30))
     def test_arithmetic_results_are_canonical(self, seed):
         rng = random.Random(seed)

@@ -517,6 +517,12 @@ class TestGenerator:
 # ---------------------------------------------------------------------------
 
 
+def reference_sum(a, b, sign=1):
+    spec = a.spec
+    n = max(len(a.coeffs), len(b.coeffs))
+    return UniPoly._raw(spec, [a.coeff(i) + b.coeff(i) * sign for i in range(n)])
+
+
 def reference_mul(a, b):
     spec = a.spec
     out = [spec.zero] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
@@ -613,6 +619,8 @@ class TestPrimeFieldKernels:
     @pytest.mark.parametrize("spec", PRIME_FIELDS, ids=lambda s: s.to_text())
     def test_results_equal_the_field_element_loops(self, spec):
         for a, b, pi, n in kernel_cases(spec, spec.char):
+            assert a + b == reference_sum(a, b) and a - b == reference_sum(a, b, -1)
+            assert a - a == reference_sum(a, a, -1)
             assert a * b == reference_mul(a, b)
             assert b * a == reference_mul(b, a)
             assert divmod(a, b) == reference_divmod(a, b)
@@ -638,13 +646,21 @@ class TestPrimeFieldKernels:
                     assert inv == reference_inverse(x), (spec, x)
                     assert type(inv.value) is tuple and len(inv.value) == spec.degree
                     assert all(0 <= v < p for v in inv.value)
+        rng = random.Random(3)
+        for spec in (make_field(0, [1, 0, 1]), make_field(0, [-2, 0, 0, 1])):
+            for _ in range(40):
+                x = spec.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                  for _ in range(spec.degree)])
+                if x:
+                    assert x.inverse() == reference_inverse(x) and x * x.inverse() == spec.one
 
     def test_no_field_element_arithmetic_on_the_int_paths(self, monkeypatch):
         rng = random.Random(11)
         polys = []
         for spec in PRIME_FIELDS:
             for a, b, pi, n in kernel_cases(spec, 100 + spec.char, count=8):
-                polys.append((a, b, pi, n, (reference_mul(a, b), reference_divmod(a, b),
+                polys.append((a, b, pi, n, (reference_sum(a, b), reference_sum(a, b, -1),
+                                            reference_mul(a, b), reference_divmod(a, b),
                                             reference_monic(b), reference_powmod(a, n, pi),
                                             reference_split_at(a, pi) if a else None,
                                             reference_gcd(a, b))))
@@ -659,7 +675,8 @@ class TestPrimeFieldKernels:
         for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
                      "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "inverse"):
             monkeypatch.setattr(FieldElement, name, refuse)
-        for a, b, pi, n, (prod, qr, monic, power, split, gcd) in polys:
+        for a, b, pi, n, (total, diff, prod, qr, monic, power, split, gcd) in polys:
+            assert a + b == total and a - b == diff
             assert a * b == prod
             assert divmod(a, b) == qr
             assert b.monic() == monic
@@ -687,4 +704,12 @@ class TestPrimeFieldKernels:
         for op in (lambda: a * other, lambda: divmod(a, other), lambda: a.powmod(2, other),
                    lambda: a.split_at(other), lambda: poly_gcd(a, other)):
             with pytest.raises(WrongField, match="^mixed fields F7 and F5$"):
+                op()
+
+    @pytest.mark.parametrize("spec", (F7, F9, Q), ids=lambda s: s.to_text())
+    def test_negative_exponent_is_refused(self, spec):
+        # a halving loop never ends on a negative n: -1 >> 1 == -1
+        a = UniPoly(spec, [1, 2, 1])
+        for op in (lambda: a.powmod(-1, UniPoly(spec, [1, 0, 1])), lambda: a**-2):
+            with pytest.raises(ValueError, match="^negative exponent -[12] for a polynomial$"):
                 op()

@@ -185,6 +185,12 @@ class TestOps:
         with pytest.raises(ZeroDivisor):
             f.exact_div(MultiPoly.zero(F7, vs))
 
+    def test_negative_power_is_refused(self):
+        p = parse_poly("t1 + y1", F7, VarSet(1, 1))
+        assert p**0 == MultiPoly.const(F7, p.vars, 1) and p**1 == p
+        with pytest.raises(ValueError, match="^negative exponent -1 for a polynomial$"):
+            p**-1
+
     def test_degree_in(self):
         vs = VarSet(2, 2)
         p = parse_poly("1 - t1*t2*(2*y1*y2 + 5)", F7, vs)
