@@ -43,7 +43,6 @@ from .milnor import (
     k2_presentation_oracle,
     phi_map,
     psi_map,
-    smith_normal_form,
     symbol_reduce,
     tame_symbol,
     theta_map,

@@ -850,9 +850,9 @@ def _freeze_mu(char: int, mu) -> tuple:
 # Largest finite field make_field builds, prime or extension.  It bounds
 # every cost that grows with the order q: is_prime's trial division of the
 # characteristic and the factorization of q - 1 (up to sqrt(q) divisions
-# each), Berlekamp's splitting scan over the elements, and the discrete-log
-# table (q - 1 products).  The generator test needs only a few powers per
-# candidate.
+# each), and the discrete-log table (q - 1 products).  The generator test
+# needs only a few powers per candidate, and factorization only powers with
+# exponents of about log q bits.
 FINITE_FIELD_MAX_ORDER = 2**16
 
 
@@ -1026,83 +1026,97 @@ def _squarefree_parts(f: UniPoly) -> list[tuple[UniPoly, int]]:
     return out
 
 
-def _frobenius_kernel(f: UniPoly) -> list[UniPoly]:
-    # null space of (Q - I) where Q is the matrix of h -> h^q mod f
-    spec = f.spec
-    q = spec.order
-    n = f.degree
-    xq = UniPoly.x(spec).powmod(q, f)
-    rows = [UniPoly.const(spec, 1)]
-    for _ in range(1, n):
-        rows.append((rows[-1] * xq) % f)
-    # columns of M: images minus identity, transposed for elimination
-    m = [[rows[i].coeff(j) - (spec.one if i == j else spec.zero) for i in range(n)] for j in range(n)]
-    # Gaussian elimination over the field
-    pivots = []
-    row = 0
-    for col in range(n):
-        sel = next((r for r in range(row, n) if m[r][col]), None)
-        if sel is None:
-            continue
-        m[row], m[sel] = m[sel], m[row]
-        inv = m[row][col].inverse()
-        m[row] = [x * inv for x in m[row]]
-        for r in range(n):
-            if r != row and m[r][col]:
-                c = m[r][col]
-                m[r] = [a - c * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-    basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
-        vec = [spec.zero] * n
-        vec[fc] = spec.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -m[r][fc]
-        basis.append(UniPoly._raw(spec, vec))
-    return basis
+def _distinct_degree_parts(f: UniPoly) -> Iterator[tuple[UniPoly, int]]:
+    # monic squarefree f -> (g, d) in increasing d, g the product of f's
+    # irreducible factors of degree d: gcd(f, t^(q^d) - t) for d = 1, 2, ...
+    # while deg f >= 2d, and what is left is irreducible
+    q, t = f.spec.order, UniPoly.x(f.spec)
+    frob, d = t, 1
+    while f.degree >= 2 * d:
+        frob = frob.powmod(q, f)
+        g = poly_gcd(f, frob - t)
+        if g.degree > 0:
+            yield g, d
+            f = f // g
+        d += 1
+    if f.degree > 0:
+        yield f, f.degree
 
 
-def _berlekamp_factor(f: UniPoly) -> list[UniPoly]:
-    # complete factorization of a monic squarefree f over a finite field
-    if f.degree <= 1:
-        return [f]
-    kernel = _frobenius_kernel(f)
-    k = len(kernel)
-    if k == 1:
-        return [f]
-    factors = [f]
-    elems = list(f.spec.elements())
-    for h in kernel:
-        if h.degree < 1:
-            continue
-        next_factors = []
-        for g in factors:
-            if g.degree == 1:
-                next_factors.append(g)
-                continue
-            pieces = []
-            for c in elems:
-                d = poly_gcd(g, h - UniPoly.const(f.spec, c))
-                if d.degree > 0:
-                    pieces.append(d)
-            next_factors.extend(pieces if len(pieces) > 1 else [g])
-        factors = next_factors
-        if len(factors) == k:
+def _monic_splitters(spec: FieldSpec, n: int) -> Iterator[UniPoly]:
+    # the monic polynomials of degree 1 .. n - 1, by degree; the field's
+    # elements are listed only once degree 2 is reached
+    one = spec.one
+    for c in spec.elements():
+        yield UniPoly._raw(spec, (c, one))
+    for deg in range(2, n):
+        for low in itertools.product(spec.elements(), repeat=deg):
+            yield UniPoly._raw(spec, low + (one,))
+
+
+def _trace_splitters(spec: FieldSpec, n: int) -> Iterator[UniPoly]:
+    # b * t^j for b in the F_2-basis 1, u, ..., u^(k-1) of F_q and 1 <= j < n
+    basis = [spec.element([0] * i + [1]) for i in range(spec.degree)] if spec.ext else [spec.one]
+    for j in range(1, n):
+        for b in basis:
+            yield UniPoly._raw(spec, (spec.zero,) * j + (b,))
+
+
+def _splitting_poly(h: UniPoly, g: UniPoly, d: int) -> UniPoly:
+    # gcd(g, result) is the product of the degree-d factors of g at which h is
+    # a nonzero square (odd q: h^((q^d - 1)/2) - 1) or has absolute trace 0
+    # (q = 2^k: h + h^2 + ... + h^(2^(kd - 1)))
+    spec = g.spec
+    if spec.char != 2:
+        return h.powmod((spec.order**d - 1) // 2, g) - 1
+    h = h % g
+    trace = h
+    for _ in range(spec.degree * d - 1):
+        h = h * h % g
+        trace = trace + h
+    return trace
+
+
+def _equal_degree_factors(g: UniPoly, d: int) -> list[UniPoly]:
+    """The irreducible factors of a monic squarefree g whose factors all have degree d.
+
+    Every splitter is tried on every piece that is still reducible.  The
+    splitters separate any two factors, so the split is complete.  Odd q:
+    some h of degree < deg g is a square at one factor and not at the
+    other, by the Chinese remainder theorem; scaling h by c multiplies each
+    factor's character by the same chi(c), so monic h suffice.  q = 2^k:
+    Tr_{q^d/2}(b * a^j) = Tr_{q/2}(b * Tr_{q^d/q}(a^j)) at a root a; roots
+    of two distinct factors differ in some Tr_{q^d/q}(a^j) with j < 2d (each
+    trace sequence satisfies the linear recurrence of its factor, so two that
+    agree for j < 2d agree for all j), and the trace form over F_2 is
+    nondegenerate.
+    """
+    spec, count = g.spec, g.degree // d
+    splitters = (_trace_splitters if spec.char == 2 else _monic_splitters)(spec, g.degree)
+    factors = [g]
+    for h in splitters:
+        if len(factors) == count:
             break
+        pieces = []
+        for p in factors:
+            s = poly_gcd(p, _splitting_poly(h, p, d)) if p.degree > d else p
+            pieces += [s, p // s] if 0 < s.degree < p.degree else [p]
+        factors = pieces
     return factors
 
 
 # Bounds that keep factorization finite on untrusted input.  A squarefree
 # part past a bound is returned unfactored, so place enumeration raises
 # UnfactorableEntry.  Worst cases measured at the bounds on one core of a
-# 2-core x86 box, Python 3.11: Berlekamp on a degree-64 part with 25 factors
-# over F_7 takes 0.4 s (the cost grows with the cube of the degree, and its
-# splitting step scans every field element: 1.4 s over F_101); over Q the
-# divisor scan of an end coefficient near 10^10 takes 0.02 s, and 1024
-# candidate roots of a degree-64 part take 0.5 s.
-BERLEKAMP_MAX_DEGREE = 64
+# 2-core x86 box, Python 3.11: splitting a degree-64 part into 64 linear
+# factors over F_65521 takes 0.08 s, into 32 quadratics over F_9 0.08 s.
+# A random degree-64 part, whose distinct-degree pass runs to d = 32, takes
+# 0.03 s over F_7 and 1.0 s over F_65521, but 33 s over F_{2^16} and 53 s
+# over F_{3^10}: each pass step is about log2(q) products mod the part, and
+# a coefficient product in a large extension is slow.  Over Q the divisor
+# scan of an end coefficient near 10^10 takes 0.02 s, and 1024 candidate
+# roots of a degree-64 part take 0.5 s.
+SQUAREFREE_SPLIT_MAX_DEGREE = 64
 RATIONAL_ROOT_MAX_INT = 10**10
 RATIONAL_ROOT_MAX_TRIES = 1024
 
@@ -1168,15 +1182,17 @@ def _rational_factor(f: UniPoly) -> Factorization:
 def factor_univariate(f: UniPoly) -> Factorization:
     """Factor a nonzero univariate polynomial.
 
-    Over finite fields: squarefree decomposition followed by deterministic
-    Berlekamp splitting of each squarefree part of degree at most
-    BERLEKAMP_MAX_DEGREE.  Over Q: squarefree decomposition, then the
-    rational roots of each part, found among at most RATIONAL_ROOT_MAX_TRIES
-    candidates while its integerized end coefficients are at most
-    RATIONAL_ROOT_MAX_INT; a rootless cofactor of degree 2 or 3 is certified
-    irreducible.  Parts past a bound, and larger rootless cofactors, are
-    returned unfactored.  A polynomial of degree 1 is its own factorization
-    over every field; otherwise extensions of Q raise ExtensionNotSupported.
+    Over finite fields: squarefree decomposition, then each squarefree part
+    of degree at most SQUAREFREE_SPLIT_MAX_DEGREE is split by gcds alone
+    (Cantor-Zassenhaus): distinct-degree parts gcd(g, t^(q^d) - t), then a
+    deterministic equal-degree split of each.  Over Q: squarefree
+    decomposition, then the rational roots of each part, found among at most
+    RATIONAL_ROOT_MAX_TRIES candidates while its integerized end
+    coefficients are at most RATIONAL_ROOT_MAX_INT; a rootless cofactor of
+    degree 2 or 3 is certified irreducible.  Parts past a bound, and larger
+    rootless cofactors, are returned unfactored.  A polynomial of degree 1
+    is its own factorization over every field; otherwise extensions of Q
+    raise ExtensionNotSupported.
     """
     if not f:
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -1189,27 +1205,33 @@ def factor_univariate(f: UniPoly) -> Factorization:
         return _rational_factor(f)
     parts = []
     for g, m in _squarefree_parts(f.monic()):
-        if g.degree > BERLEKAMP_MAX_DEGREE:
+        if g.degree > SQUAREFREE_SPLIT_MAX_DEGREE:
             parts.append(FactorPart(g, m, False))
             continue
-        for irr in _berlekamp_factor(g):
-            parts.append(FactorPart(irr.monic(), m, True))
+        for h, d in _distinct_degree_parts(g):
+            parts.extend(FactorPart(irr, m, True) for irr in _equal_degree_factors(h, d))
     return Factorization(f.leading, parts)
 
 
 def is_irreducible(f: UniPoly) -> bool:
-    """Irreducibility test; over Q certified only up to degree 3."""
+    """Irreducibility test; over Q certified only up to degree 3.
+
+    Over a finite field, one distinct-degree pass that stops at its first
+    part: a reducible f has an irreducible factor of degree at most
+    deg f / 2, squarefree or not, so only an irreducible f comes first.  Past
+    degree 1, extensions of Q raise ExtensionNotSupported.
+    """
     if f.degree <= 0:
         return False
     if f.degree == 1:
         return True
     if f.spec.char == 0:
+        if f.spec.is_extension:
+            raise ExtensionNotSupported("irreducibility over extensions of Q is not supported")
         parts = _rational_factor(f).parts
         return len(parts) == 1 and parts[0].multiplicity == 1 and parts[0].irreducible
-    sq = _squarefree_parts(f.monic())
-    if len(sq) != 1 or sq[0][1] != 1:
-        return False
-    return len(_frobenius_kernel(f.monic())) == 1
+    g = f.monic()
+    return next(_distinct_degree_parts(g)) == (g, g.degree)
 
 
 # ---------------------------------------------------------------------------

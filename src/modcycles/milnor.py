@@ -22,6 +22,7 @@ and report it.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -402,72 +403,8 @@ def total_delta(s: MilnorElement, include_infinity: bool = True) -> dict[Valuati
 
 
 # ---------------------------------------------------------------------------
-# K_2 presentation oracle via integer Smith normal form
+# K_2 presentation oracle: one relation column, so one gcd
 # ---------------------------------------------------------------------------
-
-
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Invariant factors d_1 | d_2 | ... of an integer matrix (zeros dropped)."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return []
-    nrows, ncols = len(m), len(m[0])
-    diag = []
-    top = 0
-    while top < min(nrows, ncols):
-        # find a nonzero pivot
-        pivot = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if m[i][j]:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if not pivot:
-            break
-        i, j = pivot
-        m[top], m[i] = m[i], m[top]
-        for r in m:
-            r[top], r[j] = r[j], r[top]
-        # clear row and column, iterating because remainders reappear
-        while True:
-            moved = False
-            for i in range(top + 1, nrows):
-                if m[i][top]:
-                    q = m[i][top] // m[top][top]
-                    for j in range(top, ncols):
-                        m[i][j] -= q * m[top][j]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                        moved = True
-            for j in range(top + 1, ncols):
-                if m[top][j]:
-                    q = m[top][j] // m[top][top]
-                    for i in range(top, nrows):
-                        m[i][j] -= q * m[i][top]
-                    if m[top][j]:
-                        for i in range(top, nrows):
-                            m[i][top], m[i][j] = m[i][j], m[i][top]
-                        moved = True
-            if not moved:
-                break
-        # divisibility fixup: pivot must divide the rest of the block
-        fix = None
-        for i in range(top + 1, nrows):
-            for j in range(top + 1, ncols):
-                if m[i][j] % m[top][top]:
-                    fix = i
-                    break
-            if fix:
-                break
-        if fix is not None:
-            for j in range(top, ncols):
-                m[top][j] += m[fix][j]
-            continue
-        diag.append(abs(m[top][top]))
-        top += 1
-    return [d for d in diag if d]
 
 
 # The oracle enumerates the units of F_q; larger fields are refused.
@@ -521,8 +458,9 @@ def k2_presentation_oracle(q: int) -> K2Presentation:
 
     With discrete logs to the stored generator g, bilinearity identifies the
     symbol group with Z/(q-1) generated by {g, g}, and each a outside {0, 1}
-    contributes the relation dlog(a) * dlog(1-a).  The Smith normal form of
-    the relation column yields the elementary divisors of the quotient.
+    contributes the relation dlog(a) * dlog(1-a).  The relations form one
+    integer column, so the quotient is Z/d with d the gcd of the column: its
+    only elementary divisor.
     """
     if q < 2:
         raise NotPrimePower("q must be at least 2")
@@ -531,13 +469,9 @@ def k2_presentation_oracle(q: int) -> K2Presentation:
         raise OracleTooLarge(f"the oracle enumerates units; q is capped at {K2_ORACLE_MAX_Q}")
     spec = make_field(p) if d == 1 else standard_extension(p, d)
     one = spec.one
-    rows = [[q - 1]]  # the order of the cyclic carrier
-    for a in spec.elements():
-        if not a or a == one:
-            continue
-        rows.append([spec.dlog(a) * spec.dlog(one - a)])
-    invariants = smith_normal_form(rows)
-    return K2Presentation(q, len(rows) - 1, invariants)
+    relations = [spec.dlog(a) * spec.dlog(one - a) for a in spec.elements() if a and a != one]
+    # q - 1, the order of the cyclic carrier, is at least 1, so the gcd is too
+    return K2Presentation(q, len(relations), [math.gcd(q - 1, *relations)])
 
 
 def k2_table(max_q: int) -> list[K2Presentation]:

@@ -13,8 +13,8 @@ import pytest
 from modcycles.cli import CURVES_MAX_ENTRIES, build_parser, main
 from modcycles.cycles import FACE_CHECK_MAX_N, ClosedPoint, ModulusDatum
 from modcycles.fields import (
-    BERLEKAMP_MAX_DEGREE,
     RATIONAL_ROOT_MAX_INT,
+    SQUAREFREE_SPLIT_MAX_DEGREE,
     UniPoly,
     is_irreducible,
     make_field,
@@ -495,7 +495,8 @@ class TestUntrustedInputInASubprocess:
         }), 1, None),
         # the factorization bounds, each at bound + 1
         (["curves", "xi", "--field", "Fp:7", "--unit", "3", "--pi", "t - 1",
-          "--entries", _squarefree_f7_text(BERLEKAMP_MAX_DEGREE + 1)], None, 2, "UnfactorableEntry"),
+          "--entries", _squarefree_f7_text(SQUAREFREE_SPLIT_MAX_DEGREE + 1)],
+         None, 2, "UnfactorableEntry"),
         (XI_Q + [f"t^2 + {RATIONAL_ROOT_MAX_INT + 1}"], None, 2, "UnfactorableEntry"),
         # end coefficients with 19 and 27 divisors: 2 * 19 * 27 candidate roots
         (XI_Q + [f"{3**18}*t^2 + {2**26}"], None, 2, "UnfactorableEntry"),
@@ -504,7 +505,7 @@ class TestUntrustedInputInASubprocess:
           "--pi", "t - 1/2", "--power", str(XI_MAX_POWER)], None, 0, None),
     ], ids=["generator-a-over-0", "totaro-entry-over-0", "xi-entry-over-0",
             "verify-point-over-0", "verify-field-over-0", "verify-embedding-over-0",
-            "verify-embedding-on-constant-base", "berlekamp-degree", "rational-root-integer",
+            "verify-embedding-on-constant-base", "split-degree", "rational-root-integer",
             "rational-root-tries", "xi-max-power-over-q"])
     def test_exit_code_and_json_report(self, tmp_path, argv, cert, exit_code, error):
         if cert is not None:

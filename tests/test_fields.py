@@ -124,14 +124,104 @@ class TestFieldAxioms:
             assert a * a.inverse() == spec.one
 
 
+def reference_frobenius_kernel(f):
+    """Berlekamp's subalgebra: the null space of Q - I, Q the matrix of h -> h^q mod f."""
+    spec, n = f.spec, f.degree
+    xq = UniPoly.x(spec).powmod(spec.order, f)
+    rows = [UniPoly.const(spec, 1)]
+    for _ in range(1, n):
+        rows.append((rows[-1] * xq) % f)
+    m = [[rows[i].coeff(j) - (spec.one if i == j else spec.zero) for i in range(n)]
+         for j in range(n)]
+    pivots, row = [], 0
+    for col in range(n):
+        sel = next((r for r in range(row, n) if m[r][col]), None)
+        if sel is None:
+            continue
+        m[row], m[sel] = m[sel], m[row]
+        inv = m[row][col].inverse()
+        m[row] = [x * inv for x in m[row]]
+        for r in range(n):
+            if r != row and m[r][col]:
+                c = m[r][col]
+                m[r] = [a - c * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [spec.zero] * n
+        vec[fc] = spec.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -m[r][fc]
+        basis.append(UniPoly._raw(spec, vec))
+    return basis
+
+
+def reference_berlekamp_factor(f):
+    """Berlekamp: split a monic squarefree f by gcd(g, h - c) for each kernel
+    element h and every field element c."""
+    if f.degree <= 1:
+        return [f]
+    kernel = reference_frobenius_kernel(f)
+    factors, elems = [f], list(f.spec.elements())
+    for h in kernel:
+        if len(factors) == len(kernel):
+            break
+        if h.degree < 1:
+            continue
+        split = []
+        for g in factors:
+            pieces = [d for d in (poly_gcd(g, h - UniPoly.const(f.spec, c)) for c in elems)
+                      if d.degree > 0] if g.degree > 1 else [g]
+            split.extend(pieces if len(pieces) > 1 else [g])
+        factors = split
+    return factors
+
+
+def reference_is_irreducible(f):
+    """Over a finite field: squarefree with a one-dimensional Berlekamp subalgebra."""
+    if f.degree <= 1:
+        return f.degree == 1
+    sq = fields._squarefree_parts(f.monic())
+    return sq == [(f.monic(), 1)] and len(reference_frobenius_kernel(f.monic())) == 1
+
+
 def general_factorization(f):
-    """The factorization path a polynomial of degree >= 2 takes over a base field."""
+    """The factorization path a polynomial of degree >= 2 takes over a base
+    field, with Berlekamp splitting over finite fields."""
     if f.spec.char == 0:
         return fields._rational_factor(f)
     return Factorization(f.leading, [
         FactorPart(irr.monic(), m, True)
-        for g, m in fields._squarefree_parts(f.monic()) for irr in fields._berlekamp_factor(g)
+        for g, m in fields._squarefree_parts(f.monic()) for irr in reference_berlekamp_factor(g)
     ])
+
+
+def seeded_irreducibles(spec, rng, degree, count):
+    """Up to count distinct random monic irreducibles of degree 1, 2 or 3,
+    certified by the Berlekamp subalgebra."""
+    q = spec.order
+    count = min(count, {1: q, 2: (q * q - q) // 2, 3: (q**3 - q) // 3}[degree])
+    out = []
+    while len(out) < count:
+        low = [[rng.randrange(spec.char) for _ in range(spec.degree)] if spec.ext
+               else rng.randrange(spec.char) for _ in range(degree)]
+        g = UniPoly(spec, low + [1])
+        if g not in out and reference_is_irreducible(g):
+            out.append(g)
+    return out
+
+
+def seeded_product(spec, rng):
+    """(f, its factorization): distinct irreducibles, several of each degree,
+    some of them repeated."""
+    parts = []
+    for degree, count in ((1, rng.randrange(1, 5)), (2, rng.randrange(0, 4)),
+                          (3, rng.randrange(0, 3))):
+        for g in seeded_irreducibles(spec, rng, degree, count):
+            parts.append(FactorPart(g, rng.choice((1, 1, 2, 3)), True))
+    fac = Factorization(spec.element(rng.randrange(1, spec.char)), parts)
+    return fac.expand(), fac
 
 
 class TestFactorization:
@@ -218,12 +308,19 @@ class TestFactorization:
         assert fac.parts == (FactorPart(half, 60, True), FactorPart(quad, 2, True))
 
     def test_berlekamp_degree_bound(self):
+        # the bound on the degree of a squarefree part that gets split
         F7 = make_field(7)
-        cap = fields.BERLEKAMP_MAX_DEGREE
+        cap = fields.SQUAREFREE_SPLIT_MAX_DEGREE
         at_cap = UniPoly(F7, [3, 1] + [0] * (cap - 2) + [1])
         assert factor_univariate(at_cap).fully_factored
         past = UniPoly(F7, [3, 1] + [0] * (cap - 1) + [1])
         assert factor_univariate(past).parts == (FactorPart(past, 1, False),)
+
+    def test_is_irreducible_refuses_an_extension_of_q(self):
+        qi = EXTENSIONS["Q(i)"]
+        assert is_irreducible(UniPoly(qi, [qi.gen_u, 1]))
+        with pytest.raises(ExtensionNotSupported):
+            is_irreducible(UniPoly(qi, [1, 0, 1]))
 
     def test_rational_root_integer_bound(self):
         cap = fields.RATIONAL_ROOT_MAX_INT
@@ -254,6 +351,37 @@ class TestFactorization:
         for pi in (UniPoly.const(F5, 1), UniPoly.const(F5, 3)):
             with pytest.raises(NotAPlace):
                 f.ord_at(pi)
+
+
+class TestGcdSplitting:
+    """Distinct-degree and equal-degree splitting against Berlekamp."""
+
+    @pytest.mark.parametrize("spec, degrees", [
+        (F2, (2, 3, 4)), (make_field(3), (2, 3, 4)), (standard_extension(2, 2), (2, 3, 4)),
+        (standard_extension(2, 3), (2, 3)), (F5, (2, 3)), (F7, (2, 3)), (F9, (2, 3)),
+    ], ids=["F2", "F3", "F4", "F8", "F5", "F7", "F9"])
+    def test_every_small_monic_polynomial(self, spec, degrees):
+        elems = list(spec.elements())
+        for degree in degrees:
+            for low in itertools.product(elems, repeat=degree):
+                f = UniPoly(spec, list(low) + [1])
+                assert factor_univariate(f).parts == general_factorization(f).parts, f
+                assert is_irreducible(f) == reference_is_irreducible(f), f
+
+    @pytest.mark.parametrize("spec", [standard_extension(2, 4), standard_extension(5, 2),
+                                      standard_extension(7, 2), F65521],
+                             ids=["F16", "F25", "F49", "F65521"])
+    def test_seeded_products_with_repeated_and_equal_degree_factors(self, spec):
+        rng = random.Random(spec.order)
+        for _ in range(6):
+            f, expected = seeded_product(spec, rng)
+            fac = factor_univariate(f)
+            assert fac.unit == expected.unit and fac.parts == expected.parts
+            if spec.order < 100:  # Berlekamp scans every element
+                assert fac.parts == general_factorization(f).parts
+            for part in fac.parts:
+                assert is_irreducible(part.poly)
+                assert not is_irreducible(part.poly * part.poly)
 
 
 class TestNorm:
@@ -668,6 +796,14 @@ class TestPrimeFieldKernels:
                for x in rng.sample([e for e in spec.elements() if e], 8)]
         inverses = [reference_inverse(x) for x in ext]
         inverse = FieldElement.inverse
+        splits = []
+        for spec in PRIME_FIELDS:
+            _, fac = seeded_product(spec, random.Random(200 + spec.char))
+            g = UniPoly.const(spec, 1)
+            for part in fac.parts:
+                g = g * part.poly
+            splits.append((g, list(fields._distinct_degree_parts(g)),
+                           {part.poly for part in fac.parts}))
 
         def refuse(*args):
             raise AssertionError("FieldElement arithmetic on an int path")
@@ -685,6 +821,10 @@ class TestPrimeFieldKernels:
                 assert a.split_at(pi) == split
             assert poly_gcd(a, b) == gcd
         assert [inverse(x) for x in ext] == inverses
+        for g, parts, irreducibles in splits:
+            assert list(fields._distinct_degree_parts(g)) == parts
+            factors = [irr for h, d in parts for irr in fields._equal_degree_factors(h, d)]
+            assert len(factors) == len(irreducibles) and set(factors) == irreducibles
 
     def test_error_messages_are_unchanged(self):
         a, zero = UniPoly(F7, [1, 2, 3]), UniPoly.zero(F7)

@@ -1,5 +1,8 @@
 """Milnor symbols, tame residues, the K_2 oracle, and the cycle-symbol bridge."""
 
+import contextlib
+import hashlib
+import io
 import random
 from fractions import Fraction
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modcycles.cli import main
 from modcycles.fields import UniPoly, make_field, norm_k1_finite
 from modcycles.polyring import RatFunc
 from modcycles.cycles import ClosedPoint, CoordModel, ParamCurve, ZeroCycle, curve_boundary
@@ -26,7 +30,6 @@ from modcycles.milnor import (
     k2_table,
     phi_map,
     psi_map,
-    smith_normal_form,
     symbol_reduce,
     tame_symbol,
     theta_map,
@@ -222,35 +225,6 @@ class TestTotalDelta:
             total_delta(e)
 
 
-class TestSmithNormalForm:
-    def test_known_matrix(self):
-        # diag(2, 6) from a classic example
-        assert smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == [2, 2, 156]
-
-    def test_divisibility_chain_random(self):
-        rng = random.Random(4)
-        for _ in range(30):
-            rows = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
-            d = smith_normal_form(rows)
-            for a, b in zip(d, d[1:]):
-                assert b % a == 0
-
-    def test_determinant_preserved_up_to_sign(self):
-        rng = random.Random(5)
-        for _ in range(30):
-            rows = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)]
-            det = (
-                rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-                - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-                + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-            )
-            d = smith_normal_form(rows)
-            prod = 1
-            for x in d:
-                prod *= x
-            assert prod == abs(det)
-
-
 class TestK2Oracle:
     def test_trivial_through_16(self):
         for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
@@ -278,6 +252,20 @@ class TestK2Oracle:
             else:
                 with pytest.raises(NotPrimePower):
                     _prime_power(q)
+
+    def test_table_through_64_is_pinned(self):
+        # the relations are one integer column, so the only elementary
+        # divisor is the gcd of q - 1 and the dlog products
+        prime_powers = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
+                        37, 41, 43, 47, 49, 53, 59, 61, 64]
+        assert [pres.q for pres in k2_table(64)] == prime_powers
+        for q in prime_powers:
+            assert k2_presentation_oracle(q).to_json() == {
+                "q": q, "relations": q - 2, "elementary_divisors": [1], "trivial": True}
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["ktheory", "k2-table", "--max-q", "64"]) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest()[:16] == "97ae319f48786c1e"
 
     def test_table_cap(self):
         assert [pres.q for pres in k2_table(9)] == [2, 3, 4, 5, 7, 8, 9]
