@@ -187,17 +187,16 @@ def cmd_boundary(args) -> int:
         C = ser.curve_from_json(data)
         if "embedding" in data:
             emb = ser.embedding_from_json(data["embedding"], C.spec)
-            out = pushforward_closed_immersion(C, emb).boundary(args.flip_sign)
+            out = pushforward_closed_immersion(C, emb).boundary()
         else:
-            out = curve_boundary(C, flip_inner=args.flip_sign)
-        _emit(ser.zerocycle_to_json(out), args)
+            out = curve_boundary(C)
+        _emit(ser.zerocycle_to_json(-out if args.flip_sign else out), args)
         return 0
     Z, D = _load_cycle(args)
     if not isinstance(Z, HypersurfaceCycle):
         raise InputError("0-cycles have no boundary; use --curve for curves")
-    out = boundary(Z, flip_inner=args.flip_sign,
-                   level0_flag=args.level0_degeneracy == "on")
-    _emit(ser.cycle_to_json(out, D), args)
+    out = boundary(Z, level0_flag=args.level0_degeneracy == "on")
+    _emit(ser.cycle_to_json(-out if args.flip_sign else out, D), args)
     return 0
 
 
@@ -386,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("boundary", help="cubical boundary of a cycle or curve")
     _add_io(p)
     p.add_argument("--curve", help="curve JSON path (instead of a cycle)")
-    p.add_argument("--flip-sign", action="store_true", help="opposite inner sign convention")
+    p.add_argument("--flip-sign", action="store_true",
+                   help="print -d, the boundary in the opposite inner sign convention")
     p.add_argument("--level0-degeneracy", choices=("on", "off"), default="on")
     p.set_defaults(fn=cmd_boundary)
 

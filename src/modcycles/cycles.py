@@ -514,12 +514,9 @@ def prune_degenerate(Z: HypersurfaceCycle, level0_flag: bool = True) -> Hypersur
     return HypersurfaceCycle._trusted(Z._ambient, out)
 
 
-def boundary(Z: HypersurfaceCycle, *, flip_inner: bool = False,
-             level0_flag: bool = True) -> HypersurfaceCycle:
-    """The cubical boundary, signed per the model's convention.
-
-    ``flip_inner`` negates the inner face difference (the opposite sign
-    convention); identities asserted by the test suite hold either way.
+def boundary(Z: HypersurfaceCycle, *, level0_flag: bool = True) -> HypersurfaceCycle:
+    """The cubical boundary sum_i (-1)^i (d_i^pos - d_i^neg), with the face
+    pair of the model.  The opposite inner sign convention is its negative.
     ``level0_flag`` applies the level-0 degeneracy convention to the output.
     """
     n = Z.vars.n
@@ -528,11 +525,8 @@ def boundary(Z: HypersurfaceCycle, *, flip_inner: bool = False,
     pos, neg = Z.model.boundary_pair
     total = HypersurfaceCycle.empty(Z.spec, VarSet(Z.vars.r, n - 1), Z.model)
     for i in range(1, n + 1):
-        sign = (-1) ** i
-        if flip_inner:
-            sign = -sign
         part = face_restrict(Z, i, pos) - face_restrict(Z, i, neg)
-        total = total + part.scale(sign)
+        total = total + part.scale((-1) ** i)
     return prune_degenerate(total, level0_flag=level0_flag)
 
 
@@ -742,17 +736,21 @@ def check_modulus_codim1(Z: HypersurfaceCycle, D: ModulusDatum) -> ModulusReport
     results = []
     n = Z.vars.n
     lifted = _lift_divisor(D, Z.vars)
+    ones = D.monomial_exponents == (1,) * D.r
+    if n == 0 and D.is_monomial and not ones:
+        rad = _lift_divisor(ModulusDatum(D.radical_poly(), None), Z.vars)
+    else:
+        rad = lifted
+    one = MultiPoly.const(Z.spec, Z.vars, 1)
     for _, p in Z.components():
         text = p.to_text()
         if p.constant_term != Z.spec.one:
             raise ConstantTermZero(
                 f"component {text} has constant term 0; it meets the t-axes"
             )
-        f1 = p - MultiPoly.const(Z.spec, Z.vars, 1)
+        f1 = p - one
         if n == 0:
             if D.is_monomial:
-                rad = _lift_divisor(ModulusDatum(D.radical_poly(), None), Z.vars) \
-                    if D.monomial_exponents != tuple(1 for _ in range(D.r)) else lifted
                 if _divides(rad, f1):
                     results.append((text, ModulusVerdict.CERTIFIED,
                                     "support disjointness: radical divides f - 1"))
@@ -772,12 +770,12 @@ def check_modulus_codim1(Z: HypersurfaceCycle, D: ModulusDatum) -> ModulusReport
             results.append((text, ModulusVerdict.VIOLATES,
                             f"y-degrees {degs} exceed 1"))
             continue
-        if _divides(lifted, f1) and all(d <= 1 for d in degs):
+        divides = _divides(lifted, f1)
+        if divides and all(d <= 1 for d in degs):
             results.append((text, ModulusVerdict.CERTIFIED,
                             "divisor divides f - 1 and y-degrees are at most 1"))
             continue
-        ones = D.monomial_exponents == tuple(1 for _ in range(D.r))
-        if ones and not _divides(lifted, f1):
+        if ones and not divides:
             results.append((text, ModulusVerdict.VIOLATES,
                             "t1...tr does not divide f - 1"))
             continue
@@ -950,8 +948,7 @@ def _places(poly: UniPoly) -> list[tuple[UniPoly, int]]:
     return out
 
 
-def curve_boundary(curve: ParamCurve, *, domain_poles: Sequence[UniPoly] = (),
-                   flip_inner: bool = False) -> ZeroCycle:
+def curve_boundary(curve: ParamCurve, *, domain_poles: Sequence[UniPoly] = ()) -> ZeroCycle:
     """Cubical boundary of a parametric curve as a 0-cycle one level down.
 
     Candidate points are the parameter values where some component g meets a
@@ -1023,8 +1020,6 @@ def curve_boundary(curve: ParamCurve, *, domain_poles: Sequence[UniPoly] = (),
         sign = (-1) ** (idx + 1)  # components are 1-indexed in the convention
         if face == neg_face:
             sign = -sign
-        if flip_inner:
-            sign = -sign
         terms.append((sign * mult, ClosedPoint(ell, t_vals, y_vals)))
     r_out = 1 if graph else len(curve.base_t_coords)
     return ZeroCycle(spec, model, r_out, curve.n - 1, terms)
@@ -1084,9 +1079,9 @@ class EmbeddedCurve:
         self.curve = curve
         self.embedding = embedding
 
-    def boundary(self, flip_inner: bool = False) -> ZeroCycle:
+    def boundary(self) -> ZeroCycle:
         poles = [e.den for e in self.embedding]
-        line = curve_boundary(self.curve, domain_poles=poles, flip_inner=flip_inner)
+        line = curve_boundary(self.curve, domain_poles=poles)
         return pushforward_closed_immersion(line, self.embedding)
 
 

@@ -16,8 +16,7 @@ sign: with the ORIGINAL-model boundary, a graph curve C over the parameter
 line satisfies  phi(dC) = (-1)^n * delta(theta(C))  componentwise at finite
 places, and the bounded realization of residues satisfies the matching
 d(xi) = (-1)^n * psi(delta([f])), psi extended Z-linearly.  The verifiers
-check against the constant :data:`GRAPH_BOUNDARY_SIGN` exponent convention
-and report it.
+compute (-1)^n from the curve's level and report it with their verdict.
 """
 
 from __future__ import annotations
@@ -49,11 +48,6 @@ from .cycles import (
     _places,
     curve_boundary,
 )
-
-# d(graph boundary) vs tame-symbol total residue differ by (-1)^n, n the
-# residue symbol length; see the module docstring.
-GRAPH_BOUNDARY_SIGN = -1  # the base case n = 1
-
 
 class MilnorError(Exception):
     pass

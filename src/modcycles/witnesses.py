@@ -137,8 +137,8 @@ def rho(Z: HypersurfaceCycle, D: ModulusDatum) -> FieldElement:
     return total
 
 
-def rho_of_boundary(W: HypersurfaceCycle, D: ModulusDatum, flip_inner: bool = False) -> FieldElement:
-    return rho(boundary(W, flip_inner=flip_inner), D)
+def rho_of_boundary(W: HypersurfaceCycle, D: ModulusDatum) -> FieldElement:
+    return rho(boundary(W), D)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +242,7 @@ def _run_check(check: str, data: dict, memo: dict):
         return ser.element_to_json(rho(Z, D))
     if check == "rho_of_boundary_zero":
         W, D = _decoded(memo, "cycle_from_json", data["cycle"])
-        vals = [rho_of_boundary(W, D, flip_inner=flip) for flip in (False, True)]
-        return all(not v for v in vals)
+        return not rho_of_boundary(W, D)
     if check == "curve_boundary_equals":
         C = _decoded(memo, "curve_from_json", data["curve"])
         emb = _decoded(memo, "embedding_from_json", data["embedding"], C.spec) \
@@ -328,17 +327,15 @@ def verify_rho_reciprocity(W: HypersurfaceCycle, D: ModulusDatum) -> WitnessCert
     """Certificate that rho kills the boundary of an admissible level-2 cycle."""
     if W.vars.n != 2:
         raise WrongLevel("reciprocity concerns level-2 cycles")
-    face = check_face_condition(W)
-    mod = check_modulus_codim1(W, D)
-    if not face.passed or mod.verdict is not ModulusVerdict.CERTIFIED:
-        raise WitnessError("the input cycle is not certified admissible")
     cycle_json = ser.cycle_to_json(W, D)
     memo = {}
     transcript = [
         _checked("face_condition", {"cycle": cycle_json}, True, memo),
         _checked("modulus_codim1", {"cycle": cycle_json}, ModulusVerdict.CERTIFIED.value, memo),
-        _checked("rho_of_boundary_zero", {"cycle": cycle_json}, True, memo),
     ]
+    if not all(entry["status"] == "pass" for entry in transcript):
+        raise WitnessError("the input cycle is not certified admissible")
+    transcript.append(_checked("rho_of_boundary_zero", {"cycle": cycle_json}, True, memo))
     bW = boundary(W)
     faces = [
         {"poly": p.to_text(), "mult": m, "rho": ser.element_to_json(_component_rho(p))}
@@ -424,17 +421,15 @@ def generator_cycle(a: FieldElement, r: int,
     vars = VarSet(r, 1)
     D = ModulusDatum.monomial(spec, [1] * r)
     exp = tuple([1] * r + [1])
-    poly = MultiPoly.const(spec, vars, 1) - MultiPoly(spec, vars, {exp: a}) if a else \
-        MultiPoly.const(spec, vars, 1)
-    Z = HypersurfaceCycle(spec, vars, CoordModel.PSI, [(1, poly)] if a else [])
+    poly = MultiPoly.const(spec, vars, 1) - MultiPoly(spec, vars, {exp: a})
+    Z = HypersurfaceCycle(spec, vars, CoordModel.PSI, [(1, poly)])  # empty at a = 0
     z_json = ser.cycle_to_json(Z, D)
     memo = {}
     transcript = [
         _checked("face_condition", {"cycle": z_json}, True, memo),
         _checked("modulus_codim1", {"cycle": z_json}, ModulusVerdict.CERTIFIED.value, memo),
         _checked("boundary_zero", {"cycle": z_json, "level0_degeneracy": level0_flag},
-                 True, memo) if a else
-        _entry("boundary_zero", {"cycle": z_json, "level0_degeneracy": level0_flag}, True, True),
+                 True, memo),
         _checked("rho_equals", {"cycle": z_json}, ser.element_to_json(a), memo),
     ]
     claim = {

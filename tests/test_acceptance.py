@@ -50,8 +50,8 @@ def test_criterion_01_rho_reciprocity():
     t0 = time.monotonic()
     out = suite_rho_reciprocity(_rng("rho-reciprocity"), 300)
     elapsed = time.monotonic() - t0
-    _report(1, "rho kills boundaries of 300 admissible level-2 cycles, "
-               "both sign conventions, over F5/F7/Q", out, elapsed)
+    _report(1, "rho kills boundaries of 300 admissible level-2 cycles "
+               "(and so -d, the opposite sign convention), over F5/F7/Q", out, elapsed)
     assert elapsed < 10.0, f"criterion 1 runtime {elapsed:.1f}s exceeds 10s"
 
 

@@ -294,7 +294,7 @@ class TestTrustedCycles:
         n = 2 + seed % 2
         Z, W = rand_cycle(rng, spec, n), rand_cycle(rng, spec, n)
         results = [Z + W, Z - W, Z - Z, -Z, Z.scale(rng.randint(-3, 3)), Z.scale(0),
-                   prune_degenerate(Z + W), boundary(Z), boundary(Z, flip_inner=True),
+                   prune_degenerate(Z + W), boundary(Z),
                    boundary(boundary(Z, level0_flag=False), level0_flag=False)]
         Zo = psi_convert(Z, CoordModel.ORIGINAL)
         results.append(Zo)
@@ -390,7 +390,6 @@ class TestTrustedFormalSums:
         except CycleError:
             return  # a constant face value or an improper boundary point
         assert_canonical_zero_cycle(b)
-        assert curve_boundary(curve, flip_inner=True) == -b
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**30))

@@ -92,6 +92,21 @@ class TestBoundary:
         ])
         assert rep["terms"] == [{"mult": 1, "poly": "4*t1*t2 + 1"}]
 
+    @pytest.mark.parametrize("model", ["psi", "original"])
+    @pytest.mark.parametrize("level0", ["on", "off"])
+    @pytest.mark.parametrize("text, n", [
+        ("1 - t1*t2*(2*y1 + 3) + t1^2*t2*y1", 1),
+        ("1 - t1*t2*(2*y1*y2 + 3*y1 + 4*y2 + 5)", 2),
+    ])
+    def test_flip_sign_prints_the_negated_boundary(self, model, level0, text, n):
+        argv = ["boundary", "--inline", text, "--field", "Fp:7", "--modulus", "1,1",
+                "--n", str(n), "--model", model, "--level0-degeneracy", level0]
+        code, rep = run_json(argv)
+        assert code == 0 and rep["terms"]
+        code, flipped = run_json(argv + ["--flip-sign"])
+        assert code == 0
+        assert flipped == dict(rep, terms=[dict(t, mult=-t["mult"]) for t in rep["terms"]])
+
 
 class TestWitnesses:
     def test_bounding(self):
@@ -243,6 +258,19 @@ class TestCurves:
         }
         code, rep = run_json(["boundary", "--curve", str(path), "--flip-sign"])
         assert code == 0 and rep["points"] == [{"mult": -1, "t": ["2", "3"], "y": ["3"]}]
+
+    @pytest.mark.parametrize("embedded", [False, True])
+    def test_boundary_curve_flip_sign_prints_the_negated_boundary(self, tmp_path, embedded):
+        data = dict(self.GRAPH_CURVE, components=["t - 2", "(t + 3)/(t - 1)"])
+        if not embedded:
+            del data["embedding"]
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(data))
+        code, rep = run_json(["boundary", "--curve", str(path)])
+        assert code == 0 and len(rep["points"]) == 3
+        code, flipped = run_json(["boundary", "--curve", str(path), "--flip-sign"])
+        assert code == 0
+        assert flipped == dict(rep, points=[dict(p, mult=-p["mult"]) for p in rep["points"]])
 
     def test_boundary_curve_embedding_needs_a_graph_curve(self, tmp_path):
         data = dict(self.GRAPH_CURVE, base_t=["5"])

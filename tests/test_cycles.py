@@ -587,8 +587,9 @@ def _outcome(fn):
 
 def _curve_boundary_corpus():
     """JSON lines for seeded curves over F5, F7, Q, F9 and Q(i): the boundary
-    in both sign conventions, the boundary pushed forward along an embedding
-    of the parameter line, and the total residue of the curve's symbol."""
+    and its negative (the opposite sign convention), the same two pushed
+    forward along an embedding of the parameter line, and the total residue
+    of the curve's symbol."""
     rng = random.Random(2024)
     lines = []
     for spec in (F5, F7, Q, standard_extension(3, 2), make_field(0, [1, 0, 1])):
@@ -604,12 +605,12 @@ def _curve_boundary_corpus():
                 lines.append(curve)
                 continue
             record = {"curve": ser.curve_to_json(curve), "embedding": ser.embedding_to_json(emb)}
-            for flip in (False, True):
-                record[f"boundary{int(flip)}"] = _outcome(
-                    lambda: ser.zerocycle_to_json(curve_boundary(curve, flip_inner=flip)))
-                record[f"pushed{int(flip)}"] = _outcome(
+            for flip, sign in ((0, 1), (1, -1)):
+                record[f"boundary{flip}"] = _outcome(
+                    lambda: ser.zerocycle_to_json(curve_boundary(curve).scale(sign)))
+                record[f"pushed{flip}"] = _outcome(
                     lambda: ser.zerocycle_to_json(
-                        pushforward_closed_immersion(curve, emb).boundary(flip)))
+                        pushforward_closed_immersion(curve, emb).boundary().scale(sign)))
             sym = MilnorElement(ff, [(1, MilnorSymbol(ff, curve.components))])
             record["delta"] = _outcome(lambda: [
                 [ser.place_to_json(v), ser.milnor_element_to_json(e)]

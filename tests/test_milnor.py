@@ -16,7 +16,6 @@ from modcycles.polyring import RatFunc
 from modcycles.cycles import ClosedPoint, CoordModel, ParamCurve, ZeroCycle, curve_boundary
 from modcycles.milnor import (
     FunctionField,
-    GRAPH_BOUNDARY_SIGN,
     IndistinctEntries,
     MilnorElement,
     MilnorSymbol,
@@ -409,6 +408,3 @@ class TestWitnessCurves:
         f = t - RatFunc.const(F5, 2)
         with pytest.raises(IndistinctEntries):
             xi_curve([f, f], RatFunc.const(F5, 1), pi, 1)
-
-    def test_sign_constant_documented(self):
-        assert GRAPH_BOUNDARY_SIGN == -1

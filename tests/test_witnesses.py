@@ -1,5 +1,6 @@
 """The residue invariant and the certificate-producing witness generators."""
 
+import hashlib
 import importlib.util
 import json
 import random
@@ -15,6 +16,7 @@ from modcycles.fields import make_field
 from modcycles.polyring import InexactDivision, MultiPoly, VarSet, parse_poly
 from modcycles.cycles import (
     ClosedPoint,
+    ConstantTermZero,
     CoordModel,
     HypersurfaceCycle,
     ModulusDatum,
@@ -31,11 +33,11 @@ from modcycles.witnesses import (
     PointOnModulus,
     UnsupportedModulus,
     WitnessCertificate,
+    WitnessError,
     WrongLevel,
     bounding_surface,
     generator_cycle,
     rho,
-    rho_of_boundary,
     verify_certificate,
     verify_rho_reciprocity,
     zero_cycle_vanishing_witness,
@@ -237,11 +239,20 @@ class TestRhoReciprocity:
         assert cert.valid and verify_certificate(cert)
 
     def test_inadmissible_rejected(self):
-        from modcycles.witnesses import WitnessError
-
         W = cyc("1 - t1*t2*y1^2*y2", n=2)
-        with pytest.raises(WitnessError):
+        with pytest.raises(WitnessError, match="^the input cycle is not certified admissible$"):
             verify_rho_reciprocity(W, D11_F7)
+
+    @pytest.mark.parametrize("text, n, error, message", [
+        ("1 - y1*y2", 2, WitnessError, "the input cycle is not certified admissible"),
+        ("t1*t2*y1*y2 + t1 + y1", 2, ConstantTermZero,
+         "component t1*t2*y1*y2 + t1 + y1 has constant term 0; it meets the t-axes"),
+        ("1 - t1*t2*y1", 1, WrongLevel, "reciprocity concerns level-2 cycles"),
+    ])
+    def test_rejections_keep_their_type_and_message(self, text, n, error, message):
+        with pytest.raises(error) as info:
+            verify_rho_reciprocity(cyc(text, n=n), D11_F7)
+        assert type(info.value) is error and str(info.value) == message
 
 
 class TestBoundingSurface:
@@ -530,17 +541,54 @@ class TestDecodeOnce:
         assert all(v is False for v, (_, mode) in zip(with_memo, bench.mutants) if mode == "data")
 
 
-class TestBothConventions:
-    def test_rho_of_boundary_zero_under_flip(self):
-        rng = random.Random(14)
-        from modcycles.suites import _rand_admissible_cycle
+# sha256 of _certificate_corpus(), computed before the a = 0 generator and the
+# rho-reciprocity admissibility checks ran through the transcript alone
+CERTIFICATE_CORPUS_SHA256 = "97264c9769c59ab3b0549c769314ed3672344938e512a1535d4c5e7f777b8073"
 
-        for k in range(30):
-            spec = [F5, F7, Q][k % 3]
-            W = _rand_admissible_cycle(rng, spec, 2, 2)
-            D = ModulusDatum.monomial(spec, [1, 1])
-            assert not rho_of_boundary(W, D, flip_inner=False)
-            assert not rho_of_boundary(W, D, flip_inner=True)
+
+def _certificate_corpus():
+    """JSON lines of seeded bounding-surface and rho-reciprocity certificates
+    over F5, F7 and Q, and of generator certificates over F2, F3, F5, F7 and Q
+    (a = 0 included) for r = 1..3; level-0 degeneracy both on and off.  With
+    it off, V(1 - a*t1...tr*y1) for a != 0 has the boundary V(1 - a*t1...tr),
+    so those generator certificates record a failed boundary_zero check."""
+    from modcycles.suites import _rand_admissible_cycle
+
+    rng = random.Random(1412)
+    certs = []
+    for spec in (F5, F7, Q):
+        D = ModulusDatum.monomial(spec, [1, 1])
+        for level0 in (True, False):
+            for _ in range(4):
+                Z = _rand_admissible_cycle(rng, spec, 2, 0) + _rand_admissible_cycle(rng, spec, 2, 0)
+                certs.append(bounding_surface(Z, D, level0_flag=level0))
+        for _ in range(10):
+            certs.append(verify_rho_reciprocity(_rand_admissible_cycle(rng, spec, 2, 2), D))
+    for spec in (make_field(2), make_field(3), F5, F7, Q):
+        values = list(spec.elements()) if spec.char else \
+            [Q.zero, Q.one, Q.element(Fraction(-3, 2))]
+        for r in (1, 2, 3):
+            for level0 in (True, False):
+                certs.extend(generator_cycle(a, r, level0)[1] for a in values)
+    return "\n".join(json.dumps(cert.to_json(), sort_keys=True) for cert in certs)
+
+
+class TestCertificateCorpus:
+    def test_matches_the_pinned_corpus(self):
+        text = _certificate_corpus()
+        assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_CORPUS_SHA256
+
+    def test_zero_generator_runs_its_boundary_check(self, monkeypatch):
+        ran = []
+        run_check = witnesses._run_check
+
+        def recording(check, data, memo):
+            ran.append(check)
+            return run_check(check, data, memo)
+
+        monkeypatch.setattr(witnesses, "_run_check", recording)
+        _, cert = generator_cycle(F7.zero, 2)
+        assert ran == [e["check"] for e in cert.transcript]
 
 
 def test_demo_script_runs():
