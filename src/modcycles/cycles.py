@@ -493,13 +493,7 @@ def is_degenerate(p: MultiPoly) -> bool:
 def is_level0_dropped(p: MultiPoly) -> bool:
     """Level-0 convention: a two-term component 1 - c*t^e is treated as
     degenerate when the configuration flag is on (see :func:`boundary`)."""
-    if p.vars.n != 0:
-        return False
-    terms = p.terms
-    if len(terms) != 2:
-        return False
-    zero_exp = (0,) * p.vars.count
-    return zero_exp in terms and terms[zero_exp] == p.spec.one
+    return p.vars.n == 0 and len(p.terms) == 2 and p.constant_term == p.spec.one
 
 
 def prune_degenerate(Z: HypersurfaceCycle, level0_flag: bool = True) -> HypersurfaceCycle:
@@ -703,12 +697,6 @@ class ModulusReport:
         }
 
 
-def _lift_divisor(D: ModulusDatum, vars: VarSet) -> MultiPoly:
-    """The divisor polynomial viewed in the full t,y ring."""
-    out = {e + (0,) * vars.n: c for e, c in D.divisor_poly.terms.items()}
-    return MultiPoly(D.spec, vars, out)
-
-
 def _divides(d: MultiPoly, f: MultiPoly) -> bool:
     from .polyring import InexactDivision
 
@@ -735,10 +723,10 @@ def check_modulus_codim1(Z: HypersurfaceCycle, D: ModulusDatum) -> ModulusReport
         raise ValueError("modulus datum has the wrong number of t-variables")
     results = []
     n = Z.vars.n
-    lifted = _lift_divisor(D, Z.vars)
+    lifted = D.divisor_poly.lift(Z.vars)  # the divisor in the full t,y ring
     ones = D.monomial_exponents == (1,) * D.r
     if n == 0 and D.is_monomial and not ones:
-        rad = _lift_divisor(ModulusDatum(D.radical_poly(), None), Z.vars)
+        rad = D.radical_poly().lift(Z.vars)
     else:
         rad = lifted
     one = MultiPoly.const(Z.spec, Z.vars, 1)
@@ -815,46 +803,23 @@ def _convert_poly(p: MultiPoly, to_model: CoordModel) -> MultiPoly:
     Substituting y_i leaves the degree in every other y_j unchanged, so each
     d_i = deg_{y_i} p is read off p up front.  A term then contributes its
     coefficient times the product of one binomial row per y_i (see
-    :func:`_binomial_row`); integer factors of +-1 add or subtract the
-    coefficient, other integers are coerced once per call."""
-    spec, vars, terms = p.spec, p.vars, p.terms
-    r = vars.r
-    if not terms:
+    :func:`_binomial_row`), an integer combination of y-monomials that
+    :meth:`MultiPoly._integer_image` sums in one pass."""
+    r, n = p.vars.r, p.vars.n
+    if not p:
         return p
     to_psi = to_model is CoordModel.PSI
-    degs = [max(e[r + i] for e in terms) for i in range(vars.n)]
+    degs = [max(e[r + i] for e in p.terms) for i in range(n)]
     expansions: dict[tuple, list] = {}  # y-exponents -> [(y-exponents, integer)]
-    scalars: dict[int, FieldElement] = {}
-    out: dict[tuple, FieldElement] = {}
-    for e, c in terms.items():
+    for e in p.terms:
         ey = e[r:]
-        expansion = expansions.get(ey)
-        if expansion is None:
+        if ey not in expansions:
             expansion = [((), 1)]
             for d, b in zip(degs, ey):
                 row = _binomial_row(to_psi, d, b)
                 expansion = [(x + (k,), m * a) for x, m in expansion for k, a in row]
             expansions[ey] = expansion
-        et = e[:r]
-        for x, m in expansion:
-            key = et + x
-            s = out.get(key)
-            if m == 1:
-                s = c if s is None else s + c
-            elif m == -1:
-                s = -c if s is None else s - c
-            else:
-                k = scalars.get(m)
-                if k is None:
-                    k = scalars[m] = spec.element(m)
-                if not k:
-                    continue
-                s = c * k if s is None else s + c * k
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return MultiPoly._raw(spec, vars, out)
+    return p._integer_image(r, expansions)
 
 
 def psi_convert(obj, to_model: CoordModel):
@@ -931,12 +896,22 @@ def _place_field(spec: FieldSpec, pi: UniPoly) -> tuple[FieldSpec, FieldElement]
     return ell, ell.gen_u
 
 
-def _places(poly: UniPoly) -> list[tuple[UniPoly, int]]:
+def _places(poly: UniPoly, memo: dict | None = None) -> list[tuple[UniPoly, int]]:
     """The finite places where poly vanishes: its monic irreducible factors
     with multiplicities.  Raises UnfactorableEntry when a factor is not
-    certified irreducible (see factor_univariate for the bounds)."""
+    certified irreducible (see factor_univariate for the bounds).
+
+    ``memo``, owned by the caller, keeps the places of each polynomial
+    (keyed by its monic associate, which has the same places) so that one
+    computation factors each polynomial once."""
     if poly.degree < 1:
         return []
+    key = None
+    if memo is not None:
+        key = poly.monic()
+        out = memo.get(key)
+        if out is not None:
+            return out
     out = []
     for part in factor_univariate(poly).parts:
         if not part.irreducible:
@@ -945,10 +920,13 @@ def _places(poly: UniPoly) -> list[tuple[UniPoly, int]]:
                 f"unfactored cofactor {part.poly.to_text()}"
             )
         out.append((part.poly, part.multiplicity))
+    if key is not None:
+        memo[key] = out
     return out
 
 
-def curve_boundary(curve: ParamCurve, *, domain_poles: Sequence[UniPoly] = ()) -> ZeroCycle:
+def curve_boundary(curve: ParamCurve, *, domain_poles: Sequence[UniPoly] = (),
+                   places: dict | None = None) -> ZeroCycle:
     """Cubical boundary of a parametric curve as a 0-cycle one level down.
 
     Candidate points are the parameter values where some component g meets a
@@ -960,7 +938,9 @@ def curve_boundary(curve: ParamCurve, *, domain_poles: Sequence[UniPoly] = ()) -
     the model's puncture are outside the cube and are discarded; hitting
     another face is an improper boundary.  A graph curve's boundary lies over
     the parameter line; the boundary of a curve embedded in A^r is the
-    push-forward of that one (see EmbeddedCurve).
+    push-forward of that one (see EmbeddedCurve).  ``places`` is a memo of
+    factorizations that a caller shares with :func:`milnor.total_delta` on
+    the same entries (see :func:`_places`).
     """
     spec, model = curve.spec, curve.model
     faces = model.faces
@@ -974,7 +954,7 @@ def curve_boundary(curve: ParamCurve, *, domain_poles: Sequence[UniPoly] = ()) -
     for idx, g in enumerate(curve.components):
         for face in faces:
             h = g.inverse() if face is INFINITY else g - RatFunc.const(spec, face)
-            candidates.extend((pi, idx, face, m) for pi, m in _places(h.num))
+            candidates.extend((pi, idx, face, m) for pi, m in _places(h.num, places))
             if not graph:
                 o = h.ord_at_infinity()
                 if o > 0:
@@ -1094,8 +1074,8 @@ def curve_avoids_divisor(embedding: Sequence[RatFunc], D: ModulusDatum) -> bool:
     """
     spec = embedding[0].spec
     acc = RatFunc.const(spec, 0)
-    for e, c in D.divisor_poly.terms.items():
-        term = RatFunc.const(spec, c)
+    for e in D.divisor_poly.terms:
+        term = RatFunc.const(spec, D.divisor_poly.coeff(e))
         for coord, k in zip(embedding, e):
             if k:
                 term = term * coord**k

@@ -367,11 +367,13 @@ def tame_symbol(v: Valuation, s: MilnorElement) -> MilnorElement:
     return MilnorElement(ell, terms)
 
 
-def total_delta(s: MilnorElement, include_infinity: bool = True) -> dict[Valuation, MilnorElement]:
+def total_delta(s: MilnorElement, include_infinity: bool = True, *,
+                places: dict | None = None) -> dict[Valuation, MilnorElement]:
     """Tame symbol at every place supporting some entry (plus infinity).
 
     Places not in the returned map carry residue 0.  Raises UnfactorableEntry
-    over Q when an entry has an uncertified high-degree factor.
+    over Q when an entry has an uncertified high-degree factor.  ``places``
+    is a memo of factorizations shared with :func:`cycles.curve_boundary`.
     """
     field = s.field
     if not isinstance(field, FunctionField):
@@ -380,7 +382,7 @@ def total_delta(s: MilnorElement, include_infinity: bool = True) -> dict[Valuati
     for sym in s.terms:
         for f in sym.entries:
             for poly in (f.num, f.den):
-                for pi, _ in _places(poly):
+                for pi, _ in _places(poly, places):
                     seen[(pi.degree, pi.to_text())] = pi
     out: dict[Valuation, MilnorElement] = {}
     for key in sorted(seen):
@@ -675,10 +677,11 @@ def verify_xi_curve(curve: ParamCurve, symbol: MilnorElement) -> CurveIdentity:
     Z-linearly."""
     n = curve.n - 1
     sign = (-1) ** n
-    b = curve_boundary(curve)
+    places: dict = {}  # each entry is factored once, for both sides
+    b = curve_boundary(curve, places=places)
     spec = curve.spec
     terms = []
-    for v, res in total_delta(symbol, include_infinity=False).items():
+    for v, res in total_delta(symbol, include_infinity=False, places=places).items():
         base = v.base_point()
         for sym, m in res.items():
             terms.append((sign * m, ClosedPoint(base.residue_spec, base.t_coords, sym.entries)))
@@ -691,10 +694,11 @@ def verify_graph_square(curve: ParamCurve) -> tuple[bool, int]:
     at the finite places, equal up to the documented sign (-1)^n."""
     n = curve.n - 1
     sign = (-1) ** n
-    b = curve_boundary(curve)
+    places: dict = {}  # each entry is factored once, for both sides
+    b = curve_boundary(curve, places=places)
     lhs = phi_map(b)
     rhs: dict[ClosedPoint, MilnorElement] = {}
-    for v, res in total_delta(theta_map(curve), include_infinity=False).items():
+    for v, res in total_delta(theta_map(curve), include_infinity=False, places=places).items():
         if res:
             rhs[v.base_point()] = res.scale(sign)
     ok = set(lhs) == set(rhs) and all(lhs[k] == rhs[k] for k in lhs)

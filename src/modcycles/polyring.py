@@ -2,9 +2,15 @@
 plus univariate rational functions for curve parametrizations.
 
 Terms are stored as a map from exponent vectors (t-block then y-block) to
-nonzero coefficients.  The display order is descending lexicographic on the
-exponent vector, which together with canonical coefficient text makes
-``to_text`` a bijection onto its image: ``parse_poly`` inverts it bit-exactly.
+nonzero raw coefficients: int residues over F_p, ``Fraction``s over Q and
+field elements over an extension field (see :class:`MultiPoly`).  The
+display order is descending lexicographic on the exponent vector, which
+together with canonical coefficient text makes ``to_text`` a bijection onto
+its image: ``parse_poly`` inverts it bit-exactly.  ``parse_poly`` first
+reads base-field text in that canonical form in one pass, straight into raw
+terms, and keeps the result only when it renders back to the same text;
+every other spelling, and all text over an extension field, goes to the
+general parser.
 
 Grammar (whitespace insignificant, implicit multiplication rejected)::
 
@@ -15,13 +21,15 @@ Grammar (whitespace insignificant, implicit multiplication rejected)::
     var    := 't'uint | 'y'uint | 'u'
     literal:= uint | uint '/' uint
 
-``u`` denotes the extension generator when the coefficient field has one.
-Rational-function parsing (:func:`parse_ratfunc`) additionally allows '/'
-between arbitrary factors and a single free variable name.
+A ``uint`` is a run of the ASCII digits 0-9; other Unicode digits are
+rejected.  ``u`` denotes the extension generator when the coefficient field
+has one.  Rational-function parsing (:func:`parse_ratfunc`) additionally
+allows '/' between arbitrary factors and a single free variable name.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from operator import add, ge, sub
 from typing import Mapping, Sequence
@@ -29,6 +37,7 @@ from typing import Mapping, Sequence
 from .fields import (
     FieldElement,
     FieldSpec,
+    Scalar,
     UniPoly,
     WrongField,
     ZeroPolynomial,
@@ -56,6 +65,22 @@ class InexactDivision(PolyError):
 
 class ZeroDivisor(PolyError):
     pass
+
+
+def _is_uint(s: str) -> bool:
+    """Whether ``s`` is a nonempty run of ASCII digits."""
+    return s.isascii() and s.isdigit()
+
+
+def _uint(s: str) -> int | None:
+    """The value of a run of ASCII digits, or None for any other string and
+    for a run too long for ``int`` (``sys.get_int_max_str_digits``)."""
+    if not _is_uint(s):
+        return None
+    try:
+        return int(s)
+    except ValueError:
+        return None
 
 
 class VarSet:
@@ -90,7 +115,7 @@ class VarSet:
         if i is not None:
             return i
         # other spellings of a valid name, such as t01, and unknown names
-        if len(name) >= 2 and name[0] in "ty" and name[1:].isdigit():
+        if len(name) >= 2 and name[0] in "ty" and _is_uint(name[1:]):
             k = int(name[1:])
             if name[0] == "t" and 1 <= k <= self.r:
                 return k - 1
@@ -109,19 +134,59 @@ def _name_index(r: int, n: int) -> dict[str, int]:
     return {name: i for i, name in enumerate(VarSet(r, n).names())}
 
 
+# ---------------------------------------------------------------------------
+# Raw coefficients (see MultiPoly)
+# ---------------------------------------------------------------------------
+
+
+def _kernel(spec: FieldSpec) -> tuple:
+    """(p, zero, one) for the raw coefficients of ``spec``: the prime that
+    residues are reduced by (0 outside a prime field), and the identities
+    that sums start from and coefficients are compared with."""
+    if spec.ext is None:
+        return spec.char, 0, 1
+    return 0, spec.zero, spec.one
+
+
+def _scalar(spec: FieldSpec, x) -> object:
+    """``x`` coerced into ``spec`` as a raw coefficient (validating)."""
+    c = spec.element(x)
+    return c if spec.ext else c.value
+
+
+def _wrap(spec: FieldSpec, c) -> FieldElement:
+    """A raw coefficient of ``spec`` as a field element."""
+    return c if spec.ext else FieldElement(spec, c)
+
+
+def _inverse(spec: FieldSpec, c):
+    """The inverse of a nonzero raw coefficient of ``spec``."""
+    if spec.ext:
+        return c.inverse()
+    return pow(c, -1, spec.char) if spec.char else 1 / c
+
+
 class MultiPoly:
     """Immutable sparse polynomial over a :class:`FieldSpec` in a :class:`VarSet`.
 
     Invariant: ``terms`` maps exponent tuples of length ``vars.count`` to
-    nonzero elements of ``spec``.  The public constructor validates and
-    coerces untrusted terms; arithmetic results are canonical by
-    construction and go through the trusted :meth:`_raw` instead, so no
-    result is normalized twice.
+    nonzero raw coefficients of ``spec``: int residues 0 < c < p over a
+    prime field F_p, ``Fraction``s over Q, and :class:`FieldElement`s over
+    an extension field.  The raw form is private to this module; readers
+    outside it use :meth:`coeff`, :attr:`constant_term`,
+    :meth:`leading_term` and :meth:`eval`, which return field elements.
+
+    The public constructor validates and coerces untrusted terms; arithmetic
+    results are canonical by construction and go through the trusted
+    :meth:`_raw` instead, so no result is normalized twice.  Arithmetic,
+    face restriction, division, substitution, the hash and ``to_text`` run
+    on the raw coefficients and build no FieldElement over F_p or Q; a sum
+    that cancels is dropped at the merge that cancels it.
     """
 
     __slots__ = ("spec", "vars", "terms", "_hash", "_text")
 
-    def __init__(self, spec: FieldSpec, vars: VarSet, terms: Mapping[tuple, FieldElement]):
+    def __init__(self, spec: FieldSpec, vars: VarSet, terms: Mapping[tuple, Scalar]):
         self.spec = spec
         self.vars = vars
         clean = {}
@@ -130,7 +195,7 @@ class MultiPoly:
                 raise ValueError("exponent vector length mismatch")
             c = spec.element(c)
             if c:
-                clean[tuple(exp)] = c
+                clean[tuple(exp)] = c if spec.ext else c.value
         self.terms = clean
         self._hash = self._text = None
 
@@ -139,8 +204,8 @@ class MultiPoly:
     @classmethod
     def _raw(cls, spec: FieldSpec, vars: VarSet, terms: dict) -> "MultiPoly":
         """Trusted constructor: ``terms`` must already satisfy the invariant
-        (right exponent length, coefficients nonzero elements of ``spec``)
-        and is stored as is, without copying."""
+        (right exponent length, nonzero raw coefficients of ``spec``) and is
+        stored as is, without copying."""
         self = object.__new__(cls)
         self.spec = spec
         self.vars = vars
@@ -154,14 +219,23 @@ class MultiPoly:
 
     @classmethod
     def const(cls, spec, vars, c):
-        c = spec.element(c)
+        c = _scalar(spec, c)
         return cls._raw(spec, vars, {(0,) * vars.count: c} if c else {})
 
     @classmethod
     def variable(cls, spec, vars, name):
         exp = [0] * vars.count
         exp[vars.index(name)] = 1
-        return cls._raw(spec, vars, {tuple(exp): spec.one})
+        one = spec.one
+        return cls._raw(spec, vars, {tuple(exp): one if spec.ext else one.value})
+
+    def lift(self, vars: VarSet) -> "MultiPoly":
+        """This polynomial in ``vars``, a ring with the same t-variables and
+        at least as many y-variables; the added ones come last."""
+        if vars.r != self.vars.r or vars.n < self.vars.n:
+            raise ValueError("exponent vector length mismatch")
+        pad = (0,) * (vars.n - self.vars.n)
+        return MultiPoly._raw(self.spec, vars, {e + pad: c for e, c in self.terms.items()})
 
     # -- canonical identity ----------------------------------------------------
 
@@ -174,6 +248,7 @@ class MultiPoly:
         )
 
     def __hash__(self):
+        # hash(FieldElement) is hash(value), so raw and wrapped terms hash alike
         if self._hash is None:
             self._hash = hash((self.spec, self.vars, frozenset(self.terms.items())))
         return self._hash
@@ -198,9 +273,12 @@ class MultiPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
+        p, zero, _ = _kernel(self.spec)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, self.spec.zero) + c
+            s = out.get(e, zero) + c
+            if p:
+                s %= p
             if s:
                 out[e] = s
             else:
@@ -210,7 +288,9 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._raw(self.spec, self.vars, {e: -c for e, c in self.terms.items()})
+        p = _kernel(self.spec)[0]
+        return MultiPoly._raw(self.spec, self.vars, {
+            e: p - c if p else -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -219,29 +299,33 @@ class MultiPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, FieldElement)) and not isinstance(other, MultiPoly):
-            c = self.spec.element(other)
-            if not c:
-                return MultiPoly._raw(self.spec, self.vars, {})
-            return MultiPoly._raw(self.spec, self.vars, {e: v * c for e, v in self.terms.items()})
+        spec = self.spec
+        p, zero, _ = _kernel(spec)
+        if isinstance(other, (int, FieldElement)):
+            c = _scalar(spec, other)
+            return MultiPoly._raw(spec, self.vars, {
+                e: v * c % p if p else v * c for e, v in self.terms.items()} if c else {})
         other = self._coerce(other)
         # a monomial factor shifts exponents injectively and multiplies by a
         # nonzero scalar, so nothing merges and nothing cancels
         poly, mono = (self, other) if len(other.terms) == 1 else (other, self)
         if len(mono.terms) == 1:
             ((e2, c2),) = mono.terms.items()
-            return MultiPoly._raw(self.spec, self.vars, {
-                tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in poly.terms.items()})
-        out: dict[tuple, FieldElement] = {}
+            return MultiPoly._raw(spec, self.vars, {
+                tuple(map(add, e1, e2)): c1 * c2 % p if p else c1 * c2
+                for e1, c1 in poly.terms.items()})
+        out: dict[tuple, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
-                s = out.get(e, self.spec.zero) + c1 * c2
+                s = out.get(e, zero) + c1 * c2
+                if p:
+                    s %= p
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return MultiPoly._raw(self.spec, self.vars, out)
+        return MultiPoly._raw(spec, self.vars, out)
 
     __rmul__ = __mul__
 
@@ -261,21 +345,62 @@ class MultiPoly:
     def scale(self, c: FieldElement) -> "MultiPoly":
         return self * c
 
+    def _integer_image(self, split: int, images: Mapping[tuple, Sequence[tuple]]) -> "MultiPoly":
+        """The image of this polynomial under a map that is the identity on
+        the first ``split`` variables and sends the monomial of each tail
+        exponent vector e2 to the integer combination ``images[e2]`` of
+        (tail exponent vector, integer) pairs: a term c*x^(e1 + e2) becomes
+        the sum of m*c*x^(e1 + f) over (f, m) in ``images[e2]``.  A factor
+        m of +-1 adds or subtracts c; other integers are coerced into the
+        field once per call."""
+        spec = self.spec
+        p = _kernel(spec)[0]
+        scalars: dict[int, object] = {}
+        out: dict[tuple, object] = {}
+        for e, c in self.terms.items():
+            head = e[:split]
+            for f, m in images[e[split:]]:
+                key = head + f
+                s = out.get(key)
+                if m == 1:
+                    s = c if s is None else s + c
+                elif m == -1:
+                    s = -c if s is None else s - c
+                else:
+                    k = scalars.get(m)
+                    if k is None:
+                        k = scalars[m] = _scalar(spec, m)
+                    if not k:
+                        continue
+                    s = c * k if s is None else s + c * k
+                if p:
+                    s %= p
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return MultiPoly._raw(spec, self.vars, out)
+
     # -- structure ---------------------------------------------------------
 
     @property
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
+    def coeff(self, exp: tuple) -> FieldElement:
+        """The coefficient of the monomial with exponent vector ``exp``."""
+        c = self.terms.get(exp)
+        return self.spec.zero if c is None else _wrap(self.spec, c)
+
     @property
     def constant_term(self) -> FieldElement:
-        return self.terms.get((0,) * self.vars.count, self.spec.zero)
+        return self.coeff((0,) * self.vars.count)
 
     def leading_term(self) -> tuple[tuple, FieldElement]:
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
         e = max(self.terms)
-        return e, self.terms[e]
+        return e, _wrap(self.spec, self.terms[e])
 
     def degree_in(self, var: str) -> int:
         """Maximal exponent of var; errors on the zero polynomial."""
@@ -295,13 +420,14 @@ class MultiPoly:
                 out[tuple(e2)] = c
         return MultiPoly._raw(self.spec, self.vars, out)
 
-    def substitute(self, assignments: Mapping[str, FieldElement], drop: bool = False) -> "MultiPoly":
+    def substitute(self, assignments: Mapping[str, Scalar], drop: bool = False) -> "MultiPoly":
         """Evaluate some variables exactly; optionally remove them from the ring."""
         spec = self.spec
-        idx = {self.vars.index(name): spec.element(v) for name, v in assignments.items()}
+        p, zero, one = _kernel(spec)
+        idx = {self.vars.index(name): _scalar(spec, v) for name, v in assignments.items()}
         # per variable: None for the value 1, else a cache of its powers
-        powers = {i: None if val == spec.one else {1: val} for i, val in idx.items()}
-        out: dict[tuple, FieldElement] = {}
+        powers = {i: None if val == one else {1: val} for i, val in idx.items()}
+        out: dict[tuple, object] = {}
         for e, c in self.terms.items():
             coeff = c
             e2 = list(e)
@@ -310,18 +436,22 @@ class MultiPoly:
                 if k and cache is not None:
                     pk = cache.get(k)
                     if pk is None:
-                        pk = cache[k] = idx[i] ** k
+                        pk = cache[k] = pow(idx[i], k, p) if p else idx[i] ** k
                     coeff = coeff * pk
+                    if p:
+                        coeff %= p
                 e2[i] = 0
             if not coeff:
                 continue
             key = tuple(e2)
-            s = out.get(key, self.spec.zero) + coeff
+            s = out.get(key, zero) + coeff
+            if p:
+                s %= p
             if s:
                 out[key] = s
             else:
                 out.pop(key, None)
-        result = MultiPoly._raw(self.spec, self.vars, out)
+        result = MultiPoly._raw(spec, self.vars, out)
         if drop:
             for name in sorted(assignments, reverse=True):
                 result = result.drop_var(name)
@@ -341,6 +471,7 @@ class MultiPoly:
         elif face == 0:
             out = {e[:i] + e[i + 1:]: c for e, c in terms.items() if not e[i]}
         elif face == 1:
+            p = _kernel(self.spec)[0]
             out = {}
             for e, c in terms.items():
                 key = e[:i] + e[i + 1:]
@@ -349,6 +480,8 @@ class MultiPoly:
                     out[key] = c
                 else:
                     s = s + c
+                    if p:
+                        s %= p
                     if s:
                         out[key] = s
                     else:
@@ -369,9 +502,11 @@ class MultiPoly:
         """Full evaluation; values may live in an extension of the coefficient field."""
         if len(values) != self.vars.count:
             raise ValueError("need one value per variable")
-        target = values[0].spec if values else self.spec
+        spec = self.spec
+        target = values[0].spec if values else spec
         acc = target.zero
         for e, c in self.terms.items():
+            c = _wrap(spec, c)
             term = c if c.spec == target else target.embed(c)
             for v, k in zip(values, e):
                 if k:
@@ -390,37 +525,46 @@ class MultiPoly:
         g = self._coerce(g)
         if not g:
             raise ZeroDivisor("division by the zero polynomial")
+        spec = self.spec
+        p, zero, one = _kernel(spec)
         if len(g.terms) == 1:
             ((eg, cg),) = g.terms.items()
-            inv = None if cg == self.spec.one else cg.inverse()
+            inv = None if cg == one else _inverse(spec, cg)
             out = {}
             for e, c in self.terms.items():
                 if not all(map(ge, e, eg)):
                     raise InexactDivision(f"{g.to_text()} does not divide {self.to_text()}")
-                out[tuple(map(sub, e, eg))] = c if inv is None else c * inv
-            return MultiPoly._raw(self.spec, self.vars, out)
+                if inv is not None:
+                    c = c * inv
+                    if p:
+                        c %= p
+                out[tuple(map(sub, e, eg))] = c
+            return MultiPoly._raw(spec, self.vars, out)
         rem = dict(self.terms)
-        out: dict[tuple, FieldElement] = {}
-        eg, cg = g.leading_term()
-        cg_inv = cg.inverse()
-        zero = self.spec.zero
+        out: dict[tuple, object] = {}
+        eg = max(g.terms)
+        cg_inv = _inverse(spec, g.terms[eg])
         while rem:
             ef = max(rem)
             eq = tuple(a - b for a, b in zip(ef, eg))
             if any(k < 0 for k in eq):
                 raise InexactDivision(f"{g.to_text()} does not divide {self.to_text()}")
             cq = rem[ef] * cg_inv
+            if p:
+                cq %= p
             out[eq] = cq
-            neg_cq = -cq
+            neg_cq = p - cq if p else -cq
             # rem -= cq * x^eq * g, in place
             for e2, c2 in g.terms.items():
                 e = tuple(map(add, eq, e2))
                 s = rem.get(e, zero) + neg_cq * c2
+                if p:
+                    s %= p
                 if s:
                     rem[e] = s
                 else:
                     rem.pop(e, None)
-        return MultiPoly._raw(self.spec, self.vars, out)
+        return MultiPoly._raw(spec, self.vars, out)
 
     # -- text ----------------------------------------------------------------
 
@@ -433,6 +577,8 @@ class MultiPoly:
         if not self.terms:
             return "0"
         names = self.vars.names()
+        # a raw residue or Fraction prints as its field element does
+        text_of = FieldElement.to_text if self.spec.ext else str
         parts = []
         for e, c in sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True):
             mono = "*".join(
@@ -440,7 +586,7 @@ class MultiPoly:
                 for i, k in enumerate(e)
                 if k
             )
-            ct = c.to_text()
+            ct = text_of(c)
             neg = ct.startswith("-") and " " not in ct
             if neg:
                 ct = ct[1:]
@@ -479,9 +625,9 @@ class _Tokenizer:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if "0" <= ch <= "9":
                 j = i
-                while j < n and t[j].isdigit():
+                while j < n and "0" <= t[j] <= "9":
                     j += 1
                 self.tokens.append(("num", t[i:j], i))
                 i = j
@@ -600,9 +746,80 @@ class _Parser:
         raise ParseError(f"unexpected {text!r}", pos)
 
 
+def _read_canonical(text: str, spec: FieldSpec, vars: VarSet) -> MultiPoly | None:
+    """The polynomial over a prime field or Q whose ``to_text`` is ``text``,
+    read in one pass straight into raw terms; None for anything else.
+
+    Terms are split at the separators " + " and " - "; a term is an
+    optional ASCII coefficient ``a`` or ``a/b`` followed by ``*``-joined
+    variables with optional ``^k``.  The result is kept only when it renders
+    back to ``text``, so every spelling that is not canonical (reordered or
+    repeated factors, ``1*t1``, ``t1^1``, unreduced coefficients, ``t01``,
+    extra spaces) comes back None, as do extension fields and input the
+    general parser rejects.  Never raises."""
+    if spec.ext is not None or not isinstance(text, str):
+        return None
+    if text == "0":
+        return MultiPoly._raw(spec, vars, {})
+    p = spec.char
+    index = _name_index(vars.r, vars.n)
+    count = vars.count
+    tokens = text.split(" ")
+    if not len(tokens) % 2:
+        return None
+    terms = {}
+    for j in range(0, len(tokens), 2):
+        tok = tokens[j]
+        if j:
+            sep = tokens[j - 1]
+            if sep != "+" and sep != "-":
+                return None
+            negative = sep == "-"
+        else:
+            negative = tok.startswith("-")
+            if negative:
+                tok = tok[1:]
+        factors = tok.split("*")
+        num = den = 1
+        if factors[0][:1].isdigit():
+            head, slash, tail = factors.pop(0).partition("/")
+            num, den = _uint(head), _uint(tail) if slash else 1
+            if num is None or den is None:
+                return None
+        exp = [0] * count
+        for f in factors:
+            name, caret, power = f.partition("^")
+            i = index.get(name)
+            d = _uint(power) if caret else 1
+            if i is None or d is None:
+                return None
+            exp[i] = d
+        if negative:
+            num = -num
+        if p:
+            if not den % p:
+                return None
+            c = num * pow(den, -1, p) % p
+        elif den:
+            c = Fraction(num, den)
+        else:
+            return None
+        if not c:
+            return None
+        terms[tuple(exp)] = c
+    poly = MultiPoly._raw(spec, vars, terms)
+    return poly if poly.to_text() == text else None
+
+
 def parse_poly(text: str, spec: FieldSpec, vars: VarSet) -> MultiPoly:
-    """Parse polynomial text over ``spec`` in ``vars``; inverse of ``to_text``."""
-    from fractions import Fraction
+    """Parse polynomial text over ``spec`` in ``vars``; inverse of ``to_text``.
+
+    Canonical base-field text is read in one pass (:func:`_read_canonical`);
+    any other text goes to the general parser, which gives the same
+    polynomial for canonical text."""
+    poly = _read_canonical(text, spec, vars)
+    if poly is not None:
+        return poly
 
     def const(num, den, pos):
         if den == 1:

@@ -112,8 +112,7 @@ def _component_rho(p: MultiPoly) -> FieldElement:
     # after the scan, so that an unnormalized component reports that first
     if too_high:
         raise DegreeTooHigh("the evaluated first-order part has y1-degree above 1")
-    c = p.terms.get(ones + (1,) + (0,) * (vars.n - 1))
-    return spec.zero if c is None else -c
+    return -p.coeff(ones + (1,) + (0,) * (vars.n - 1))
 
 
 def rho(Z: HypersurfaceCycle, D: ModulusDatum) -> FieldElement:
@@ -207,6 +206,16 @@ def _decoded(memo: dict, codec: str, data, *args):
     return out
 
 
+def _boundary_of(memo: dict, data) -> HypersurfaceCycle:
+    """The boundary of the cycle ``data`` encodes, computed once per
+    certificate and kept in ``memo`` beside the decoded cycle."""
+    key = ("boundary", json.dumps(data, sort_keys=True))
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = boundary(_decoded(memo, "cycle_from_json", data)[0])
+    return out
+
+
 def _run_check(check: str, data: dict, memo: dict):
     """Recompute a transcript check from its serialized inputs.
 
@@ -241,8 +250,8 @@ def _run_check(check: str, data: dict, memo: dict):
         Z, D = _decoded(memo, "cycle_from_json", data["cycle"])
         return ser.element_to_json(rho(Z, D))
     if check == "rho_of_boundary_zero":
-        W, D = _decoded(memo, "cycle_from_json", data["cycle"])
-        return not rho_of_boundary(W, D)
+        _, D = _decoded(memo, "cycle_from_json", data["cycle"])
+        return not rho(_boundary_of(memo, data["cycle"]), D)
     if check == "curve_boundary_equals":
         C = _decoded(memo, "curve_from_json", data["curve"])
         emb = _decoded(memo, "embedding_from_json", data["embedding"], C.spec) \
@@ -336,10 +345,9 @@ def verify_rho_reciprocity(W: HypersurfaceCycle, D: ModulusDatum) -> WitnessCert
     if not all(entry["status"] == "pass" for entry in transcript):
         raise WitnessError("the input cycle is not certified admissible")
     transcript.append(_checked("rho_of_boundary_zero", {"cycle": cycle_json}, True, memo))
-    bW = boundary(W)
     faces = [
         {"poly": p.to_text(), "mult": m, "rho": ser.element_to_json(_component_rho(p))}
-        for m, p in bW.components()
+        for m, p in _boundary_of(memo, cycle_json).components()
     ]
     claim = {
         "identity": "rho(boundary(W)) == 0",
@@ -363,8 +371,9 @@ def bounding_surface(Z: HypersurfaceCycle, D: ModulusDatum,
     spec, vars = Z.spec, Z.vars
     lifted_vars = VarSet(vars.r, 1)
     one = MultiPoly.const(spec, vars, 1)
-    d_lift = {e + (0,): c for e, c in D.divisor_poly.terms.items()}
-    d_poly = MultiPoly(spec, vars, {e: c for e, c in D.divisor_poly.terms.items()})
+    d_poly = D.divisor_poly.lift(vars)
+    d_lift = D.divisor_poly.lift(lifted_vars)
+    one_lift = MultiPoly.const(spec, lifted_vars, 1)
     surface_terms = []
     for mult, p in Z.components():
         if p.constant_term != spec.one:
@@ -375,10 +384,8 @@ def bounding_surface(Z: HypersurfaceCycle, D: ModulusDatum,
             raise NotPresentable(
                 f"the divisor polynomial does not divide f - 1 for {p.to_text()}"
             ) from None
-        g_lift = MultiPoly(spec, lifted_vars, {e + (0,): c for e, c in g.terms.items()})
         y1 = MultiPoly.variable(spec, lifted_vars, "y1")
-        d_l = MultiPoly(spec, lifted_vars, d_lift)
-        surface_terms.append((mult, MultiPoly.const(spec, lifted_vars, 1) - d_l * g_lift * y1))
+        surface_terms.append((mult, one_lift - d_lift * g.lift(lifted_vars) * y1))
     W = HypersurfaceCycle(spec, lifted_vars, Z.model, surface_terms)
     w_json = ser.cycle_to_json(W, D)
     z_json = ser.cycle_to_json(Z, D)

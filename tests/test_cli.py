@@ -323,6 +323,24 @@ class TestErrorPaths:
                               "--modulus", "1,1"])
         assert code == 2 and rep["error"]["type"] == "UnknownVariable"
 
+    # only the ASCII digits 0-9 are digits in polynomial text
+    @pytest.mark.parametrize("text, error", [
+        ("t1^²", "ParseError"), ("٣*t1", "ParseError"),
+        ("y¹", "UnknownVariable"), ("1 - t٣*t2*y1", "UnknownVariable"),
+    ])
+    def test_non_ascii_digits_in_a_cycle(self, text, error):
+        code, rep = run_json(["check-cycle", "--field", "Fp:7", "--inline", text,
+                              "--n", "1", "--modulus", "1,1"])
+        assert code == 2 and rep["error"]["type"] == error
+
+    @pytest.mark.parametrize("text, error", [
+        ("t^²", "ParseError"), ("٣*t", "ParseError"), ("t¹", "UnknownVariable"),
+    ])
+    def test_non_ascii_digits_in_a_rational_function(self, text, error):
+        code, rep = run_json(["curves", "xi", "--field", "Fp:7", "--entries", text,
+                              "--unit", "3", "--pi", "t - 1", "--power", "1"])
+        assert code == 2 and rep["error"]["type"] == error
+
     def test_missing_file_exits_2(self):
         code, rep = run_json(["verify", "--file", "/nonexistent.json"])
         assert code == 2

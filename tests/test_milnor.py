@@ -402,6 +402,24 @@ class TestWitnessCurves:
             assert out.ok and out.sign == (-1) ** n
             count += 1
 
+    def test_xi_factors_each_entry_once(self, monkeypatch):
+        # curve_boundary and total_delta share one memo of places per call
+        import modcycles.cycles as cycles
+
+        factored = []
+        real = cycles.factor_univariate
+        monkeypatch.setattr(cycles, "factor_univariate",
+                            lambda f: factored.append(f.monic()) or real(f))
+        t = RatFunc.param(Q)
+        fs = [t - RatFunc.const(Q, 2)]
+        u, pi = RatFunc.const(Q, 3), UniPoly(Q, [Fraction(-1, 2), 1])
+        curve = xi_curve(fs, u, pi, 4)
+        e = MilnorElement(FunctionField(Q), [(1, MilnorSymbol(
+            FunctionField(Q), fs + [u * RatFunc.from_poly(pi) ** 4]))])
+        assert verify_xi_curve(curve, e).ok
+        assert verify_graph_square(curve)[0]
+        assert factored and len(factored) == 2 * len(set(factored))
+
     def test_xi_distinctness(self):
         t = RatFunc.param(F5)
         pi = UniPoly(F5, [4, 1])

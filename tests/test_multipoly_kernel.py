@@ -1,0 +1,503 @@
+"""MultiPoly on raw coefficients against a FieldElement-valued reference.
+
+``MultiPoly.terms`` holds int residues over F_p and Fractions over Q.
+``RefPoly`` below is the earlier FieldElement-valued implementation, kept
+here as the reference: every operation must give the same polynomial, text
+and hash, or raise the same exception with the same message.  The one-pass
+reader of canonical text must agree with the general parser on every
+spelling.
+"""
+
+import random
+from fractions import Fraction
+from operator import add, ge, sub
+
+import pytest
+
+from modcycles import polyring
+from modcycles.fields import FieldElement, WrongField, ZeroPolynomial, make_field
+from modcycles.polyring import (
+    INFINITY,
+    InexactDivision,
+    MultiPoly,
+    ParseError,
+    PolyError,
+    UnknownVariable,
+    VarSet,
+    ZeroDivisor,
+    parse_poly,
+    parse_ratfunc,
+)
+
+F2 = make_field(2)
+F5 = make_field(5)
+F7 = make_field(7)
+F65521 = make_field(65521)
+Q = make_field(0)
+F9 = make_field(3, [1, 0, 1])
+SPECS = (F2, F5, F7, F65521, Q, F9)
+RAW_SPECS = (F2, F5, F7, F65521, Q)
+
+
+class RefPoly:
+    """The FieldElement-valued sparse polynomial: ``terms`` maps exponent
+    tuples to nonzero elements of ``spec``."""
+
+    __slots__ = ("spec", "vars", "terms", "_hash")
+
+    def __init__(self, spec, vars, terms):
+        self.spec = spec
+        self.vars = vars
+        clean = {}
+        for exp, c in terms.items():
+            if len(exp) != vars.count:
+                raise ValueError("exponent vector length mismatch")
+            c = spec.element(c)
+            if c:
+                clean[tuple(exp)] = c
+        self.terms = clean
+        self._hash = None
+
+    @classmethod
+    def _raw(cls, spec, vars, terms):
+        self = object.__new__(cls)
+        self.spec, self.vars, self.terms, self._hash = spec, vars, terms, None
+        return self
+
+    @classmethod
+    def const(cls, spec, vars, c):
+        c = spec.element(c)
+        return cls._raw(spec, vars, {(0,) * vars.count: c} if c else {})
+
+    def __eq__(self, other):
+        return (isinstance(other, RefPoly) and self.spec == other.spec
+                and self.vars == other.vars and self.terms == other.terms)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.spec, self.vars, frozenset(self.terms.items())))
+        return self._hash
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def _coerce(self, other):
+        if isinstance(other, RefPoly):
+            if self.spec != other.spec or self.vars != other.vars:
+                raise WrongField("polynomials live in different rings")
+            return other
+        return RefPoly.const(self.spec, self.vars, other)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, self.spec.zero) + c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return RefPoly._raw(self.spec, self.vars, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefPoly._raw(self.spec, self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, FieldElement)):
+            c = self.spec.element(other)
+            if not c:
+                return RefPoly._raw(self.spec, self.vars, {})
+            return RefPoly._raw(self.spec, self.vars, {e: v * c for e, v in self.terms.items()})
+        other = self._coerce(other)
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                s = out.get(e, self.spec.zero) + c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    out.pop(e, None)
+        return RefPoly._raw(self.spec, self.vars, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        if k < 0:
+            raise ValueError(f"negative exponent {k} for a polynomial")
+        acc = RefPoly.const(self.spec, self.vars, 1)
+        for _ in range(k):
+            acc = acc * self
+        return acc
+
+    @property
+    def constant_term(self):
+        return self.terms.get((0,) * self.vars.count, self.spec.zero)
+
+    def leading_term(self):
+        if not self.terms:
+            raise ZeroPolynomial("zero polynomial has no leading term")
+        e = max(self.terms)
+        return e, self.terms[e]
+
+    def coefficient_of(self, var, exponent):
+        i = self.vars.index(var)
+        out = {}
+        for e, c in self.terms.items():
+            if e[i] == exponent:
+                out[e[:i] + (0,) + e[i + 1:]] = c
+        return RefPoly._raw(self.spec, self.vars, out)
+
+    def substitute(self, assignments, drop=False):
+        spec = self.spec
+        idx = {self.vars.index(name): spec.element(v) for name, v in assignments.items()}
+        out = {}
+        for e, c in self.terms.items():
+            coeff, e2 = c, list(e)
+            for i, val in idx.items():
+                coeff = coeff * val ** e[i]
+                e2[i] = 0
+            if coeff:
+                key = tuple(e2)
+                s = out.get(key, spec.zero) + coeff
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+        result = RefPoly._raw(spec, self.vars, out)
+        if drop:
+            for name in sorted(assignments, reverse=True):
+                result = result.drop_var(name)
+        return result
+
+    def drop_var(self, name):
+        i = self.vars.index(name)
+        if any(e[i] for e in self.terms):
+            raise PolyError(f"{name} still occurs; substitute it first")
+        out = {e[:i] + e[i + 1:]: c for e, c in self.terms.items()}
+        return RefPoly._raw(self.spec, self.vars.drop(name), out)
+
+    def restrict_face(self, name, face):
+        i = self.vars.index(name)
+        if face is INFINITY:
+            top = max((e[i] for e in self.terms), default=0)
+            out = {e[:i] + e[i + 1:]: c for e, c in self.terms.items() if e[i] == top}
+            return RefPoly._raw(self.spec, self.vars.drop(name), out)
+        if face not in (0, 1):
+            raise ValueError(f"{face!r} is not a face value (0, 1 or INFINITY)")
+        return self.substitute({name: face}, drop=True)
+
+    def exact_div(self, g):
+        g = self._coerce(g)
+        if not g:
+            raise ZeroDivisor("division by the zero polynomial")
+        rem, out = dict(self.terms), {}
+        eg, cg = g.leading_term()
+        cg_inv = cg.inverse()
+        while rem:
+            ef = max(rem)
+            if not all(map(ge, ef, eg)):
+                raise InexactDivision(f"{g.to_text()} does not divide {self.to_text()}")
+            eq = tuple(map(sub, ef, eg))
+            cq = rem[ef] * cg_inv
+            out[eq] = cq
+            for e2, c2 in g.terms.items():
+                e = tuple(map(add, eq, e2))
+                s = rem.get(e, self.spec.zero) - cq * c2
+                if s:
+                    rem[e] = s
+                else:
+                    rem.pop(e, None)
+        return RefPoly._raw(self.spec, self.vars, out)
+
+    def to_text(self):
+        if not self.terms:
+            return "0"
+        names = self.vars.names()
+        parts = []
+        for e, c in sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True):
+            mono = "*".join(names[i] if k == 1 else f"{names[i]}^{k}"
+                            for i, k in enumerate(e) if k)
+            ct = c.to_text()
+            neg = ct.startswith("-") and " " not in ct
+            if neg:
+                ct = ct[1:]
+            if ("+" in ct or " - " in ct) and mono:
+                ct = f"({ct})"
+            body = (mono if ct == "1" else f"{ct}*{mono}") if mono else ct
+            parts.append((" - " if neg else " + ") + body if parts else ("-" if neg else "") + body)
+        return "".join(parts)
+
+
+def as_ref(P):
+    """The reference polynomial with the coefficients ``P`` reports."""
+    return RefPoly._raw(P.spec, P.vars, {e: P.coeff(e) for e in P.terms})
+
+
+def outcome(fn):
+    """What ``fn()`` gives, comparable across the two implementations: a
+    polynomial as its ring, FieldElement terms, text and hash; an exception
+    as its type and message."""
+    try:
+        v = fn()
+    except (PolyError, ValueError, ZeroDivisionError, WrongField, ZeroPolynomial) as exc:
+        return "raises", type(exc), str(exc)
+    if isinstance(v, MultiPoly):
+        return "poly", v.spec, v.vars, as_ref(v).terms, v.to_text(), hash(v)
+    if isinstance(v, RefPoly):
+        return "poly", v.spec, v.vars, v.terms, v.to_text(), hash(v)
+    return "value", v
+
+
+def rand_elem(rng, spec):
+    if spec.is_extension:
+        return spec.element([rng.randrange(spec.char) for _ in range(spec.degree)])
+    if spec.char:
+        return spec.element(rng.choice((0, 1, spec.char - 1, rng.randrange(spec.char))))
+    return spec.element(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+
+def rand_terms(rng, spec, vars, max_terms=5, max_exp=3):
+    return {tuple(rng.randrange(max_exp) for _ in range(vars.count)): rand_elem(rng, spec)
+            for _ in range(rng.randrange(max_terms + 1))}
+
+
+def pair(spec, vars, terms):
+    return MultiPoly(spec, vars, terms), RefPoly(spec, vars, terms)
+
+
+def operations(rng, spec, vars):
+    """(label, function of (a, b, mono, one-minus-y)) for each operation on
+    the loop list, with arguments that make merges cancel and divisions
+    fail."""
+    c = rand_elem(rng, spec)
+    y = rng.choice(vars.names()[vars.r:])
+    t = rng.choice(vars.names())
+    k = rng.randrange(3)
+    other = make_field(3) if spec.char != 3 else make_field(5)
+    ops = [
+        ("a + b", lambda a, b, m, h: a + b),
+        ("a + a*h", lambda a, b, m, h: a + a * h),
+        ("3 + a", lambda a, b, m, h: 3 + a),
+        ("a - b", lambda a, b, m, h: a - b),
+        ("a - a", lambda a, b, m, h: a - a),
+        ("2 - a", lambda a, b, m, h: 2 - a),
+        ("-a", lambda a, b, m, h: -a),
+        ("a * b", lambda a, b, m, h: a * b),
+        ("a * h", lambda a, b, m, h: a * h),
+        ("a * m", lambda a, b, m, h: a * m),
+        ("m * a", lambda a, b, m, h: m * a),
+        ("a * c", lambda a, b, m, h: a * c),
+        ("a * 3", lambda a, b, m, h: a * 3),
+        ("5 * a", lambda a, b, m, h: 5 * a),
+        ("a * 0", lambda a, b, m, h: a * 0),
+        ("a * other", lambda a, b, m, h: a * other.one),
+        ("a ** 3", lambda a, b, m, h: a ** 3),
+        ("h ** 2", lambda a, b, m, h: h ** 2),
+        ("a ** 0", lambda a, b, m, h: a ** 0),
+        ("a ** -1", lambda a, b, m, h: a ** -1),
+        ("exact (a*b)/b", lambda a, b, m, h: (a * b).exact_div(b)),
+        ("exact a/b", lambda a, b, m, h: a.exact_div(b)),
+        ("exact (a*h)/h", lambda a, b, m, h: (a * h).exact_div(h)),
+        ("exact (a*m)/m", lambda a, b, m, h: (a * m).exact_div(m)),
+        ("exact a/m", lambda a, b, m, h: a.exact_div(m)),
+        ("exact a/c", lambda a, b, m, h: a.exact_div(c)),
+        ("exact a/0", lambda a, b, m, h: a.exact_div(0)),
+        ("substitute y=c", lambda a, b, m, h: a.substitute({y: c})),
+        ("substitute t=c y=1", lambda a, b, m, h: a.substitute({t: c, y: 1})),
+        ("substitute y=0 drop", lambda a, b, m, h: a.substitute({y: 0}, drop=True)),
+        ("substitute t9", lambda a, b, m, h: a.substitute({"t9": 1})),
+        ("substitute other field", lambda a, b, m, h: a.substitute({y: other.one})),
+        ("coefficient_of", lambda a, b, m, h: a.coefficient_of(t, k)),
+        ("constant_term", lambda a, b, m, h: a.constant_term),
+        ("leading_term", lambda a, b, m, h: a.leading_term()),
+        ("restrict 2", lambda a, b, m, h: a.restrict_face(y, 2)),
+    ]
+    for face in (0, 1, INFINITY):
+        ops.append((f"restrict {face}", lambda a, b, m, h, f=face: a.restrict_face(y, f)))
+        ops.append((f"restrict a*h {face}", lambda a, b, m, h, f=face: (a * h).restrict_face(y, f)))
+    return ops, y
+
+
+class TestAgainstTheReference:
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.to_text())
+    def test_every_operation_matches(self, spec):
+        rng = random.Random(f"kernel:{spec.to_text()}")
+        compared = 0
+        for _ in range(40):
+            vars = VarSet(rng.randrange(3), rng.randrange(1, 3))
+            a, A = pair(spec, vars, rand_terms(rng, spec, vars))
+            b, B = pair(spec, vars, rand_terms(rng, spec, vars))
+            e = tuple(rng.randrange(3) for _ in range(vars.count))
+            m, M = pair(spec, vars, {e: rand_elem(rng, spec) or spec.one})
+            ops, y = operations(rng, spec, vars)
+            h, H = pair(spec, vars, {(0,) * vars.count: 1,
+                                     tuple(int(v == y) for v in vars.names()): -1})
+            assert outcome(lambda: a) == outcome(lambda: A)
+            for label, op in ops:
+                got = outcome(lambda: op(a, b, m, h))
+                want = outcome(lambda: op(A, B, M, H))
+                assert got == want, (label, a, b, m)
+                compared += 1
+        assert compared > 1000
+
+    @pytest.mark.parametrize("spec", RAW_SPECS, ids=lambda s: s.to_text())
+    def test_mixed_rings_raise_alike(self, spec):
+        vars = VarSet(1, 1)
+        a, A = pair(spec, vars, {(1, 0): 1})
+        b, B = pair(spec, VarSet(1, 2), {(1, 0, 0): 1})
+        for op in (lambda x, z: x + z, lambda x, z: x - z, lambda x, z: x * z,
+                   lambda x, z: x.exact_div(z)):
+            assert outcome(lambda: op(a, b)) == outcome(lambda: op(A, B))
+            assert outcome(lambda: op(a, b))[1] is WrongField
+
+
+class TestLift:
+    def test_appends_y_variables(self):
+        text = "3*t1^2*y1 + t2 + 1"
+        P = parse_poly(text, F7, VarSet(2, 1))
+        assert P.lift(VarSet(2, 3)) == parse_poly(text, F7, VarSet(2, 3))
+        assert P.lift(VarSet(2, 1)) == P
+        for vars in (VarSet(3, 1), VarSet(1, 1), VarSet(2, 0)):
+            with pytest.raises(ValueError, match="^exponent vector length mismatch$"):
+                P.lift(vars)
+
+
+class TestNoFieldElementArithmetic:
+    GUARDED = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__neg__", "__truediv__", "__rtruediv__", "__pow__", "inverse")
+
+    def test_prime_fields_and_q_run_on_raw_scalars(self, monkeypatch):
+        rng = random.Random(5)
+        cases = []
+        for spec in RAW_SPECS:
+            for _ in range(25):
+                vars = VarSet(rng.randrange(3), rng.randrange(1, 3))
+                ops, y = operations(rng, spec, vars)
+                a = MultiPoly(spec, vars, rand_terms(rng, spec, vars))
+                b = MultiPoly(spec, vars, rand_terms(rng, spec, vars))
+                m = MultiPoly(spec, vars, {(1,) * vars.count: rand_elem(rng, spec) or spec.one})
+                h = MultiPoly.const(spec, vars, 1) - MultiPoly.variable(spec, vars, y)
+                for P in (a, b, a * b, a * h):
+                    P.to_text()
+                    cases.append((P, P.to_text()))
+                want = [outcome(lambda: op(a, b, m, h)) for _, op in ops]
+                cases.append((a, b, m, h, ops, want))
+
+        def refuse(*args):
+            raise AssertionError("FieldElement arithmetic in a MultiPoly operation")
+
+        for name in self.GUARDED:
+            monkeypatch.setattr(FieldElement, name, refuse)
+        for case in cases:
+            if len(case) == 2:
+                P, text = case
+                assert parse_poly(text, P.spec, P.vars) == P
+                continue
+            a, b, m, h, ops, want = case
+            for (label, op), w in zip(ops, want):
+                if label not in ("constant_term", "leading_term"):
+                    got = outcome(lambda: op(a, b, m, h))
+                    assert got[:4] == w[:4], label
+            hash(MultiPoly(a.spec, a.vars, a.terms))
+            assert MultiPoly(a.spec, a.vars, a.terms).to_text() == a.to_text()
+
+    def test_canonical_text_skips_the_general_parser(self, monkeypatch):
+        rng = random.Random(8)
+        texts = []
+        for spec in RAW_SPECS:
+            for _ in range(30):
+                vars = VarSet(rng.randrange(1, 4), rng.randrange(0, 3))
+                P = MultiPoly(spec, vars, rand_terms(rng, spec, vars, max_terms=8, max_exp=4))
+                texts.append((P, P.to_text()))
+
+        def refuse(*args):
+            raise AssertionError("canonical text went to the general parser")
+
+        monkeypatch.setattr(polyring, "_Parser", refuse)
+        for P, text in texts:
+            assert parse_poly(text, P.spec, P.vars) == P
+
+
+def general_parse(monkeypatch, text, spec, vars):
+    """parse_poly with the one-pass reader switched off."""
+    with monkeypatch.context() as mp:
+        mp.setattr(polyring, "_read_canonical", lambda *args: None)
+        return parse_poly(text, spec, vars)
+
+
+class TestOnePassReader:
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.to_text())
+    def test_canonical_text_round_trips(self, spec):
+        rng = random.Random(f"reader:{spec.to_text()}")
+        for _ in range(150):
+            vars = VarSet(rng.randrange(0, 4), rng.randrange(0, 3))
+            if not vars.count:
+                continue
+            P = MultiPoly(spec, vars, rand_terms(rng, spec, vars, max_terms=8, max_exp=5))
+            text = P.to_text()
+            got = parse_poly(text, spec, vars)
+            assert got == P and got.to_text() == text and hash(got) == hash(P)
+            fast = polyring._read_canonical(text, spec, vars)
+            if spec.is_extension:
+                assert fast is None
+            else:
+                assert fast == P
+
+    SPELLINGS = [
+        "t2 + t1", "1 + t1", "t1 + 1 + t2", "t2*t1", "t1*t1", "1*t1", "t1^1", "t1^0",
+        "2/4*t1", "9*t1", "0*t1 + 1", "t1 - t1", "t01", "t1  +  1", " t1", "t1 ", "t1 +",
+        "1/0*t1", "1/7*t1", "1/2*t1", "t1^²", "y1^²", "t٣", "٣*t1", "y¹", "-t1", "-1",
+        "t1 - -1", "", "3/", "/3*t1", "3/*t1", "t1^", "t1**2", "t1^2^3", "(t1)", "t1*",
+        "u*t1", "t3", "2*t1 + 3*t1", "7*t1 + 1", "1" * 5000 + "*t1", "t1^" + "9" * 5000,
+        "0", "-0", "1 + 0",
+    ]
+
+    @pytest.mark.parametrize("spec", (F7, Q, F2), ids=lambda s: s.to_text())
+    def test_other_spellings_agree_with_the_general_parser(self, spec, monkeypatch):
+        vars = VarSet(2, 1)
+        for text in self.SPELLINGS:
+            want = outcome(lambda: general_parse(monkeypatch, text, spec, vars))
+            assert outcome(lambda: parse_poly(text, spec, vars)) == want, text
+            fast = outcome(lambda: polyring._read_canonical(text, spec, vars))
+            assert fast[0] != "raises", text
+
+    def test_non_string_input_is_left_to_the_general_parser(self):
+        assert polyring._read_canonical(12, F7, VarSet(1, 0)) is None
+        with pytest.raises(TypeError):
+            parse_poly(12, F7, VarSet(1, 0))
+
+
+class TestAsciiDigitsOnly:
+    def test_polynomial_text(self):
+        vars = VarSet(3, 1)
+        for text in ("t1^²", "y1^²", "٣*t1", "t1^٣", "1/٣*t1"):
+            with pytest.raises(ParseError):
+                parse_poly(text, F7, vars)
+        for text in ("t٣", "y¹", "t1²", "1 + t٣*y1"):
+            with pytest.raises(UnknownVariable):
+                parse_poly(text, F7, vars)
+        assert parse_poly("t3", F7, vars) == MultiPoly.variable(F7, vars, "t3")
+
+    def test_variable_names(self):
+        vars = VarSet(3, 1)
+        for name in ("t٣", "y¹", "t²"):
+            with pytest.raises(UnknownVariable):
+                vars.index(name)
+        assert vars.index("t03") == 2
+
+    def test_rational_function_text(self):
+        for text in ("t^²", "٣*t", "1/(t - ٣)"):
+            with pytest.raises(ParseError):
+                parse_ratfunc(text, F7)
+        for text in ("t٣", "t¹ + 1"):
+            with pytest.raises(UnknownVariable):
+                parse_ratfunc(text, F7)

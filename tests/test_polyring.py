@@ -222,8 +222,9 @@ class TestOps:
 
 
 def reference_exact_div(f, g):
-    """The division loop on the lex-leading term, for any nonzero divisor."""
-    rem, out = dict(f.terms), {}
+    """The division loop on the lex-leading term, for any nonzero divisor,
+    on field-element coefficients."""
+    rem, out = {e: f.coeff(e) for e in f.terms}, {}
     eg, cg = g.leading_term()
     cg_inv = cg.inverse()
     while rem:
@@ -233,14 +234,14 @@ def reference_exact_div(f, g):
             raise InexactDivision(f"{g.to_text()} does not divide {f.to_text()}")
         cq = rem[ef] * cg_inv
         out[eq] = cq
-        for e2, c2 in g.terms.items():
+        for e2 in g.terms:
             e = tuple(a + b for a, b in zip(eq, e2))
-            s = rem.get(e, f.spec.zero) - cq * c2
+            s = rem.get(e, f.spec.zero) - cq * g.coeff(e2)
             if s:
                 rem[e] = s
             else:
                 rem.pop(e, None)
-    return MultiPoly._raw(f.spec, f.vars, out)
+    return MultiPoly(f.spec, f.vars, out)
 
 
 def division_outcome(f, g, divide):
@@ -248,7 +249,7 @@ def division_outcome(f, g, divide):
         q = divide(f, g)
     except InexactDivision as exc:
         return type(exc), str(exc)
-    return q.terms
+    return {e: q.coeff(e) for e in q.terms}
 
 
 def rand_coeff(rng, spec):

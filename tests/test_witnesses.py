@@ -233,6 +233,17 @@ class TestRhoReciprocity:
         assert verify_certificate(cert)
         assert len(cert.claim["boundary_faces"]) == 4
 
+    def test_boundary_is_computed_once(self, monkeypatch):
+        # the claim's faces are read from the boundary the transcript check built
+        import modcycles.witnesses as witnesses
+
+        calls = []
+        real = witnesses.boundary
+        monkeypatch.setattr(witnesses, "boundary", lambda *a, **k: calls.append(a) or real(*a, **k))
+        W = cyc("1 - t1*t2*(2*y1*y2 + 3*y1 + 4*y2 + 5)", n=2)
+        assert verify_rho_reciprocity(W, D11_F7).valid
+        assert len(calls) == 1
+
     def test_with_higher_order_terms(self):
         W = cyc("1 - t1*t2*(2*y1*y2 + 3*y1 + 4*y2 + 5) + t1^3*t2*(y1*y2 + 2)", n=2)
         cert = verify_rho_reciprocity(W, D11_F7)
