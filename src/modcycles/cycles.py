@@ -445,6 +445,34 @@ class ParamCurve:
 # ---------------------------------------------------------------------------
 
 
+def _add_face(Z: HypersurfaceCycle, i: int, face, sign: int, out: dict) -> None:
+    """Add sign times the restriction of Z to the face y_i = face into
+    ``out``, a map from canonical components one level down to
+    multiplicities: each component is restricted, stripped of factors on
+    the puncture and normalized, and one that restricts to a nonzero
+    constant adds nothing.  An identically zero restriction is an improper
+    intersection and raises, naming the first such component in text order.
+    """
+    name = f"y{i}"
+    model = Z.model
+    improper = []
+    for p, mult in Z.terms.items():
+        g = p.restrict_face(name, face)
+        if not g:
+            improper.append(p)
+            continue
+        g = _strip_excluded_factors(g, model)
+        if g.is_constant:
+            continue
+        g = normalize_component(g)
+        out[g] = out.get(g, 0) + sign * mult
+    if improper:
+        p = min(improper, key=MultiPoly.to_text)
+        raise ImproperFaceIntersection(
+            f"V({p.to_text()}) contains the face y{i}={_face_text(face)}"
+        )
+
+
 def face_restrict(Z: HypersurfaceCycle, i: int, face) -> HypersurfaceCycle:
     """Restrict to the face y_i = face value, reindexing the remaining y's.
 
@@ -457,26 +485,9 @@ def face_restrict(Z: HypersurfaceCycle, i: int, face) -> HypersurfaceCycle:
         raise ValueError(f"face index {i} out of range 1..{n}")
     if face not in Z.model.faces:
         raise ValueError(f"{_face_text(face)} is not a face value of {Z.model.value}")
-    name = f"y{i}"
-    model = Z.model
     out: dict[MultiPoly, int] = {}
-    improper = []
-    for p, mult in Z.terms.items():
-        g = p.restrict_face(name, face)
-        if not g:
-            improper.append(p)
-            continue
-        g = _strip_excluded_factors(g, model)
-        if g.is_constant:
-            continue
-        g = normalize_component(g)
-        out[g] = out.get(g, 0) + mult
-    if improper:
-        p = min(improper, key=MultiPoly.to_text)
-        raise ImproperFaceIntersection(
-            f"V({p.to_text()}) contains the face y{i}={_face_text(face)}"
-        )
-    return HypersurfaceCycle._trusted((Z.spec, VarSet(Z.vars.r, n - 1), model), out)
+    _add_face(Z, i, face, 1, out)
+    return HypersurfaceCycle._trusted((Z.spec, VarSet(Z.vars.r, n - 1), Z.model), out)
 
 
 def is_degenerate(p: MultiPoly) -> bool:
@@ -496,15 +507,18 @@ def is_level0_dropped(p: MultiPoly) -> bool:
     return p.vars.n == 0 and len(p.terms) == 2 and p.constant_term == p.spec.one
 
 
+def _is_pruned(p: MultiPoly, level0_flag: bool) -> bool:
+    """Whether the nondegenerate quotient kills the component p at its own
+    level: a degenerate component at level >= 1, a level-0 component
+    1 - c*t^e at level 0 when ``level0_flag`` is on."""
+    if p.vars.n >= 1:
+        return is_degenerate(p)
+    return level0_flag and is_level0_dropped(p)
+
+
 def prune_degenerate(Z: HypersurfaceCycle, level0_flag: bool = True) -> HypersurfaceCycle:
     """Drop components the nondegenerate quotient kills at this level."""
-    out = {}
-    for p, m in Z.terms.items():
-        if Z.vars.n >= 1 and is_degenerate(p):
-            continue
-        if Z.vars.n == 0 and level0_flag and is_level0_dropped(p):
-            continue
-        out[p] = m
+    out = {p: m for p, m in Z.terms.items() if not _is_pruned(p, level0_flag)}
     return HypersurfaceCycle._trusted(Z._ambient, out)
 
 
@@ -512,16 +526,26 @@ def boundary(Z: HypersurfaceCycle, *, level0_flag: bool = True) -> HypersurfaceC
     """The cubical boundary sum_i (-1)^i (d_i^pos - d_i^neg), with the face
     pair of the model.  The opposite inner sign convention is its negative.
     ``level0_flag`` applies the level-0 degeneracy convention to the output.
+
+    One accumulation: the 2n face restrictions add their signed
+    multiplicities into one map of canonical components (see
+    :func:`_add_face`), faces in the order (1, pos), (1, neg), (2, pos), ...,
+    so the first improper face raises as face_restrict would there.  Keys
+    whose multiplicities cancel and keys the nondegenerate quotient kills
+    (:func:`prune_degenerate`'s rule) are then dropped, and the result is
+    built once, trusted.
     """
     n = Z.vars.n
     if n < 1:
         raise ValueError("boundary requires n >= 1")
     pos, neg = Z.model.boundary_pair
-    total = HypersurfaceCycle.empty(Z.spec, VarSet(Z.vars.r, n - 1), Z.model)
+    acc: dict[MultiPoly, int] = {}
     for i in range(1, n + 1):
-        part = face_restrict(Z, i, pos) - face_restrict(Z, i, neg)
-        total = total + part.scale((-1) ** i)
-    return prune_degenerate(total, level0_flag=level0_flag)
+        sign = (-1) ** i
+        _add_face(Z, i, pos, sign, acc)
+        _add_face(Z, i, neg, -sign, acc)
+    out = {p: m for p, m in acc.items() if m and not _is_pruned(p, level0_flag)}
+    return HypersurfaceCycle._trusted((Z.spec, VarSet(Z.vars.r, n - 1), Z.model), out)
 
 
 # ---------------------------------------------------------------------------
@@ -672,17 +696,28 @@ class ModulusVerdict(Enum):
 
 
 class ModulusReport:
-    __slots__ = ("verdict", "per_component")
+    """The verdict of :func:`check_modulus_codim1` with one (component,
+    verdict, reason) entry per component.  Components are kept as
+    polynomials, and rendered and sorted by text only when the entries are
+    read (``per_component``, ``to_json``)."""
 
-    def __init__(self, per_component: Sequence[tuple[str, ModulusVerdict, str]]):
-        self.per_component = tuple(per_component)
-        verdicts = [v for _, v, _ in per_component]
+    __slots__ = ("verdict", "_entries")
+
+    def __init__(self, entries: Sequence[tuple[MultiPoly, ModulusVerdict, str]]):
+        self._entries = tuple(entries)
+        verdicts = [v for _, v, _ in self._entries]
         if any(v is ModulusVerdict.VIOLATES for v in verdicts):
             self.verdict = ModulusVerdict.VIOLATES
         elif all(v is ModulusVerdict.CERTIFIED for v in verdicts):
             self.verdict = ModulusVerdict.CERTIFIED
         else:
             self.verdict = ModulusVerdict.UNKNOWN
+
+    @property
+    def per_component(self) -> tuple[tuple[str, ModulusVerdict, str], ...]:
+        """(component text, verdict, reason) in text order."""
+        return tuple(sorted(((p.to_text(), v, r) for p, v, r in self._entries),
+                            key=lambda e: e[0]))
 
     def __repr__(self):
         return f"ModulusReport({self.verdict.value})"
@@ -730,46 +765,46 @@ def check_modulus_codim1(Z: HypersurfaceCycle, D: ModulusDatum) -> ModulusReport
     else:
         rad = lifted
     one = MultiPoly.const(Z.spec, Z.vars, 1)
-    for _, p in Z.components():
-        text = p.to_text()
-        if p.constant_term != Z.spec.one:
-            raise ConstantTermZero(
-                f"component {text} has constant term 0; it meets the t-axes"
-            )
+    meets_axes = [p for p in Z.terms if p.constant_term != Z.spec.one]
+    if meets_axes:
+        text = min(meets_axes, key=MultiPoly.to_text).to_text()
+        raise ConstantTermZero(f"component {text} has constant term 0; it meets the t-axes")
+    for p in Z.terms:
         f1 = p - one
         if n == 0:
             if D.is_monomial:
                 if _divides(rad, f1):
-                    results.append((text, ModulusVerdict.CERTIFIED,
+                    results.append((p, ModulusVerdict.CERTIFIED,
                                     "support disjointness: radical divides f - 1"))
                 else:
-                    results.append((text, ModulusVerdict.VIOLATES,
+                    results.append((p, ModulusVerdict.VIOLATES,
                                     "component meets the divisor support"))
             else:
                 if _divides(lifted, f1):
-                    results.append((text, ModulusVerdict.CERTIFIED,
+                    results.append((p, ModulusVerdict.CERTIFIED,
                                     "divisor polynomial divides f - 1"))
                 else:
-                    results.append((text, ModulusVerdict.UNKNOWN,
+                    results.append((p, ModulusVerdict.UNKNOWN,
                                     "no certificate for a non-monomial divisor"))
             continue
         degs = [p.degree_in(f"y{i+1}") for i in range(n)]
         if D.is_monomial and any(d >= 2 for d in degs):
-            results.append((text, ModulusVerdict.VIOLATES,
+            results.append((p, ModulusVerdict.VIOLATES,
                             f"y-degrees {degs} exceed 1"))
             continue
         divides = _divides(lifted, f1)
         if divides and all(d <= 1 for d in degs):
-            results.append((text, ModulusVerdict.CERTIFIED,
+            results.append((p, ModulusVerdict.CERTIFIED,
                             "divisor divides f - 1 and y-degrees are at most 1"))
             continue
         if ones and not divides:
-            results.append((text, ModulusVerdict.VIOLATES,
+            results.append((p, ModulusVerdict.VIOLATES,
                             "t1...tr does not divide f - 1"))
             continue
-        results.append((text, ModulusVerdict.UNKNOWN, "no applicable criterion"))
+        results.append((p, ModulusVerdict.UNKNOWN, "no applicable criterion"))
     if not results:
-        results.append(("0", ModulusVerdict.CERTIFIED, "empty cycle"))
+        # the zero polynomial renders as "0"
+        results.append((MultiPoly.zero(Z.spec, Z.vars), ModulusVerdict.CERTIFIED, "empty cycle"))
     return ModulusReport(results)
 
 
@@ -827,17 +862,29 @@ def psi_convert(obj, to_model: CoordModel):
 
     ORIGINAL faces {0, inf} map to PSI faces {1, 0}; boundaries commute with
     the conversion.  Points landing on the target's puncture raise.
+
+    A hypersurface cycle converts in one pass: each image that is not
+    constant is normalized, equal images merge in one map, cancelling
+    multiplicities are dropped, and the result is built trusted.  No image
+    has a factor on the target's puncture, so none is stripped.  A PSI
+    target strips nothing by definition.  Going to ORIGINAL, a term c*y^e
+    maps to c times the product of (1 - y_i)^(d_i - e_i), with d_i the degree
+    of the component in y_i; at y_j = 1 only the terms with e_j = d_j
+    survive, and they form the image of the nonzero y_j^(d_j) coefficient
+    under the same injective substitution in the other y's.  So the image
+    does not vanish on y_j = 1, and 1 - y_j does not divide it.
     """
     if isinstance(obj, HypersurfaceCycle):
         if obj.model is to_model:
             raise WrongModel("cycle already lives in the target model")
-        out = []
+        out: dict[MultiPoly, int] = {}
         for p, m in obj.terms.items():
             q = _convert_poly(p, to_model)
             if not q or q.is_constant:
                 continue
-            out.append((m, q))
-        return HypersurfaceCycle(obj.spec, obj.vars, to_model, out)
+            q = normalize_component(q)
+            out[q] = out.get(q, 0) + m
+        return HypersurfaceCycle._trusted((obj.spec, obj.vars, to_model), out)
     if isinstance(obj, ClosedPoint):
         here = obj.residue_spec
         one = here.one

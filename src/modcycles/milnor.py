@@ -314,15 +314,28 @@ class Valuation:
         """ord_v(f), and the residue of the unit part f * uniformizer^(-ord f).
 
         At a finite place, one division loop each takes pi out of the
-        numerator and the denominator; the cofactors it leaves are evaluated
-        at the parameter class.
+        numerator and the denominator; the residue of each cofactor is its
+        class (see :meth:`_unit_class`).
         """
         if self.pi is None:
             return f.ord_at_infinity(), f.num.leading / f.den.leading
         a, num = f.num.split_at(self.pi)
         b, den = f.den.split_at(self.pi)
-        x = self.parameter_class()
-        return a - b, num.eval(x) / den.eval(x)
+        ell = self.residue_spec()
+        return a - b, self._unit_class(num, ell) / self._unit_class(den, ell)
+
+    def _unit_class(self, g: UniPoly, ell: FieldSpec) -> FieldElement:
+        """The class of g, a polynomial that pi does not divide, in the
+        residue field ``ell``: g mod pi on the base field's list kernel.
+        ``ell`` is F[u]/(pi) with u the class of t (see ``_place_field``),
+        so the remainder's coefficients are its coordinates in the basis
+        1, u, ..., u^(deg pi - 1); when deg pi = 1, ``ell`` is the base
+        field and the remainder is a constant."""
+        k = g.spec._lists
+        rem = k.values(k.divmod(k.unwrap(g), k.unwrap(self.pi))[1])
+        if self.pi.degree == 1:
+            return FieldElement(ell, rem[0])
+        return ell.element(rem)
 
     def base_point(self) -> ClosedPoint:
         """The closed point of the affine parameter line at this place."""

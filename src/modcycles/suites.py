@@ -74,16 +74,14 @@ def _rand_multilinear(rng, spec, vars, y_names) -> MultiPoly:
     """Random polynomial multilinear in the given y's, constant in t."""
     import itertools
 
-    acc = MultiPoly.zero(spec, vars)
+    terms = {}
     for subset in itertools.product((0, 1), repeat=len(y_names)):
         c = _rand_elem(rng, spec)
-        if not c:
-            continue
         exp = [0] * vars.count
         for name, bit in zip(y_names, subset):
             exp[vars.index(name)] = bit
-        acc = acc + MultiPoly(spec, vars, {tuple(exp): c})
-    return acc
+        terms[tuple(exp)] = c  # distinct subsets give distinct monomials
+    return MultiPoly(spec, vars, terms)
 
 
 def _t_monomial(spec, vars, exps) -> MultiPoly:

@@ -27,6 +27,7 @@ from modcycles.cycles import (
     UndefinedAtPole,
     ZeroCycle,
     _convert_poly,
+    _strip_excluded_factors,
     boundary,
     check_face_condition,
     check_modulus_codim1,
@@ -36,9 +37,11 @@ from modcycles.cycles import (
     face_restrict,
     is_degenerate,
     is_level0_dropped,
+    prune_degenerate,
     pushforward_closed_immersion,
     psi_convert,
 )
+from modcycles.suites import _rand_admissible_cycle
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -115,6 +118,62 @@ def reference_face_restrict(Z, i, face):
     if improper:
         return f"V({improper[0].to_text()}) contains the face {name}={'inf' if face is INFINITY else face}"
     return HypersurfaceCycle(Z.spec, VarSet(Z.vars.r, Z.vars.n - 1), Z.model, out)
+
+
+def reference_boundary(Z, level0_flag=True):
+    """The cubical boundary as a sum of cycles: for each i the difference of
+    the two face restrictions (rebuilt by reference_face_restrict), scaled
+    by (-1)^i and added to a running total, then prune_degenerate."""
+    n = Z.vars.n
+    pos, neg = Z.model.boundary_pair
+    total = HypersurfaceCycle.empty(Z.spec, VarSet(Z.vars.r, n - 1), Z.model)
+    for i in range(1, n + 1):
+        faces = []
+        for face in (pos, neg):
+            got = reference_face_restrict(Z, i, face)
+            if isinstance(got, str):
+                raise ImproperFaceIntersection(got)
+            faces.append(got)
+        total = total + (faces[0] - faces[1]).scale((-1) ** i)
+    return prune_degenerate(total, level0_flag=level0_flag)
+
+
+def reference_psi_convert(Z, to_model):
+    """psi_convert of a hypersurface cycle through the validating
+    constructor, which strips and normalizes every image."""
+    out = []
+    for p, m in Z.terms.items():
+        q = _convert_poly(p, to_model)
+        if q and not q.is_constant:
+            out.append((m, q))
+    return HypersurfaceCycle(Z.spec, Z.vars, to_model, out)
+
+
+def outcome_of(fn, *args, **kwargs):
+    """The result, or the type and message of the CycleError raised."""
+    try:
+        return fn(*args, **kwargs)
+    except CycleError as exc:
+        return type(exc).__name__, str(exc)
+
+
+ONE_PASS_SPECS = (make_field(2), F5, Q, F9, QI)
+
+
+def one_pass_cycles(seed):
+    """Seeded cycles for the one-pass boundary and conversion: for each
+    field, model and n = 1..4, one cycle from random_face_cycle (improper
+    faces and corners are common) and, in the PSI model, one certified
+    admissible cycle (at n = 1 its boundary has level-0 components
+    1 - c*t^e), plus its ORIGINAL image."""
+    rng = random.Random(seed)
+    for spec in ONE_PASS_SPECS:
+        for n in (1, 2, 3, 4):
+            for model in CoordModel:
+                yield random_face_cycle(rng, spec, model, n)
+            Z = _rand_admissible_cycle(rng, spec, rng.randrange(1, 3), n)
+            yield Z
+            yield reference_psi_convert(Z, CoordModel.ORIGINAL)
 
 
 class TestFaceRestrict:
@@ -241,6 +300,64 @@ class TestBoundary:
                 assert not boundary(b, level0_flag=False)
 
 
+class TestOnePassBoundary:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_reference(self, seed):
+        proper = improper = 0
+        for Z in one_pass_cycles(seed):
+            for flag in (True, False):
+                want = outcome_of(reference_boundary, Z, level0_flag=flag)
+                assert outcome_of(boundary, Z, level0_flag=flag) == want
+                if isinstance(want, HypersurfaceCycle):
+                    proper += bool(want)
+                else:
+                    improper += 1
+        assert proper >= 20 and improper >= 10
+
+    def test_level0_flag_drops_only_at_level0(self):
+        # two of the three faces of Z are two-term components 1 - c*t1*y1
+        # at level 1, which the flag keeps; the boundary of W is the flag's
+        # two-term component 1 - 3*t1 at level 0
+        Z = cyc("1 - 3*t1*y1*y2 - t1*y1", r=1, n=2)
+        assert boundary(Z) == boundary(Z, level0_flag=False) == reference_boundary(Z)
+        assert len(boundary(Z).terms) == 3
+        W = cyc("1 - 3*t1*y1", r=1)
+        assert not boundary(W)
+        assert boundary(W, level0_flag=False) == reference_boundary(W, level0_flag=False)
+
+    def test_improper_face_raises_at_the_same_face(self):
+        # both faces of y1 are proper; at y2 = 0 two components are not, and
+        # the message names the first in text order
+        vars = VarSet(1, 2)
+        comps = [parse_poly(text, F7, vars)
+                 for text in ("1 + y1 + t1*y2", "y2*(2 + y1)", "y2*(1 + t1*y1)")]
+        Z = HypersurfaceCycle(F7, vars, CoordModel.PSI, [(1, p) for p in comps])
+        with pytest.raises(ImproperFaceIntersection) as exc:
+            reference_boundary(Z)
+        assert str(exc.value) == "V(t1*y1*y2 + y2) contains the face y2=0"
+        assert outcome_of(boundary, Z) == ("ImproperFaceIntersection", str(exc.value))
+
+    def test_original_face_that_strips_to_a_unit(self):
+        # at y1 = 0 the component becomes 1 - y2, supported on the puncture
+        Z = cyc("1 - y2 + y1*y2 + t1*y1", r=1, n=2, model=CoordModel.ORIGINAL)
+        assert not face_restrict(Z, 1, 0)
+        for flag in (True, False):
+            assert boundary(Z, level0_flag=flag) == reference_boundary(Z, level0_flag=flag)
+
+    def test_builds_no_cycle_through_the_validating_constructor(self, monkeypatch):
+        Z = cyc("1 - t1*t2*(2*y1*y2 + 3*y1 + 4*y2 + 5)", n=2)
+        Zo = psi_convert(Z, CoordModel.ORIGINAL)
+        want = (boundary(Z), face_restrict(Z, 2, 0), boundary(Zo), Zo, psi_convert(Zo, CoordModel.PSI))
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("HypersurfaceCycle.__init__ called")
+
+        monkeypatch.setattr(HypersurfaceCycle, "__init__", refuse)
+        got = (boundary(Z), face_restrict(Z, 2, 0), boundary(Zo),
+               psi_convert(Z, CoordModel.ORIGINAL), psi_convert(Zo, CoordModel.PSI))
+        assert got == want
+
+
 class TestFaceCondition:
     def test_admissible_passes(self):
         Z = cyc("1 - t1*t2*(y1 + y2)", n=2)
@@ -315,6 +432,34 @@ class TestModulusCodim1:
         assert check_modulus_codim1(good, D215).verdict is ModulusVerdict.CERTIFIED
         bad = cyc("1 - t1*t2", spec=Q, r=3, n=0)
         assert check_modulus_codim1(bad, D215).verdict is ModulusVerdict.VIOLATES
+
+    def test_components_reported_in_text_order(self):
+        vars = VarSet(2, 1)
+        texts = ("1 - t1*t2*y1^2", "1 + t2*y1", "1 - t1*t2*(y1 + 3)")
+        Z = HypersurfaceCycle(F7, vars, CoordModel.PSI,
+                              [(k + 1, parse_poly(t, F7, vars)) for k, t in enumerate(texts)])
+        report = check_modulus_codim1(Z, self.D11)
+        rows = [(t, v.value) for t, v, _ in report.per_component]
+        assert rows == [
+            ("6*t1*t2*y1 + 4*t1*t2 + 1", "Certified"),
+            ("6*t1*t2*y1^2 + 1", "ViolatesNecessary"),
+            ("t2*y1 + 1", "ViolatesNecessary"),
+        ]
+        assert report.verdict is ModulusVerdict.VIOLATES
+        assert [c["poly"] for c in report.to_json()["components"]] == [t for t, _ in rows]
+        empty = check_modulus_codim1(HypersurfaceCycle.empty(F7, vars, CoordModel.PSI), self.D11)
+        assert empty.to_json() == {"verdict": "Certified", "components": [
+            {"poly": "0", "verdict": "Certified", "reason": "empty cycle"}]}
+
+    def test_constant_term_zero_names_the_first_offender_in_text_order(self):
+        from modcycles.cycles import ConstantTermZero
+
+        vars = VarSet(2, 1)
+        texts = ("1 + t1*y1", "y1 + t2", "t1 + y1")
+        Z = HypersurfaceCycle(F7, vars, CoordModel.PSI, [(1, parse_poly(t, F7, vars)) for t in texts])
+        with pytest.raises(ConstantTermZero) as exc:
+            check_modulus_codim1(Z, self.D11)
+        assert str(exc.value) == "component t1 + y1 has constant term 0; it meets the t-axes"
 
     def test_wrong_model_rejected(self):
         from modcycles.cycles import WrongModel
@@ -463,6 +608,32 @@ class TestPsiConvert:
             lhs = psi_convert(boundary(Z, level0_flag=False), CoordModel.ORIGINAL)
             rhs = boundary(Zo, level0_flag=False)
             assert lhs == rhs
+
+
+class TestTrustedConvert:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_reference(self, seed):
+        images = 0
+        for Z in one_pass_cycles(seed):
+            target = Z.model.other
+            assert psi_convert(Z, target) == reference_psi_convert(Z, target)
+            for p in Z.terms:
+                q = _convert_poly(p, target)
+                if q and not q.is_constant:
+                    assert _strip_excluded_factors(q, target) is q
+                    images += 1
+        assert images >= 50
+
+    def test_equal_images_merge(self):
+        # over F7 both components map to V(3*y1 + 1)
+        vars = VarSet(1, 1)
+        p, q = (parse_poly(text, F7, vars) for text in ("1 + y1", "y1 + y1^2"))
+        image = cyc("3*y1 + 1", r=1, model=CoordModel.ORIGINAL)
+        for mults, want in (((1, -1), image.scale(0)), ((1, 1), image.scale(2)), ((2, 1), image.scale(3))):
+            Z = HypersurfaceCycle(F7, vars, CoordModel.PSI, list(zip(mults, (p, q))))
+            assert len(Z.terms) == 2
+            got = psi_convert(Z, CoordModel.ORIGINAL)
+            assert got == want == reference_psi_convert(Z, CoordModel.ORIGINAL)
 
 
 class TestPushforward:

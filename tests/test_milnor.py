@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modcycles.cli import main
-from modcycles.fields import UniPoly, make_field, norm_k1_finite
+from modcycles.fields import UniPoly, factor_univariate, make_field, norm_k1_finite
 from modcycles.polyring import RatFunc
 from modcycles.cycles import ClosedPoint, CoordModel, ParamCurve, ZeroCycle, curve_boundary
 from modcycles.milnor import (
@@ -177,6 +177,52 @@ class TestOrderAndResidue:
             num, den = (g * t_pow, h) if m >= 0 else (g, h * t_pow)
         f = RatFunc(num, den)
         assert v.order_and_residue(f) == reference_order_and_residue(v, f)
+
+
+def random_place(rng, spec, degree):
+    """A monic irreducible polynomial of the given degree."""
+    while True:
+        pi = UniPoly(spec, [rng.randrange(spec.char) for _ in range(degree)] + [1])
+        parts = factor_univariate(pi).parts
+        if len(parts) == 1 and parts[0].multiplicity == 1 and parts[0].poly == pi:
+            return pi
+
+
+class TestResidueByRemainder:
+    """The residue of a unit is its remainder mod pi, read in F[u]/(pi);
+    the reference evaluates the cofactors at the parameter class."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_equals_evaluation_at_places_of_degree_1_to_5(self, p):
+        rng = random.Random(p)
+        spec = make_field(p)
+        ff = FunctionField(spec)
+        for degree in range(1, 6):
+            for _ in range(3):
+                v = Valuation(ff, random_place(rng, spec, degree))
+                for _ in range(4):
+                    g, h = (UniPoly(spec, [rng.randrange(p) for _ in range(rng.randrange(1, 9))])
+                            for _ in range(2))
+                    if not g or not h:
+                        continue
+                    m = rng.randrange(-2, 3)
+                    t_pow = v.pi ** abs(m)
+                    f = RatFunc(g * t_pow, h) if m >= 0 else RatFunc(g, h * t_pow)
+                    got = v.order_and_residue(f)
+                    assert got == reference_order_and_residue(v, f)
+                    assert got[1].spec == v.residue_spec()
+
+    def test_equals_evaluation_over_q(self):
+        rng = random.Random(0)
+        ff = FunctionField(Q)
+        for _ in range(40):
+            v = Valuation(ff, UniPoly(Q, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)), 1]))
+            g, h = (UniPoly(Q, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                for _ in range(rng.randrange(1, 6))]) for _ in range(2))
+            if not g or not h:
+                continue
+            f = RatFunc(g * v.pi, h)
+            assert v.order_and_residue(f) == reference_order_and_residue(v, f)
 
 
 class TestTotalDelta:
