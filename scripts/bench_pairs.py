@@ -7,7 +7,7 @@
 Each pair runs ``perfbench/run.py --trace 0`` from both trees at one seed,
 a fresh seed per pair; the parent runs first in even pairs and the change
 first in odd ones.  Each tree runs its own perfbench/run.py, unchanged.  The
-end-to-end metrics, their directions and the default run length come from
+end-to-end metrics, their directions and the run length come from
 the change tree's BENCHMARK.json.  For each workload and metric the summary
 prints both sides' median and quartiles, the change's wins over the pairs
 (ties count for neither side), and the parent's interquartile range.  A
@@ -106,14 +106,11 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="source tree of the change")
     ap.add_argument("--workloads", required=True, help="comma-separated workload names")
     ap.add_argument("--seeds", required=True, help="one seed per pair, e.g. 801-810")
-    ap.add_argument("--seconds", type=float,
-                    help="perfbench --seconds (default: run_seconds of BENCHMARK.json)")
-    ap.add_argument("--json", help="also write every run and the summary here")
     args = ap.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    seconds = bench["run_seconds"]
     trees = {"parent": args.parent, "change": args.change}
     pairs = []
     for workload in args.workloads.split(","):
@@ -127,10 +124,6 @@ def main(argv=None) -> int:
     print(format_rows(rows))
     for flag in flags:
         print(f"FLAG {flag}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({"seconds": seconds, "pairs": pairs, "rows": rows, "flags": flags}, fh,
-                      indent=1)
     return 0
 
 

@@ -326,16 +326,15 @@ class Valuation:
 
     def _unit_class(self, g: UniPoly, ell: FieldSpec) -> FieldElement:
         """The class of g, a polynomial that pi does not divide, in the
-        residue field ``ell``: g mod pi on the base field's list kernel.
-        ``ell`` is F[u]/(pi) with u the class of t (see ``_place_field``),
-        so the remainder's coefficients are its coordinates in the basis
+        residue field ``ell``: the remainder g mod pi.  ``ell`` is
+        F[u]/(pi) with u the class of t (see ``_place_field``), so the
+        remainder's coefficients are its coordinates in the basis
         1, u, ..., u^(deg pi - 1); when deg pi = 1, ``ell`` is the base
         field and the remainder is a constant."""
-        k = g.spec._lists
-        rem = k.values(k.divmod(k.unwrap(g), k.unwrap(self.pi))[1])
+        r = (g % self.pi).coeffs
         if self.pi.degree == 1:
-            return FieldElement(ell, rem[0])
-        return ell.element(rem)
+            return r[0]
+        return ell.element([c.value for c in r])
 
     def base_point(self) -> ClosedPoint:
         """The closed point of the affine parameter line at this place."""
