@@ -12,7 +12,9 @@ the change tree's BENCHMARK.json.  For each workload and metric the summary
 prints both sides' median and quartiles, the change's wins over the pairs
 (ties count for neither side), and the parent's interquartile range.  A
 pair is flagged when a run reports ``correct`` false or when the two sides'
-shares of failed items differ.  Standard library only.
+shares of failed items differ.  A run that exits non-zero (run.py exits 2
+on a set-up error) is flagged with its exit code and last stderr line, and
+its pair is left out of the summary.  Standard library only.
 """
 
 from __future__ import annotations
@@ -36,12 +38,16 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """The last stdout line of one perfbench run in ``tree``."""
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> tuple[dict | None, str]:
+    """(the parsed last stdout line of one perfbench run in ``tree``, "");
+    (None, its exit code and last stderr line) when the run exits non-zero."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if done.returncode:
+        last = done.stderr.strip().splitlines()[-1:] or ["(no stderr)"]
+        return None, f"exit code {done.returncode}: {last[0]}"
+    return json.loads(done.stdout.splitlines()[-1]), ""
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -112,17 +118,21 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
     trees = {"parent": args.parent, "change": args.change}
-    pairs = []
+    pairs, failed = [], []
     for workload in args.workloads.split(","):
         for k, seed in enumerate(parse_seeds(args.seeds)):
             pair = {"workload": workload, "seed": seed}
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                pair[side] = run_once(trees[side], workload, seed, seconds)
-            pairs.append(pair)
+                pair[side], error = run_once(trees[side], workload, seed, seconds)
+                if error:
+                    failed.append(f"{workload} seed {seed}: {side} run failed, {error}")
+                    break
+            else:
+                pairs.append(pair)
             print(f"{workload} seed {seed} done", file=sys.stderr, flush=True)
     rows, flags = summarize(pairs, bench["end_to_end"])
     print(format_rows(rows))
-    for flag in flags:
+    for flag in failed + flags:
         print(f"FLAG {flag}")
     return 0
 

@@ -400,7 +400,8 @@ class FieldElement:
             raise ZeroDivisionError("inverse of zero")
         spec, c = self.spec, self.spec.char
         if spec.ext is None:
-            return FieldElement(spec, pow(self.value, -1, c) if c else 1 / self.value)
+            v = self.value
+            return FieldElement(spec, pow(v, -1, c) if c else Fraction(v.denominator, v.numerator))
         # extended Euclid over the base: s0 * self = r0 (mod mu) throughout,
         # ending at the gcd r0, a nonzero constant because mu is irreducible
         k = spec.base._lists
@@ -751,8 +752,18 @@ class UniPoly:
         return UniPoly._raw(self.spec, [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
 
     def eval(self, x: FieldElement) -> FieldElement:
-        """Evaluate at x; coefficients embed into x's field when it extends ours."""
-        target = x.spec
+        """Evaluate at x; coefficients embed into x's field when it extends ours.
+
+        At a point of its own prime field or Q, Horner's loop runs on the
+        raw residues mod p or Fractions and wraps the value once."""
+        spec, target = self.spec, x.spec
+        if spec.ext is None and (target is spec or target == spec):
+            p, v, acc = spec.char, x.value, spec._zero_coeff
+            for c in reversed(self.coeffs):
+                acc = acc * v + c.value
+                if p:
+                    acc %= p
+            return FieldElement(spec, acc)
         acc = target.zero
         for c in reversed(self.coeffs):
             cc = c if c.spec == target else target.embed(c)

@@ -2,15 +2,15 @@
 plus univariate rational functions for curve parametrizations.
 
 Terms are stored as a map from exponent vectors (t-block then y-block) to
-nonzero raw coefficients: int residues over F_p, ``Fraction``s over Q and
-field elements over an extension field (see :class:`MultiPoly`).  The
-display order is descending lexicographic on the exponent vector, which
-together with canonical coefficient text makes ``to_text`` a bijection onto
-its image: ``parse_poly`` inverts it bit-exactly.  ``parse_poly`` first
-reads base-field text in that canonical form in one pass, straight into raw
-terms, and keeps the result only when it renders back to the same text;
-every other spelling, and all text over an extension field, goes to the
-general parser.
+nonzero raw coefficients: int residues over F_p, int numerators over one
+common denominator over Q and field elements over an extension field (see
+:class:`MultiPoly`).  The display order is descending lexicographic on the
+exponent vector, which together with canonical coefficient text makes
+``to_text`` a bijection onto its image: ``parse_poly`` inverts it
+bit-exactly.  ``parse_poly`` first reads base-field text in that canonical
+form in one pass, straight into raw terms, and keeps the result only when
+it renders back to the same text; every other spelling, and all text over
+an extension field, goes to the general parser.
 
 Grammar (whitespace insignificant, implicit multiplication rejected)::
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from operator import add, ge, sub
 from typing import Mapping, Sequence
 
@@ -142,49 +143,86 @@ def _name_index(r: int, n: int) -> dict[str, int]:
 def _kernel(spec: FieldSpec) -> tuple:
     """(p, zero, one) for the raw coefficients of ``spec``: the prime that
     residues are reduced by (0 outside a prime field), and the identities
-    that sums start from and coefficients are compared with."""
+    that sums start from and coefficients are compared with.  Over Q they
+    are those of the integer numerators, so a numerator equal to ``one``
+    is the coefficient 1 only over the denominator 1."""
     if spec.ext is None:
         return spec.char, 0, 1
     return 0, spec.zero, spec.one
 
 
-def _scalar(spec: FieldSpec, x) -> object:
-    """``x`` coerced into ``spec`` as a raw coefficient (validating)."""
+def _scalar(spec: FieldSpec, x) -> tuple:
+    """``x`` coerced into ``spec`` (validating), as a raw numerator over a
+    positive denominator, which is 1 outside Q."""
     c = spec.element(x)
-    return c if spec.ext else c.value
-
-
-def _wrap(spec: FieldSpec, c) -> FieldElement:
-    """A raw coefficient of ``spec`` as a field element."""
-    return c if spec.ext else FieldElement(spec, c)
-
-
-def _inverse(spec: FieldSpec, c):
-    """The inverse of a nonzero raw coefficient of ``spec``."""
     if spec.ext:
-        return c.inverse()
-    return pow(c, -1, spec.char) if spec.char else 1 / c
+        return c, 1
+    v = c.value  # an int residue over F_p, whose denominator is 1
+    return v.numerator, v.denominator
+
+
+def _rational(c, den: int):
+    """The raw numerator ``c`` over ``den`` as one value that division can
+    act on: a Fraction when ``den`` is not 1, else ``c`` itself."""
+    return c if den == 1 else Fraction(c, den)
+
+
+def _numerators(spec: FieldSpec, values: Mapping[tuple, object]) -> tuple[dict, int]:
+    """Nonzero values as (raw terms, den).  Over Q the values are ints or
+    Fractions, and the terms are their numerators over the least common
+    denominator, so gcd(den, *numerators) = 1; elsewhere they are stored
+    as they are, over 1."""
+    if spec.char or spec.ext:
+        return values, 1
+    den = lcm(*[c.denominator for c in values.values()])
+    return {e: c.numerator * (den // c.denominator) for e, c in values.items()}, den
+
+
+def _wrap(spec: FieldSpec, c, den: int) -> FieldElement:
+    """The raw numerator ``c`` over ``den`` as a field element."""
+    if spec.ext:
+        return c
+    return FieldElement(spec, c if spec.char else Fraction(c, den))
+
+
+def _inverse(spec: FieldSpec, c, den: int) -> tuple:
+    """The inverse of the nonzero raw numerator ``c`` over ``den``, as a raw
+    numerator over a positive denominator."""
+    if spec.ext:
+        return c.inverse(), 1
+    if spec.char:
+        return pow(c, -1, spec.char), 1
+    return (den, c) if c > 0 else (-den, -c)
 
 
 class MultiPoly:
     """Immutable sparse polynomial over a :class:`FieldSpec` in a :class:`VarSet`.
 
     Invariant: ``terms`` maps exponent tuples of length ``vars.count`` to
-    nonzero raw coefficients of ``spec``: int residues 0 < c < p over a
-    prime field F_p, ``Fraction``s over Q, and :class:`FieldElement`s over
-    an extension field.  The raw form is private to this module; readers
-    outside it use :meth:`coeff`, :attr:`constant_term`,
+    nonzero raw coefficients of ``spec``, which are read over the common
+    denominator ``den``: int residues 0 < c < p over a prime field F_p and
+    :class:`FieldElement`s over an extension field, both over ``den`` = 1;
+    over Q, int numerators over a positive ``den`` with
+    gcd(den, *numerators) = 1.  With reduced coefficients a_i/b_i that
+    makes ``den`` = lcm(b_i), so the form is unique and equality and the
+    hash compare it structurally.  The raw form is private to this module;
+    readers outside it use :meth:`coeff`, :attr:`constant_term`,
     :meth:`leading_term` and :meth:`eval`, which return field elements.
 
     The public constructor validates and coerces untrusted terms; arithmetic
     results are canonical by construction and go through the trusted
-    :meth:`_raw` instead, so no result is normalized twice.  Arithmetic,
-    face restriction, division, substitution, the hash and ``to_text`` run
-    on the raw coefficients and build no FieldElement over F_p or Q; a sum
-    that cancels is dropped at the merge that cancels it.
+    :meth:`_raw` instead, so no result is normalized twice.  Over Q a result
+    whose numerators may share a factor with ``den`` goes through
+    :meth:`_reduced`, which costs nothing when ``den`` is 1.  Arithmetic,
+    face restriction, the model-conversion image, the hash and ``to_text``
+    run on the raw coefficients and build no FieldElement over F_p or Q,
+    and over Q no Fraction either, except one per term in ``to_text``; a
+    sum that cancels is dropped at the merge that cancels it.  Division
+    and substitution form quotients, so over Q they read each term once as
+    a Fraction.
     """
 
-    __slots__ = ("spec", "vars", "terms", "_hash", "_text")
+    __slots__ = ("spec", "vars", "terms", "den", "_hash", "_text")
 
     def __init__(self, spec: FieldSpec, vars: VarSet, terms: Mapping[tuple, Scalar]):
         self.spec = spec
@@ -196,20 +234,42 @@ class MultiPoly:
             c = spec.element(c)
             if c:
                 clean[tuple(exp)] = c if spec.ext else c.value
-        self.terms = clean
+        self.terms, self.den = _numerators(spec, clean)
         self._hash = self._text = None
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def _raw(cls, spec: FieldSpec, vars: VarSet, terms: dict) -> "MultiPoly":
-        """Trusted constructor: ``terms`` must already satisfy the invariant
-        (right exponent length, nonzero raw coefficients of ``spec``) and is
-        stored as is, without copying."""
+    def _raw(cls, spec: FieldSpec, vars: VarSet, terms: dict, den: int = 1) -> "MultiPoly":
+        """Trusted constructor: ``terms`` over ``den`` must already satisfy
+        the invariant (right exponent length, nonzero raw coefficients of
+        ``spec``, gcd 1 with ``den`` over Q) and is stored as is, without
+        copying."""
         self = object.__new__(cls)
         self.spec = spec
         self.vars = vars
         self.terms = terms
+        self.den = den
+        self._hash = self._text = None
+        return self
+
+    @classmethod
+    def _reduced(cls, spec: FieldSpec, vars: VarSet, terms: dict, den: int) -> "MultiPoly":
+        """Trusted constructor for raw terms over ``den`` that may share a
+        factor with it: the factor is divided out, so ``den`` = 1 over
+        every field but Q, and over Q too when the terms are empty."""
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {e: c // g for e, c in terms.items()}
+        # built here, not by a call to _raw, which would cost about half
+        # a construction on every result over F_p and extension fields
+        self = object.__new__(cls)
+        self.spec = spec
+        self.vars = vars
+        self.terms = terms
+        self.den = den
         self._hash = self._text = None
         return self
 
@@ -219,15 +279,14 @@ class MultiPoly:
 
     @classmethod
     def const(cls, spec, vars, c):
-        c = _scalar(spec, c)
-        return cls._raw(spec, vars, {(0,) * vars.count: c} if c else {})
+        c, den = _scalar(spec, c)
+        return cls._raw(spec, vars, {(0,) * vars.count: c} if c else {}, den)
 
     @classmethod
     def variable(cls, spec, vars, name):
         exp = [0] * vars.count
         exp[vars.index(name)] = 1
-        one = spec.one
-        return cls._raw(spec, vars, {tuple(exp): one if spec.ext else one.value})
+        return cls._raw(spec, vars, {tuple(exp): _kernel(spec)[2]})
 
     def lift(self, vars: VarSet) -> "MultiPoly":
         """This polynomial in ``vars``, a ring with the same t-variables and
@@ -235,7 +294,16 @@ class MultiPoly:
         if vars.r != self.vars.r or vars.n < self.vars.n:
             raise ValueError("exponent vector length mismatch")
         pad = (0,) * (vars.n - self.vars.n)
-        return MultiPoly._raw(self.spec, vars, {e + pad: c for e, c in self.terms.items()})
+        return MultiPoly._raw(self.spec, vars, {e + pad: c for e, c in self.terms.items()},
+                              self.den)
+
+    def _values(self) -> dict:
+        """The coefficients as values that division acts on (see
+        :func:`_rational`): the raw terms themselves unless ``den`` > 1."""
+        den = self.den
+        if den == 1:
+            return self.terms
+        return {e: Fraction(c, den) for e, c in self.terms.items()}
 
     # -- canonical identity ----------------------------------------------------
 
@@ -244,13 +312,13 @@ class MultiPoly:
             isinstance(other, MultiPoly)
             and self.spec == other.spec
             and self.vars == other.vars
+            and self.den == other.den
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        # hash(FieldElement) is hash(value), so raw and wrapped terms hash alike
         if self._hash is None:
-            self._hash = hash((self.spec, self.vars, frozenset(self.terms.items())))
+            self._hash = hash((self.spec, self.vars, self.den, frozenset(self.terms.items())))
         return self._hash
 
     def __bool__(self):
@@ -274,8 +342,15 @@ class MultiPoly:
     def __add__(self, other):
         other = self._coerce(other)
         p, zero, _ = _kernel(self.spec)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        mine, theirs, den = self.terms, other.terms, self.den
+        if other.den != den:
+            # over Q: both numerator sets over the lcm of the denominators
+            den = lcm(den, other.den)
+            k1, k2 = den // self.den, den // other.den
+            mine = {e: c * k1 for e, c in mine.items()} if k1 != 1 else mine
+            theirs = {e: c * k2 for e, c in theirs.items()} if k2 != 1 else theirs
+        out = dict(mine)
+        for e, c in theirs.items():
             s = out.get(e, zero) + c
             if p:
                 s %= p
@@ -283,14 +358,14 @@ class MultiPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return MultiPoly._raw(self.spec, self.vars, out)
+        return MultiPoly._reduced(self.spec, self.vars, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
         p = _kernel(self.spec)[0]
         return MultiPoly._raw(self.spec, self.vars, {
-            e: p - c if p else -c for e, c in self.terms.items()})
+            e: p - c if p else -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -302,18 +377,20 @@ class MultiPoly:
         spec = self.spec
         p, zero, _ = _kernel(spec)
         if isinstance(other, (int, FieldElement)):
-            c = _scalar(spec, other)
-            return MultiPoly._raw(spec, self.vars, {
-                e: v * c % p if p else v * c for e, v in self.terms.items()} if c else {})
+            c, d = _scalar(spec, other)
+            if not c:
+                return MultiPoly._raw(spec, self.vars, {})
+            return self._times(c, d)
         other = self._coerce(other)
+        den = self.den * other.den
         # a monomial factor shifts exponents injectively and multiplies by a
         # nonzero scalar, so nothing merges and nothing cancels
         poly, mono = (self, other) if len(other.terms) == 1 else (other, self)
         if len(mono.terms) == 1:
             ((e2, c2),) = mono.terms.items()
-            return MultiPoly._raw(spec, self.vars, {
+            return MultiPoly._reduced(spec, self.vars, {
                 tuple(map(add, e1, e2)): c1 * c2 % p if p else c1 * c2
-                for e1, c1 in poly.terms.items()})
+                for e1, c1 in poly.terms.items()}, den)
         out: dict[tuple, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -325,9 +402,15 @@ class MultiPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return MultiPoly._raw(spec, self.vars, out)
+        return MultiPoly._reduced(spec, self.vars, out, den)
 
     __rmul__ = __mul__
+
+    def _times(self, c, d: int) -> "MultiPoly":
+        """This polynomial times the nonzero raw numerator ``c`` over ``d``."""
+        p = _kernel(self.spec)[0]
+        return MultiPoly._reduced(self.spec, self.vars, {
+            e: v * c % p if p else v * c for e, v in self.terms.items()}, self.den * d)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -352,7 +435,8 @@ class MultiPoly:
         (tail exponent vector, integer) pairs: a term c*x^(e1 + e2) becomes
         the sum of m*c*x^(e1 + f) over (f, m) in ``images[e2]``.  A factor
         m of +-1 adds or subtracts c; other integers are coerced into the
-        field once per call."""
+        field once per call.  Over Q the numerators combine over the same
+        denominator."""
         spec = self.spec
         p = _kernel(spec)[0]
         scalars: dict[int, object] = {}
@@ -369,7 +453,7 @@ class MultiPoly:
                 else:
                     k = scalars.get(m)
                     if k is None:
-                        k = scalars[m] = _scalar(spec, m)
+                        k = scalars[m] = _scalar(spec, m)[0]
                     if not k:
                         continue
                     s = c * k if s is None else s + c * k
@@ -379,7 +463,7 @@ class MultiPoly:
                     out[key] = s
                 else:
                     del out[key]
-        return MultiPoly._raw(spec, self.vars, out)
+        return MultiPoly._reduced(spec, self.vars, out, self.den)
 
     # -- structure ---------------------------------------------------------
 
@@ -390,7 +474,7 @@ class MultiPoly:
     def coeff(self, exp: tuple) -> FieldElement:
         """The coefficient of the monomial with exponent vector ``exp``."""
         c = self.terms.get(exp)
-        return self.spec.zero if c is None else _wrap(self.spec, c)
+        return self.spec.zero if c is None else _wrap(self.spec, c, self.den)
 
     @property
     def constant_term(self) -> FieldElement:
@@ -400,7 +484,7 @@ class MultiPoly:
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
         e = max(self.terms)
-        return e, _wrap(self.spec, self.terms[e])
+        return e, _wrap(self.spec, self.terms[e], self.den)
 
     def degree_in(self, var: str) -> int:
         """Maximal exponent of var; errors on the zero polynomial."""
@@ -418,17 +502,18 @@ class MultiPoly:
                 e2 = list(e)
                 e2[i] = 0
                 out[tuple(e2)] = c
-        return MultiPoly._raw(self.spec, self.vars, out)
+        return MultiPoly._reduced(self.spec, self.vars, out, self.den)
 
     def substitute(self, assignments: Mapping[str, Scalar], drop: bool = False) -> "MultiPoly":
         """Evaluate some variables exactly; optionally remove them from the ring."""
         spec = self.spec
         p, zero, one = _kernel(spec)
-        idx = {self.vars.index(name): _scalar(spec, v) for name, v in assignments.items()}
+        idx = {self.vars.index(name): _rational(*_scalar(spec, v))
+               for name, v in assignments.items()}
         # per variable: None for the value 1, else a cache of its powers
         powers = {i: None if val == one else {1: val} for i, val in idx.items()}
         out: dict[tuple, object] = {}
-        for e, c in self.terms.items():
+        for e, c in self._values().items():
             coeff = c
             e2 = list(e)
             for i, cache in powers.items():
@@ -451,7 +536,7 @@ class MultiPoly:
                 out[key] = s
             else:
                 out.pop(key, None)
-        result = MultiPoly._raw(spec, self.vars, out)
+        result = MultiPoly._raw(spec, self.vars, *_numerators(spec, out))
         if drop:
             for name in sorted(assignments, reverse=True):
                 result = result.drop_var(name)
@@ -488,7 +573,7 @@ class MultiPoly:
                         del out[key]
         else:
             raise ValueError(f"{face!r} is not a face value (0, 1 or INFINITY)")
-        return MultiPoly._raw(self.spec, self.vars.drop(name), out)
+        return MultiPoly._reduced(self.spec, self.vars.drop(name), out, self.den)
 
     def drop_var(self, name: str) -> "MultiPoly":
         """Remove a variable not occurring in any term, reindexing the rest."""
@@ -496,17 +581,17 @@ class MultiPoly:
         if any(e[i] for e in self.terms):
             raise PolyError(f"{name} still occurs; substitute it first")
         out = {e[:i] + e[i + 1 :]: c for e, c in self.terms.items()}
-        return MultiPoly._raw(self.spec, self.vars.drop(name), out)
+        return MultiPoly._raw(self.spec, self.vars.drop(name), out, self.den)
 
     def eval(self, values: Sequence[FieldElement]) -> FieldElement:
         """Full evaluation; values may live in an extension of the coefficient field."""
         if len(values) != self.vars.count:
             raise ValueError("need one value per variable")
-        spec = self.spec
+        spec, den = self.spec, self.den
         target = values[0].spec if values else spec
         acc = target.zero
         for e, c in self.terms.items():
-            c = _wrap(spec, c)
+            c = _wrap(spec, c, den)
             term = c if c.spec == target else target.embed(c)
             for v, k in zip(values, e):
                 if k:
@@ -520,7 +605,8 @@ class MultiPoly:
         A one-term divisor c*x^e shifts every exponent by -e, and scales
         every coefficient by 1/c unless c = 1; it divides exactly when no
         exponent goes negative.  Longer divisors run the division loop on
-        the lex-leading term.
+        the lex-leading term, over Q on the coefficients as Fractions
+        unless both denominators are 1 and the leading coefficient is +-1.
         """
         g = self._coerce(g)
         if not g:
@@ -529,21 +615,20 @@ class MultiPoly:
         p, zero, one = _kernel(spec)
         if len(g.terms) == 1:
             ((eg, cg),) = g.terms.items()
-            inv = None if cg == one else _inverse(spec, cg)
             out = {}
             for e, c in self.terms.items():
                 if not all(map(ge, e, eg)):
                     raise InexactDivision(f"{g.to_text()} does not divide {self.to_text()}")
-                if inv is not None:
-                    c = c * inv
-                    if p:
-                        c %= p
                 out[tuple(map(sub, e, eg))] = c
-            return MultiPoly._raw(spec, self.vars, out)
-        rem = dict(self.terms)
+            q = MultiPoly._raw(spec, self.vars, out, self.den)
+            if cg == one and g.den == 1:
+                return q
+            return q._times(*_inverse(spec, cg, g.den))
+        rem = dict(self._values())
         out: dict[tuple, object] = {}
         eg = max(g.terms)
-        cg_inv = _inverse(spec, g.terms[eg])
+        cg_inv = _rational(*_inverse(spec, g.terms[eg], g.den))
+        divisor = g._values()
         while rem:
             ef = max(rem)
             eq = tuple(a - b for a, b in zip(ef, eg))
@@ -555,7 +640,7 @@ class MultiPoly:
             out[eq] = cq
             neg_cq = p - cq if p else -cq
             # rem -= cq * x^eq * g, in place
-            for e2, c2 in g.terms.items():
+            for e2, c2 in divisor.items():
                 e = tuple(map(add, eq, e2))
                 s = rem.get(e, zero) + neg_cq * c2
                 if p:
@@ -564,7 +649,7 @@ class MultiPoly:
                     rem[e] = s
                 else:
                     rem.pop(e, None)
-        return MultiPoly._raw(spec, self.vars, out)
+        return MultiPoly._raw(spec, self.vars, *_numerators(spec, out))
 
     # -- text ----------------------------------------------------------------
 
@@ -577,8 +662,16 @@ class MultiPoly:
         if not self.terms:
             return "0"
         names = self.vars.names()
-        # a raw residue or Fraction prints as its field element does
-        text_of = FieldElement.to_text if self.spec.ext else str
+        # a raw residue, or a numerator over den, prints as its field element does
+        den = self.den
+        if self.spec.ext:
+            text_of = FieldElement.to_text
+        elif den == 1:
+            text_of = str
+        else:
+            def text_of(c):
+                g = gcd(c, den)
+                return str(c // g) if g == den else f"{c // g}/{den // g}"
         parts = []
         for e, c in sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True):
             mono = "*".join(
@@ -767,7 +860,7 @@ def _read_canonical(text: str, spec: FieldSpec, vars: VarSet) -> MultiPoly | Non
     tokens = text.split(" ")
     if not len(tokens) % 2:
         return None
-    terms = {}
+    terms, common = {}, 1
     for j in range(0, len(tokens), 2):
         tok = tokens[j]
         if j:
@@ -801,13 +894,19 @@ def _read_canonical(text: str, spec: FieldSpec, vars: VarSet) -> MultiPoly | Non
                 return None
             c = num * pow(den, -1, p) % p
         elif den:
-            c = Fraction(num, den)
+            # over Q the terms are numerators over the lcm of the
+            # denominators read so far
+            if common % den:
+                k = den // gcd(common, den)
+                common *= k
+                terms = {e: v * k for e, v in terms.items()}
+            c = num * (common // den)
         else:
             return None
         if not c:
             return None
         terms[tuple(exp)] = c
-    poly = MultiPoly._raw(spec, vars, terms)
+    poly = MultiPoly._raw(spec, vars, terms, common)
     return poly if poly.to_text() == text else None
 
 

@@ -45,7 +45,8 @@ def spec_from_json(data: dict) -> FieldSpec:
     ext = data.get("ext")
     if ext is None:
         return make_field(char)
-    return make_field(char, [c if char == 0 else int(c) for c in _fractions(ext)])
+    # each coefficient is the element it denotes, as in element_from_json
+    return make_field(char, _fractions(ext))
 
 
 # -- field elements ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """The summary of scripts/bench_pairs.py on fixed runs (perfbench is not run)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,35 @@ def test_table_has_one_line_per_row():
 
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("801-803,900") == [801, 802, 803, 900]
+
+
+FAKE_RUN = """import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed in {fail}:
+    print("Traceback (most recent call last):", file=sys.stderr)
+    print("SystemExit: set-up failed at seed " + str(seed), file=sys.stderr)
+    sys.exit(2)
+print("table")
+print(json.dumps({{"correct": True, "attempted": 10, "failed": 0, "metrics": {{
+    "wall_s": {{"value": {wall} + seed / 1000}}, "items_per_s": {{"value": 1.0}}}}}}))
+"""
+
+
+def _fake_tree(root, name, wall, fail=()):
+    tree = root / name
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "perfbench" / "run.py").write_text(FAKE_RUN.format(fail=set(fail) or "set()", wall=wall))
+    (tree / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": METRICS}))
+    return str(tree)
+
+
+def test_a_failed_run_is_flagged_and_its_pair_skipped(tmp_path, capsys):
+    parent = _fake_tree(tmp_path, "parent", 2.0)
+    change = _fake_tree(tmp_path, "change", 1.0, fail=(802,))
+    assert bench_pairs.main(["--parent", parent, "--change", change,
+                             "--workloads", "suite-full", "--seeds", "801-803"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == ("FLAG suite-full seed 802: change run failed, exit code 2: "
+                         "SystemExit: set-up failed at seed 802")
+    wall = lines[1].split()
+    assert wall[:2] == ["suite-full", "wall_s"] and wall[-1] == "2/2"

@@ -6,6 +6,7 @@ skip validation because their results are canonical by construction; these
 tests rebuild each result through the public constructors and compare.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -76,15 +77,20 @@ def rand_cycle(rng, spec, n):
 def assert_canonical_poly(r):
     assert all(len(e) == r.vars.count for e in r.terms)
     assert all(c for c in r.terms.values()), "zero coefficient stored"
-    # raw coefficients: reduced int residues over F_p, Fractions over Q,
-    # elements of the field itself over an extension
+    # raw coefficients: reduced int residues over F_p and elements of the
+    # field itself over an extension, both over the denominator 1; over Q,
+    # int numerators over a positive denominator prime to them all
+    assert type(r.den) is int
     if r.spec.is_extension:
         assert all(type(c) is FieldElement and c.spec == r.spec for c in r.terms.values())
+        assert r.den == 1
     elif r.spec.char:
         assert all(type(c) is int and 0 < c < r.spec.char for c in r.terms.values())
+        assert r.den == 1
     else:
-        assert all(type(c) is Fraction for c in r.terms.values())
-    assert MultiPoly(r.spec, r.vars, r.terms) == r
+        assert all(type(c) is int for c in r.terms.values())
+        assert r.den > 0 and math.gcd(r.den, *r.terms.values()) == 1
+    assert MultiPoly(r.spec, r.vars, {e: r.coeff(e) for e in r.terms}) == r
 
 
 def generic_product(a, b):
@@ -141,12 +147,34 @@ class TestTrustedPolynomials:
         spec = SPECS[seed % 3]
         vars = VarSet(1, 2)
         a = rand_poly(rng, spec, vars)
-        items = list(a.terms.items())
+        items = [(e, a.coeff(e)) for e in a.terms]
         rng.shuffle(items)
         b = MultiPoly(spec, vars, dict(reversed(items)))
         assert a == b and hash(a) == hash(b)
         assert {a: 1}[b] == 1
         assert hash(a) == hash(MultiPoly(spec, vars, dict(items)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_one_rational_polynomial_built_four_ways(self, seed):
+        # over Q the raw form is numerators over one denominator: the
+        # validating constructor, the parser, arithmetic whose denominators
+        # cancel and a face restriction that clears a prime from the
+        # denominator must all give it
+        rng = random.Random(seed)
+        vars, wider = VarSet(2, 1), VarSet(2, 2)
+        a = rand_poly(rng, Q, vars)
+        k = rng.choice((2, 3, 6, 7))
+        shares_a_prime = MultiPoly(Q, wider, {(0, 0, 0, 1): Fraction(1, 7 * k)})
+        ways = [
+            a,
+            parse_poly(a.to_text(), Q, vars),
+            a * Fraction(1, k) * k,
+            (a.lift(wider) + shares_a_prime).restrict_face("y2", 0),
+        ]
+        for w in ways:
+            assert_canonical_poly(w)
+            assert w == a and hash(w) == hash(a) and w.to_text() == a.to_text()
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**30))

@@ -853,3 +853,53 @@ class TestPrimeFieldKernels:
         for op in (lambda: a.powmod(-1, UniPoly(spec, [1, 0, 1])), lambda: a**-2):
             with pytest.raises(ValueError, match="^negative exponent -[12] for a polynomial$"):
                 op()
+
+
+def reference_eval(f, x):
+    """Horner's loop on field elements, each coefficient embedded into x's field."""
+    target = x.spec
+    acc = target.zero
+    for c in reversed(f.coeffs):
+        acc = acc * x + (c if c.spec == target else target.embed(c))
+    return acc
+
+
+def rand_value(rng, spec):
+    if spec.char:
+        return rng.choice(list(spec.elements()))
+    digits = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(spec.degree)]
+    return spec.element(digits if spec.ext else digits[0])
+
+
+class TestUniPolyEval:
+    QI = make_field(0, [1, 0, 1])
+    F49 = make_field(7, [1, 0, 1])
+
+    @pytest.mark.parametrize("spec", (F7, Q, F9, QI), ids=lambda s: s.to_text())
+    def test_equals_the_field_element_horner_loop(self, spec, monkeypatch):
+        rng = random.Random(f"eval:{spec.to_text()}")
+        cases = []
+        for _ in range(60):
+            f = UniPoly(spec, [rand_value(rng, spec) for _ in range(rng.randrange(7))])
+            x = rand_value(rng, spec)
+            cases.append((f, x, reference_eval(f, x)))
+        if not spec.ext:
+            # at a point of its own base field the loop runs on raw values
+            def refuse(*args):
+                raise AssertionError("FieldElement arithmetic in UniPoly.eval")
+
+            for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+                monkeypatch.setattr(FieldElement, name, refuse)
+        for f, x, want in cases:
+            got = f.eval(x)
+            assert got == want and got.spec is spec
+            assert type(got.value) is type(want.value)
+
+    def test_prime_field_polynomial_at_extension_points(self):
+        rng = random.Random(49)
+        points = list(self.F49.elements())
+        for _ in range(60):
+            f = UniPoly(F7, [rng.randrange(7) for _ in range(rng.randrange(7))])
+            x = rng.choice(points)
+            got = f.eval(x)
+            assert got == reference_eval(f, x) and got.spec is self.F49

@@ -1,11 +1,12 @@
 """MultiPoly on raw coefficients against a FieldElement-valued reference.
 
-``MultiPoly.terms`` holds int residues over F_p and Fractions over Q.
-``RefPoly`` below is the earlier FieldElement-valued implementation, kept
-here as the reference: every operation must give the same polynomial, text
-and hash, or raise the same exception with the same message.  The one-pass
-reader of canonical text must agree with the general parser on every
-spelling.
+``MultiPoly.terms`` holds int residues over F_p and, over Q, int numerators
+over the common denominator ``MultiPoly.den``.  ``RefPoly`` below is the
+earlier FieldElement-valued implementation, kept here as the reference:
+every operation must give the same polynomial and text, with a hash equal
+to that of the same polynomial rebuilt by the validating constructor, or
+raise the same exception with the same message.  The one-pass reader of
+canonical text must agree with the general parser on every spelling.
 """
 
 import random
@@ -15,6 +16,7 @@ from operator import add, ge, sub
 import pytest
 
 from modcycles import polyring
+from modcycles.cycles import CoordModel, HypersurfaceCycle, psi_convert
 from modcycles.fields import FieldElement, WrongField, ZeroPolynomial, make_field
 from modcycles.polyring import (
     INFINITY,
@@ -138,6 +140,18 @@ class RefPoly:
             acc = acc * self
         return acc
 
+    def _integer_image(self, split, images):
+        out = {}
+        for e, c in self.terms.items():
+            for f, m in images[e[split:]]:
+                key = e[:split] + f
+                s = out.get(key, self.spec.zero) + c * m
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+        return RefPoly._raw(self.spec, self.vars, out)
+
     @property
     def constant_term(self):
         return self.terms.get((0,) * self.vars.count, self.spec.zero)
@@ -251,9 +265,11 @@ def outcome(fn):
     except (PolyError, ValueError, ZeroDivisionError, WrongField, ZeroPolynomial) as exc:
         return "raises", type(exc), str(exc)
     if isinstance(v, MultiPoly):
-        return "poly", v.spec, v.vars, as_ref(v).terms, v.to_text(), hash(v)
+        rebuilt = MultiPoly(v.spec, v.vars, as_ref(v).terms)
+        return "poly", v.spec, v.vars, as_ref(v).terms, v.to_text(), hash(v) == hash(rebuilt)
     if isinstance(v, RefPoly):
-        return "poly", v.spec, v.vars, v.terms, v.to_text(), hash(v)
+        rebuilt = RefPoly(v.spec, v.vars, v.terms)
+        return "poly", v.spec, v.vars, v.terms, v.to_text(), hash(v) == hash(rebuilt)
     return "value", v
 
 
@@ -268,6 +284,15 @@ def rand_elem(rng, spec):
 def rand_terms(rng, spec, vars, max_terms=5, max_exp=3):
     return {tuple(rng.randrange(max_exp) for _ in range(vars.count)): rand_elem(rng, spec)
             for _ in range(rng.randrange(max_terms + 1))}
+
+
+class Images(dict):
+    """An ``_integer_image`` map defined on every tail exponent vector, with
+    factors +-1, 2 and -3 and images that merge and cancel."""
+
+    def __missing__(self, tail):
+        return ((tail, 1), (tail[::-1], -1), (tuple(k // 2 for k in tail), 2),
+                ((0,) * len(tail), -3))
 
 
 def pair(spec, vars, terms):
@@ -296,6 +321,8 @@ def operations(rng, spec, vars):
         ("a * m", lambda a, b, m, h: a * m),
         ("m * a", lambda a, b, m, h: m * a),
         ("a * c", lambda a, b, m, h: a * c),
+        ("a * -3/4", lambda a, b, m, h: a * Fraction(-3, 4)),
+        ("a * 2/3 * 3/2", lambda a, b, m, h: a * Fraction(2, 3) * Fraction(3, 2)),
         ("a * 3", lambda a, b, m, h: a * 3),
         ("5 * a", lambda a, b, m, h: 5 * a),
         ("a * 0", lambda a, b, m, h: a * 0),
@@ -307,6 +334,10 @@ def operations(rng, spec, vars):
         ("exact (a*b)/b", lambda a, b, m, h: (a * b).exact_div(b)),
         ("exact a/b", lambda a, b, m, h: a.exact_div(b)),
         ("exact (a*h)/h", lambda a, b, m, h: (a * h).exact_div(h)),
+        ("exact a/h", lambda a, b, m, h: a.exact_div(h)),
+        ("exact (a*h)/(c*h)", lambda a, b, m, h: (a * h).exact_div(h * c)),
+        ("integer image", lambda a, b, m, h: a._integer_image(vars.r, Images())),
+        ("integer image a*h", lambda a, b, m, h: (a * h)._integer_image(vars.r, Images())),
         ("exact (a*m)/m", lambda a, b, m, h: (a * m).exact_div(m)),
         ("exact a/m", lambda a, b, m, h: a.exact_div(m)),
         ("exact a/c", lambda a, b, m, h: a.exact_div(c)),
@@ -407,8 +438,8 @@ class TestNoFieldElementArithmetic:
                 if label not in ("constant_term", "leading_term"):
                     got = outcome(lambda: op(a, b, m, h))
                     assert got[:4] == w[:4], label
-            hash(MultiPoly(a.spec, a.vars, a.terms))
-            assert MultiPoly(a.spec, a.vars, a.terms).to_text() == a.to_text()
+            rebuilt = MultiPoly(a.spec, a.vars, {e: a.coeff(e) for e in a.terms})
+            assert hash(rebuilt) == hash(a) and rebuilt.to_text() == a.to_text()
 
     def test_canonical_text_skips_the_general_parser(self, monkeypatch):
         rng = random.Random(8)
@@ -425,6 +456,51 @@ class TestNoFieldElementArithmetic:
         monkeypatch.setattr(polyring, "_Parser", refuse)
         for P, text in texts:
             assert parse_poly(text, P.spec, P.vars) == P
+
+
+class TestNoFractionArithmetic:
+    GUARDED = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__",
+               "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__neg__",
+               "__pos__", "__abs__", "__hash__")
+
+    def test_q_runs_on_integer_numerators(self, monkeypatch):
+        rng = random.Random(21)
+        cases = []
+        for _ in range(40):
+            vars = VarSet(2, rng.randrange(1, 4))
+            y = f"y{rng.randrange(1, vars.n + 1)}"
+            a = MultiPoly(Q, vars, rand_terms(rng, Q, vars))
+            b = MultiPoly(Q, vars, rand_terms(rng, Q, vars))
+            k = rng.choice((-6, -1, 2, 3, 4))
+            one = MultiPoly.const(Q, vars, 1)
+            tt = MultiPoly(Q, vars, {(1, 1) + (0,) * vars.n: 1})
+            Z = HypersurfaceCycle(Q, vars, CoordModel.PSI, [(2, one - tt * (b + 1)), (-1, one - tt)])
+            wider = VarSet(2, vars.n + 1)
+            ops = {
+                "a + b": lambda a, b: a + b, "a - b": lambda a, b: a - b,
+                "a * b": lambda a, b: a * b,
+                "a * k": lambda a, b, k=k: a * k, "k * b": lambda a, b, k=k: k * b,
+                "restrict 0": lambda a, b, y=y: a.restrict_face(y, 0),
+                "restrict 1": lambda a, b, y=y: a.restrict_face(y, 1),
+                "restrict inf": lambda a, b, y=y: a.restrict_face(y, INFINITY),
+                "convert": lambda a, b, Z=Z: psi_convert(Z, CoordModel.ORIGINAL),
+                "lift": lambda a, b, w=wider: a.lift(w),
+            }
+            cases.append((a, b, {label: (op, op(a, b)) for label, op in ops.items()}))
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic in a MultiPoly operation over Q")
+
+        for name in self.GUARDED:
+            monkeypatch.setattr(Fraction, name, refuse)
+        with pytest.raises(AssertionError):
+            Fraction(1, 2) + 1
+        for a, b, ops in cases:
+            for label, (op, want) in ops.items():
+                assert op(a, b) == want, label
+            assert (hash(a) == hash(b)) == (a == b)
+            assert {a: 1}.get(MultiPoly._raw(Q, a.vars, dict(a.terms), a.den)) == 1
 
 
 def general_parse(monkeypatch, text, spec, vars):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from modcycles.fields import make_field, UniPoly
+from modcycles.fields import ReducibleExtensionPolynomial, UniPoly, WrongField, make_field
 from modcycles.polyring import RatFunc, VarSet, parse_poly
 from modcycles.cycles import (
     ClosedPoint,
@@ -121,3 +121,14 @@ class TestErrors:
     def test_bad_spec(self):
         with pytest.raises(ser.SerializationError):
             ser.spec_from_json({})
+
+    def test_extension_coefficients_are_read_as_elements(self):
+        # over F3, 3/2 = 0, so this mu is u^2, and 1/3 has no value at all
+        with pytest.raises(ReducibleExtensionPolynomial):
+            ser.spec_from_json({"char": 3, "ext": ["3/2", "0", "1"]})
+        with pytest.raises(WrongField, match="^denominator 3 not invertible mod 3$"):
+            ser.spec_from_json({"char": 3, "ext": ["1/3", "0", "1"]})
+        # 1.9 = 19/10 is 1 in F3; the canonical spelling gives the interned spec
+        assert ser.spec_from_json({"char": 3, "ext": ["1.9", "0", "1"]}) is F9
+        assert ser.spec_from_json({"char": 3, "ext": ["1", "0", "1"]}) is F9
+        assert ser.spec_from_json(ser.spec_to_json(F9)) is F9
