@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence, Union
@@ -170,9 +171,9 @@ class FieldSpec:
         return f"{self.base.to_text()}[u]/({self._mu.to_text('u')})"
 
     @cached_property
-    def _lists(self) -> "_ResidueLists | _ElementLists":
-        """The kernels UniPoly arithmetic over this field runs on."""
-        return _ResidueLists(self) if self.char and self.ext is None else _ElementLists(self)
+    def _lists(self) -> "_Lists":
+        """The kernel UniPoly arithmetic over this field runs on."""
+        return _Lists(self)
 
     @cached_property
     def _mu(self) -> "UniPoly":
@@ -214,7 +215,7 @@ class FieldSpec:
 
     def _pad(self, vec) -> tuple:
         d = self.degree
-        return tuple(list(vec) + [0 if self.char else Fraction(0)] * (d - len(vec)))
+        return tuple(list(vec) + [self._zero_coeff] * (d - len(vec)))
 
     @cached_property
     def zero(self) -> "FieldElement":
@@ -304,7 +305,10 @@ class FieldElement:
         if other.__class__ is FieldElement:
             return self.value == other.value and (self.spec is other.spec or self.spec == other.spec)
         if isinstance(other, (int, Fraction)):
-            return self.value == self.spec.element(other).value
+            try:
+                return self.value == self.spec.element(other).value
+            except WrongField:  # a rational whose denominator the characteristic divides
+                return False
         return NotImplemented
 
     def __hash__(self):
@@ -398,19 +402,18 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        spec, c = self.spec, self.spec.char
+        spec = self.spec
         if spec.ext is None:
-            v = self.value
-            return FieldElement(spec, pow(v, -1, c) if c else Fraction(v.denominator, v.numerator))
+            return FieldElement(spec, spec._lists.inverse(self.value))
         # extended Euclid over the base: s0 * self = r0 (mod mu) throughout,
         # ending at the gcd r0, a nonzero constant because mu is irreducible
         k = spec.base._lists
-        r0, r1 = k.unwrap(spec._mu), k.from_values(self.value)
+        r0, r1 = k.unwrap(spec._mu), _strip(list(self.value))
         s0, s1 = [], k.one
         while r1:
             q, rem = k.divmod(r0, r1)
             r0, r1, s0, s1 = r1, rem, s1, k.sub(s0, k.mul(q, s1))
-        return FieldElement(spec, spec._pad(k.values(k.divmod(s0, r0)[0])))
+        return FieldElement(spec, spec._pad(k.divmod(s0, r0)[0]))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -423,14 +426,7 @@ class FieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        acc, base = self.spec.one, self
-        while n:
-            if n & 1:
-                acc = acc * base
-            n >>= 1
-            if n:  # the square after the top bit would go unused
-                base = base * base
-        return acc
+        return square_and_multiply(self, n, self.spec.one)
 
     @property
     def in_base(self) -> bool:
@@ -444,7 +440,7 @@ class FieldElement:
             return self
         if not self.in_base:
             raise WrongField("element does not lie in the base field")
-        v = self.value[0] if self.value else (Fraction(0) if self.spec.char == 0 else 0)
+        v = self.value[0] if self.value else self.spec._zero_coeff
         return FieldElement(self.spec.base, v)
 
     def to_text(self) -> str:
@@ -455,15 +451,17 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient-list kernels
+# The coefficient-list kernel
 # ---------------------------------------------------------------------------
 #
-# UniPoly arithmetic runs on plain lists of coefficients, low-degree-first,
-# with no trailing zeros (the zero polynomial is []).  A field's ``_lists``
-# holds the kernels for its coefficient form: int residues over a prime
-# field, where no FieldElement is built inside a loop, and FieldElements
-# over Q and extension fields.  The loops of ``powmod``, ``split_at``,
-# ``poly_gcd`` and ``FieldElement.inverse`` are written once on top of them.
+# UniPoly arithmetic runs on plain lists of raw coefficients, low-degree-first,
+# with no trailing zeros (the zero polynomial is []): int residues mod p over
+# a prime field, Fractions over Q and FieldElements over an extension field.
+# Over a base field no FieldElement is built until a result is wrapped.  One
+# loop per operation serves all three: sums and products are formed with the
+# native operators and, over F_p, reduced mod p once per coefficient.
+# ``powmod``, ``split_at``, ``poly_gcd`` and ``FieldElement.inverse`` are
+# written on top of it.
 
 
 def _strip(a: list) -> list:
@@ -472,53 +470,74 @@ def _strip(a: list) -> list:
     return a
 
 
-class _ResidueLists:
-    """Polynomials over the prime field ``spec`` as lists of residues mod p."""
+def square_and_multiply(x, n: int, one, mul=operator.mul):
+    """x**n for n >= 0 by square-and-multiply, starting from ``one``."""
+    acc = one
+    while n:
+        if n & 1:
+            acc = mul(acc, x)
+        n >>= 1
+        if n:  # the square after the top bit would go unused
+            x = mul(x, x)
+    return acc
 
-    __slots__ = ("spec", "p", "one")
+
+class _Lists:
+    """Polynomials over ``spec`` as lists of raw coefficients.
+
+    ``raw`` is true over a base field, whose coefficients are unwrapped to
+    their values.  ``p`` is the prime over F_p, where every result is
+    reduced mod p, and 0 over Q and extension fields, whose operators keep
+    values canonical.
+    """
+
+    __slots__ = ("spec", "p", "raw", "zero", "one")
 
     def __init__(self, spec: FieldSpec):
-        self.spec, self.p, self.one = spec, spec.char, [1]
+        self.spec, self.raw = spec, spec.ext is None
+        self.p = spec.char if self.raw else 0
+        self.zero = spec._zero_coeff if self.raw else spec.zero
+        self.one = [spec.one.value if self.raw else spec.one]
 
-    def unwrap(self, f: "UniPoly") -> list:
-        return [c.value for c in f.coeffs]
+    def unwrap(self, f: "UniPoly") -> Sequence:
+        # the operations below never change their arguments in place
+        return [c.value for c in f.coeffs] if self.raw else f.coeffs
 
     def wrap(self, a: list) -> "UniPoly":
         spec = self.spec
         f = object.__new__(UniPoly)
         f.spec = spec
-        f.coeffs = tuple([FieldElement(spec, v) for v in a])
+        f.coeffs = tuple([FieldElement(spec, v) for v in a] if self.raw else a)
         return f
 
-    def from_values(self, vals) -> list:
-        return _strip(list(vals))
-
-    def values(self, a: list) -> list:
-        return a
+    def inverse(self, c):
+        if self.p:
+            return pow(c, -1, self.p)
+        return 1 / c if self.raw else c.inverse()
 
     def add(self, a, b) -> list:
         p = self.p
-        out = [(x + y) % p for x, y in zip(a, b)]
+        out = [(x + y) % p for x, y in zip(a, b)] if p else [x + y for x, y in zip(a, b)]
         out += a[len(b):] or b[len(a):]
         return _strip(out)
 
     def sub(self, a, b) -> list:
         p = self.p
-        out = [(x - y) % p for x, y in zip(a, b)]
-        out += a[len(b):] or [-y % p for y in b[len(a):]]
+        out = [(x - y) % p for x, y in zip(a, b)] if p else [x - y for x, y in zip(a, b)]
+        out += a[len(b):] or [-y % p if p else -y for y in b[len(a):]]
         return _strip(out)
 
     def mul(self, a, b) -> list:
-        # the leading coefficients are nonzero mod the prime p, so is their product
+        # the leading coefficients are nonzero, so is their product
         if not a or not b:
             return []
-        out = [0] * (len(a) + len(b) - 1)
+        out = [self.zero] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
         p = self.p
-        return [x % p for x in out]
+        return [x % p for x in out] if p else out
 
     def divmod(self, a, b) -> tuple[list, list]:
         """(q, r) with a = q*b + r and deg r < deg b, for a nonzero b."""
@@ -526,84 +545,26 @@ class _ResidueLists:
         rem = list(a)
         if len(rem) <= d:
             return [], rem
-        inv = pow(b[-1], -1, p)
+        inv = self.inverse(b[-1])
         low = [(i, y) for i, y in enumerate(b[:d]) if y]
-        q = [0] * (len(rem) - d)
-        while len(rem) > d:
-            # the top term cancels exactly, so it is popped, not subtracted
-            c = rem.pop() * inv % p
-            k = len(rem) - d
-            q[k] = c
-            for i, y in low:
-                rem[k + i] = (rem[k + i] - y * c) % p
-            _strip(rem)
-        return q, rem
+        q = [self.zero] * (len(rem) - d)
+        for k in range(len(q) - 1, -1, -1):
+            # the top term cancels exactly, so it is popped, not subtracted;
+            # over F_p the rest of the remainder is reduced once, at the end
+            c = rem.pop() * inv
+            if p:
+                c %= p
+            if c:
+                q[k] = c
+                for i, y in low:
+                    rem[k + i] -= y * c
+        return q, _strip([x % p for x in rem] if p else rem)
 
     def monic(self, a) -> list:
-        p = self.p
-        inv = pow(a[-1], -1, p)
-        return a if inv == 1 else [x * inv % p for x in a]
-
-
-class _ElementLists:
-    """Polynomials over ``spec`` as lists of its FieldElements."""
-
-    __slots__ = ("spec", "one")
-
-    def __init__(self, spec: FieldSpec):
-        self.spec, self.one = spec, [spec.one]
-
-    def unwrap(self, f: "UniPoly") -> tuple:
-        return f.coeffs
-
-    def wrap(self, a: list) -> "UniPoly":
-        return UniPoly._raw(self.spec, a)
-
-    def from_values(self, vals) -> list:
-        return _strip([FieldElement(self.spec, v) for v in vals])
-
-    def values(self, a: list) -> list:
-        return [c.value for c in a]
-
-    def add(self, a, b) -> list:
-        out = [x + y for x, y in zip(a, b)]
-        out += a[len(b):] or b[len(a):]
-        return _strip(out)
-
-    def sub(self, a, b) -> list:
-        out = [x - y for x, y in zip(a, b)]
-        out += a[len(b):] or [-y for y in b[len(a):]]
-        return _strip(out)
-
-    def mul(self, a, b) -> list:
-        if not a or not b:
-            return []
-        out = [self.spec.zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] = out[j] + x * y
-        return out
-
-    def divmod(self, a, b) -> tuple[list, list]:
-        """(q, r) with a = q*b + r and deg r < deg b, for a nonzero b."""
-        *low, lead = b
-        d, inv_lead = len(low), lead.inverse()
-        rem = list(a)
-        q = [self.spec.zero] * max(len(rem) - d, 0)
-        while len(rem) > d:
-            # the top term cancels exactly, so it is popped, not subtracted
-            c = rem.pop() * inv_lead
-            k = len(rem) - d
-            q[k] = c
-            for i, y in enumerate(low, k):
-                rem[i] = rem[i] - y * c
-            _strip(rem)
-        return q, rem
-
-    def monic(self, a) -> list:
-        inv = a[-1].inverse()
-        return [c * inv for c in a]
+        p, inv = self.p, self.inverse(a[-1])
+        if inv == self.one[0]:
+            return a
+        return [x * inv % p for x in a] if p else [x * inv for x in a]
 
 
 # ---------------------------------------------------------------------------
@@ -620,11 +581,11 @@ class UniPoly:
     ``spec`` and go through the trusted :meth:`_raw` instead.
 
     Sums, differences, products, division with remainder, ``monic``,
-    ``powmod``, ``split_at`` and :func:`poly_gcd` run on the field's
-    coefficient-list kernels (``spec._lists``) and wrap the result once.
-    Over a prime field F_p those lists hold int residues, so they make no
-    FieldElement arithmetic; over Q and extension fields they hold
-    FieldElements.
+    ``powmod``, ``split_at`` and :func:`poly_gcd` run on the one
+    coefficient-list kernel (``spec._lists``) and wrap the result once.
+    Its lists hold int residues over F_p and Fractions over Q, so over a
+    base field they make no FieldElement arithmetic; over an extension
+    field they hold its FieldElements.
     """
 
     __slots__ = ("spec", "coeffs")
@@ -719,14 +680,7 @@ class UniPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError(f"negative exponent {n} for a polynomial")
-        acc, base = UniPoly.const(self.spec, 1), self
-        while n:
-            if n & 1:
-                acc = acc * base
-            n >>= 1
-            if n:  # the square after the top bit would go unused
-                base = base * base
-        return acc
+        return square_and_multiply(self, n, UniPoly.const(self.spec, 1))
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -778,13 +732,8 @@ class UniPoly:
             raise ZeroDivisionError("division by zero polynomial")
         k = self.spec._lists
         m = k.unwrap(modulus)
-        acc, base = k.divmod(k.one, m)[1], k.divmod(k.unwrap(self), m)[1]
-        while n:
-            if n & 1:
-                acc = k.divmod(k.mul(acc, base), m)[1]
-            n >>= 1
-            if n:  # the square after the top bit would go unused
-                base = k.divmod(k.mul(base, base), m)[1]
+        acc = square_and_multiply(k.divmod(k.unwrap(self), m)[1], n, k.divmod(k.one, m)[1],
+                                  lambda a, b: k.divmod(k.mul(a, b), m)[1])
         return k.wrap(acc)
 
     def ord_at(self, pi: "UniPoly") -> int:

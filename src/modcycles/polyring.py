@@ -43,6 +43,7 @@ from .fields import (
     WrongField,
     ZeroPolynomial,
     poly_gcd,
+    square_and_multiply,
 )
 
 
@@ -415,15 +416,7 @@ class MultiPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError(f"negative exponent {k} for a polynomial")
-        acc = MultiPoly.const(self.spec, self.vars, 1)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            k >>= 1
-            if k:  # the square after the top bit would go unused
-                base = base * base
-        return acc
+        return square_and_multiply(self, k, MultiPoly.const(self.spec, self.vars, 1))
 
     def scale(self, c: FieldElement) -> "MultiPoly":
         return self * c

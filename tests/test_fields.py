@@ -455,6 +455,18 @@ class TestMixedOperands:
                 assert c + p == p + c
             assert isinstance(c * others[0], MultiPoly)
 
+    def test_rational_outside_the_field_is_unequal(self):
+        # no element of F_p equals a rational whose denominator p divides
+        seventh = Fraction(1, 7)
+        for spec in (F7, make_field(7, [1, 0, 1])):
+            for e in (spec.zero, spec.one, spec.element(3)):
+                assert not e == seventh and e != seventh
+                assert not seventh == e and seventh != e
+                assert e not in [seventh, Fraction(3, 14)] and seventh not in [e]
+        assert F7.element(4) == Fraction(1, 2) and not F7.element(4) != Fraction(1, 2)
+        with pytest.raises(WrongField):
+            F7.element(seventh)
+
     def test_unknown_operand_is_a_type_error(self):
         c = F5.element(2)
         for op in (lambda: c + "1", lambda: c * None, lambda: c - [1], lambda: c / object()):
@@ -617,6 +629,19 @@ class TestGenerator:
     def test_pinned_generators(self, char, mu, value):
         assert make_field(char, mu).generator.value == value
 
+    def test_square_and_multiply_skips_the_last_square(self):
+        calls = []
+
+        def mul(a, b):
+            calls.append((a, b))
+            return a * b
+
+        for n in range(70):
+            calls.clear()
+            assert fields.square_and_multiply(3, n, 1, mul) == 3**n
+            # one square per bit below the top one, one product per set bit
+            assert len(calls) == max(n.bit_length() - 1, 0) + bin(n).count("1")
+
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([F5, F9, make_field(2, [1, 1, 0, 1]), Q]), st.data())
     def test_pow_matches_repeated_products(self, spec, data):
@@ -641,7 +666,7 @@ class TestGenerator:
 
 
 # ---------------------------------------------------------------------------
-# The prime-field int kernels against the FieldElement loops they replace
+# The coefficient-list kernel against the FieldElement loops it replaces
 # ---------------------------------------------------------------------------
 
 
@@ -718,8 +743,13 @@ def reference_inverse(x):
     return FieldElement(spec, spec._pad([(e * scale).value for e in s0.coeffs]))
 
 
-def rand_fp_poly(rng, spec, max_deg=7):
-    return UniPoly(spec, [rng.randrange(spec.char) for _ in range(rng.randrange(max_deg + 2))])
+def rand_poly(rng, spec, max_deg=7):
+    """Residues drawn directly over a prime field, rand_value coefficients
+    over Q and extension fields."""
+    n = rng.randrange(max_deg + 2)
+    if spec.char and not spec.ext:
+        return UniPoly(spec, [rng.randrange(spec.char) for _ in range(n)])
+    return UniPoly(spec, [rand_value(rng, spec) for _ in range(n)])
 
 
 def kernel_cases(spec, seed, count=40):
@@ -728,12 +758,12 @@ def kernel_cases(spec, seed, count=40):
     rng = random.Random(seed)
     cases = []
     for _ in range(count):
-        a, b = rand_fp_poly(rng, spec), rand_fp_poly(rng, spec)
+        a, b = rand_poly(rng, spec), rand_poly(rng, spec)
         while not b:
-            b = rand_fp_poly(rng, spec)
-        pi = rand_fp_poly(rng, spec, max_deg=3)
+            b = rand_poly(rng, spec)
+        pi = rand_poly(rng, spec, max_deg=3)
         while pi.degree < 1:
-            pi = rand_fp_poly(rng, spec, max_deg=3)
+            pi = rand_poly(rng, spec, max_deg=3)
         if rng.random() < 0.5:
             a = reference_mul(a, reference_mul(pi, pi) if rng.random() < 0.5 else pi)
         cases.append((a, b, pi, rng.randrange(30)))
@@ -741,12 +771,28 @@ def kernel_cases(spec, seed, count=40):
 
 
 PRIME_FIELDS = (F2, F5, F7, F65521)
+# one kernel serves every field kind: residues, rationals, extension elements
+KERNEL_FIELDS = PRIME_FIELDS + (Q, EXTENSIONS["F8"], F9, EXTENSIONS["Q(i)"])
+
+
+def assert_canonical(f):
+    """Coefficients of f's field, in the value type of its zero, nonzero on top."""
+    kind = type(f.spec.zero.value)
+    assert all(c.spec is f.spec and type(c.value) is kind for c in f.coeffs)
+    assert not f.coeffs or f.coeffs[-1]
+    if f.spec.char and not f.spec.ext:
+        assert all(0 <= c.value < f.spec.char for c in f.coeffs)
 
 
 class TestPrimeFieldKernels:
-    @pytest.mark.parametrize("spec", PRIME_FIELDS, ids=lambda s: s.to_text())
+    @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=lambda s: s.to_text())
     def test_results_equal_the_field_element_loops(self, spec):
-        for a, b, pi, n in kernel_cases(spec, spec.char):
+        seed = spec.char if spec in PRIME_FIELDS else spec.to_text()
+        for a, b, pi, n in kernel_cases(spec, seed):
+            results = [a + b, a - b, a * b, *divmod(a, b), poly_gcd(a, b), b.monic(),
+                       a.powmod(n, pi)]
+            for f in results + ([a.split_at(pi)[1]] if a else []):
+                assert_canonical(f)
             assert a + b == reference_sum(a, b) and a - b == reference_sum(a, b, -1)
             assert a - a == reference_sum(a, a, -1)
             assert a * b == reference_mul(a, b)
@@ -785,8 +831,8 @@ class TestPrimeFieldKernels:
     def test_no_field_element_arithmetic_on_the_int_paths(self, monkeypatch):
         rng = random.Random(11)
         polys = []
-        for spec in PRIME_FIELDS:
-            for a, b, pi, n in kernel_cases(spec, 100 + spec.char, count=8):
+        for spec, seed in [(s, 100 + s.char) for s in PRIME_FIELDS] + [(Q, "int-paths:Q")]:
+            for a, b, pi, n in kernel_cases(spec, seed, count=8):
                 polys.append((a, b, pi, n, (reference_sum(a, b), reference_sum(a, b, -1),
                                             reference_mul(a, b), reference_divmod(a, b),
                                             reference_monic(b), reference_powmod(a, n, pi),
@@ -794,6 +840,9 @@ class TestPrimeFieldKernels:
                                             reference_gcd(a, b))))
         ext = [x for spec in (F9, make_field(2, EXTENSION_MODULI[(2, 6)]), make_field(7, [1, 0, 1]))
                for x in rng.sample([e for e in spec.elements() if e], 8)]
+        # over a number field the extended Euclid runs on Fractions
+        ext += [x for spec in (EXTENSIONS["Q(i)"], EXTENSIONS["Q(cbrt2)"])
+                for x in (rand_value(rng, spec) for _ in range(8)) if x]
         inverses = [reference_inverse(x) for x in ext]
         inverse = FieldElement.inverse
         splits = []
