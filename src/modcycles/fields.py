@@ -558,7 +558,10 @@ class _Lists:
                 q[k] = c
                 for i, y in low:
                     rem[k + i] -= y * c
-        return q, _strip([x % p for x in rem] if p else rem)
+        if p:
+            for i, x in enumerate(rem):
+                rem[i] = x % p
+        return q, _strip(rem)
 
     def monic(self, a) -> list:
         p, inv = self.p, self.inverse(a[-1])
