@@ -548,13 +548,14 @@ class _Lists:
         inv = self.inverse(b[-1])
         low = [(i, y) for i, y in enumerate(b[:d]) if y]
         q = [self.zero] * (len(rem) - d)
-        for k in range(len(q) - 1, -1, -1):
+        while len(rem) > d:
             # the top term cancels exactly, so it is popped, not subtracted;
             # over F_p the rest of the remainder is reduced once, at the end
             c = rem.pop() * inv
             if p:
                 c %= p
             if c:
+                k = len(rem) - d
                 q[k] = c
                 for i, y in low:
                     rem[k + i] -= y * c
