@@ -453,11 +453,11 @@ def _add_face(Z: HypersurfaceCycle, i: int, face, sign: int, out: dict) -> None:
     constant adds nothing.  An identically zero restriction is an improper
     intersection and raises, naming the first such component in text order.
     """
-    name = f"y{i}"
+    pos = Z.vars.r + i - 1
     model = Z.model
     improper = []
     for p, mult in Z.terms.items():
-        g = p.restrict_face(name, face)
+        g = p._restrict_face(pos, face)
         if not g:
             improper.append(p)
             continue
@@ -504,7 +504,7 @@ def is_degenerate(p: MultiPoly) -> bool:
 def is_level0_dropped(p: MultiPoly) -> bool:
     """Level-0 convention: a two-term component 1 - c*t^e is treated as
     degenerate when the configuration flag is on (see :func:`boundary`)."""
-    return p.vars.n == 0 and len(p.terms) == 2 and p.constant_term == p.spec.one
+    return p.vars.n == 0 and len(p.monomials()) == 2 and p.constant_term == p.spec.one
 
 
 def _is_pruned(p: MultiPoly, level0_flag: bool) -> bool:
@@ -604,7 +604,7 @@ def _finite_restrict(finite: tuple, restricted: dict) -> MultiPoly:
     if g is None:
         i, v = finite[-1]
         prefix = _finite_restrict(finite[:-1], restricted)
-        g = restricted[finite] = prefix.restrict_face(f"y{i - len(finite) + 1}", v)
+        g = restricted[finite] = prefix._restrict_face(prefix.vars.r + i - len(finite), v)
     return g
 
 
@@ -622,9 +622,9 @@ def _corner_is_proper(assignment: Sequence[tuple[int, object]], restricted: dict
     cols = [r + i - 1 - sum(j < i for j, _ in finite) for i, v in assignment if v is INFINITY]
     if not cols:
         return True
-    terms = g.terms
-    tops = [(c, max(e[c] for e in terms)) for c in cols]
-    return any(all(e[c] == d for c, d in tops) for e in terms)
+    monomials = g.monomials()
+    tops = [(c, max(e[c] for e in monomials)) for c in cols]
+    return any(all(e[c] == d for c, d in tops) for e in monomials)
 
 
 def _face_assignments(n: int, faces) -> Iterable[tuple]:
@@ -844,9 +844,10 @@ def _convert_poly(p: MultiPoly, to_model: CoordModel) -> MultiPoly:
     if not p:
         return p
     to_psi = to_model is CoordModel.PSI
-    degs = [max(e[r + i] for e in p.terms) for i in range(n)]
+    monomials = p.monomials()
+    degs = [max(e[r + i] for e in monomials) for i in range(n)]
     expansions: dict[tuple, list] = {}  # y-exponents -> [(y-exponents, integer)]
-    for e in p.terms:
+    for e in monomials:
         ey = e[r:]
         if ey not in expansions:
             expansion = [((), 1)]
@@ -1121,7 +1122,7 @@ def curve_avoids_divisor(embedding: Sequence[RatFunc], D: ModulusDatum) -> bool:
     """
     spec = embedding[0].spec
     acc = RatFunc.const(spec, 0)
-    for e in D.divisor_poly.terms:
+    for e in D.divisor_poly.monomials():
         term = RatFunc.const(spec, D.divisor_poly.coeff(e))
         for coord, k in zip(embedding, e):
             if k:

@@ -118,13 +118,15 @@ class FieldSpec:
     leading 1; ``None`` means the base field itself.
     """
 
-    __slots__ = ("char", "ext", "_zero_coeff", "_rows", "__dict__")
+    __slots__ = ("char", "ext", "_zero_coeff", "_rows", "_hash", "__dict__")
 
     def __init__(self, char: int, ext: tuple | None):
         self.char = char
         self.ext = ext
         self._zero_coeff = 0 if char else Fraction(0)
         self._rows = _reduction_rows(char, ext) if ext else None
+        # kept, so that hashing a polynomial over Q(alpha) hashes no Fraction
+        self._hash = hash((char, ext))
 
     def __repr__(self):
         return f"FieldSpec({self.to_text()})"
@@ -139,7 +141,7 @@ class FieldSpec:
         )
 
     def __hash__(self):
-        return hash((self.char, self.ext))
+        return self._hash
 
     # -- structure ---------------------------------------------------------
 
@@ -174,6 +176,15 @@ class FieldSpec:
     def _lists(self) -> "_Lists":
         """The kernel UniPoly arithmetic over this field runs on."""
         return _Lists(self)
+
+    @cached_property
+    def _int_rows(self) -> tuple:
+        """(L, rows): the pairs of ``_rows`` for k = d .. 2d-2, indexed by
+        k - d, with each coefficient an integer numerator over their least
+        common denominator L, which is 1 over F_p and for an integral mu."""
+        rows = [row for _, row in self._rows]
+        den = math.lcm(*[Fraction(c).denominator for row in rows for _, c in row])
+        return den, tuple(tuple((i, int(c * den)) for i, c in row) for row in rows)
 
     @cached_property
     def _mu(self) -> "UniPoly":
@@ -545,7 +556,7 @@ class _Lists:
         rem = list(a)
         if len(rem) <= d:
             return [], rem
-        inv = self.inverse(b[-1])
+        inv = pow(b[-1], -1, p) if p else self.inverse(b[-1])
         low = [(i, y) for i, y in enumerate(b[:d]) if y]
         q = [self.zero] * (len(rem) - d)
         while len(rem) > d:
@@ -565,7 +576,8 @@ class _Lists:
         return q, _strip(rem)
 
     def monic(self, a) -> list:
-        p, inv = self.p, self.inverse(a[-1])
+        p = self.p
+        inv = pow(a[-1], -1, p) if p else self.inverse(a[-1])
         if inv == self.one[0]:
             return a
         return [x * inv % p for x in a] if p else [x * inv for x in a]

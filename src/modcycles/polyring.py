@@ -2,10 +2,12 @@
 plus univariate rational functions for curve parametrizations.
 
 Terms are stored as a map from exponent vectors (t-block then y-block) to
-nonzero raw coefficients: int residues over F_p, int numerators over one
-common denominator over Q and field elements over an extension field (see
-:class:`MultiPoly`).  The display order is descending lexicographic on the
-exponent vector, which together with canonical coefficient text makes
+nonzero raw coefficients of the base field: int residues over F_p and int
+numerators over one common denominator over Q.  A polynomial over an
+extension k[u]/(mu) is stored as one over k with u as one more exponent
+slot, last, of degree below deg(mu) (see :class:`MultiPoly`).  The display
+order is descending lexicographic on the exponent vector in t and y, which
+together with canonical coefficient text makes
 ``to_text`` a bijection onto its image: ``parse_poly`` inverts it
 bit-exactly.  ``parse_poly`` first reads base-field text in that canonical
 form in one pass, straight into raw terms, and keeps the result only when
@@ -126,7 +128,10 @@ class VarSet:
         raise UnknownVariable(f"{name} is not a variable of {self!r}")
 
     def drop(self, name: str) -> "VarSet":
-        i = self.index(name)
+        return self._without(self.index(name))
+
+    def _without(self, i: int) -> "VarSet":
+        """This ring without the variable at position ``i``."""
         return VarSet(self.r - 1, self.n) if i < self.r else VarSet(self.r, self.n - 1)
 
 
@@ -142,24 +147,39 @@ def _name_index(r: int, n: int) -> dict[str, int]:
 
 
 def _kernel(spec: FieldSpec) -> tuple:
-    """(p, zero, one) for the raw coefficients of ``spec``: the prime that
-    residues are reduced by (0 outside a prime field), and the identities
-    that sums start from and coefficients are compared with.  Over Q they
-    are those of the integer numerators, so a numerator equal to ``one``
-    is the coefficient 1 only over the denominator 1."""
-    if spec.ext is None:
-        return spec.char, 0, 1
-    return 0, spec.zero, spec.one
+    """(p, zero, one) for the raw coefficients of ``spec``, which are those
+    of its base field: the prime that residues are reduced by (0 in
+    characteristic 0), and the identities that sums start from and
+    coefficients are compared with.  In characteristic 0 they are those of
+    the integer numerators, so a numerator equal to ``one`` is the
+    coefficient 1 only over the denominator 1."""
+    return spec.char, 0, 1
+
+
+@lru_cache(maxsize=None)
+def _powers_of_u(d: int) -> tuple:
+    return tuple((j,) for j in range(d))
+
+
+def _slots(spec: FieldSpec) -> tuple:
+    """The exponent-vector suffixes that one coefficient of ``spec`` is
+    spread over: (j,) for each power u^j, j < deg(mu), of an extension
+    field, and only the empty suffix over a base field."""
+    return ((),) if spec.ext is None else _powers_of_u(len(spec.ext) - 1)
 
 
 def _scalar(spec: FieldSpec, x) -> tuple:
-    """``x`` coerced into ``spec`` (validating), as a raw numerator over a
-    positive denominator, which is 1 outside Q."""
-    c = spec.element(x)
-    if spec.ext:
-        return c, 1
-    v = c.value  # an int residue over F_p, whose denominator is 1
-    return v.numerator, v.denominator
+    """``x`` coerced into ``spec`` (validating), as raw numerators over a
+    positive denominator, which is 1 in characteristic p: one numerator
+    per suffix of :func:`_slots`."""
+    v = spec.element(x).value
+    if spec.ext is None:
+        # an int residue in characteristic p, whose denominator is 1
+        return (v.numerator,), v.denominator
+    if spec.char:
+        return v, 1
+    den = lcm(*[c.denominator for c in v])
+    return tuple([c.numerator * (den // c.denominator) for c in v]), den
 
 
 def _rational(c, den: int):
@@ -169,58 +189,108 @@ def _rational(c, den: int):
 
 
 def _numerators(spec: FieldSpec, values: Mapping[tuple, object]) -> tuple[dict, int]:
-    """Nonzero values as (raw terms, den).  Over Q the values are ints or
-    Fractions, and the terms are their numerators over the least common
-    denominator, so gcd(den, *numerators) = 1; elsewhere they are stored
-    as they are, over 1."""
-    if spec.char or spec.ext:
+    """Nonzero values as (raw terms, den).  In characteristic 0 the values
+    are ints or Fractions, and the terms are their numerators over the
+    least common denominator, so gcd(den, *numerators) = 1; in
+    characteristic p they are stored as they are, over 1."""
+    if spec.char:
         return values, 1
     den = lcm(*[c.denominator for c in values.values()])
     return {e: c.numerator * (den // c.denominator) for e, c in values.items()}, den
 
 
-def _wrap(spec: FieldSpec, c, den: int) -> FieldElement:
-    """The raw numerator ``c`` over ``den`` as a field element."""
-    if spec.ext:
-        return c
-    return FieldElement(spec, c if spec.char else Fraction(c, den))
-
-
 def _inverse(spec: FieldSpec, c, den: int) -> tuple:
-    """The inverse of the nonzero raw numerator ``c`` over ``den``, as a raw
-    numerator over a positive denominator."""
-    if spec.ext:
-        return c.inverse(), 1
+    """The inverse of the nonzero raw numerator ``c`` over ``den``, an
+    element of the base field, as a raw numerator over a positive
+    denominator."""
     if spec.char:
         return pow(c, -1, spec.char), 1
     return (den, c) if c > 0 else (-den, -c)
 
 
+def _fold(spec: FieldSpec, terms: dict, den: int) -> tuple[dict, int]:
+    """(terms, den) for the raw ``terms`` over ``den`` of a product over an
+    extension field, with each power u^k, d <= k <= 2d - 2 for d = deg(mu),
+    in the last slot rewritten through the reduction rows that
+    FieldElement products use.  ``terms`` is changed in place.  Over
+    Q(alpha) with rows that are not integral the numerators are scaled to
+    the rows' common denominator, and ``den`` with them.  When no power is
+    that high, both come back as they are."""
+    d = len(spec.ext) - 1
+    high = [(e, c) for e, c in terms.items() if e[-1] >= d]
+    if not high:
+        return terms, den
+    for e, _ in high:
+        del terms[e]
+    scale, rows = spec._int_rows
+    if scale != 1:
+        terms = {e: c * scale for e, c in terms.items()}
+        den *= scale
+    p = spec.char
+    for e, h in high:
+        head = e[:-1]
+        for i, r in rows[e[-1] - d]:
+            key = head + (i,)
+            s = terms.get(key, 0) + h * r
+            if p:
+                s %= p
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+    return terms, den
+
+
+class _TailsWithU(dict):
+    """The images of :meth:`MultiPoly._integer_image` for tails that end in
+    the slot of u: the image of the tail without it, with that slot
+    appended to each exponent vector, built once per tail."""
+
+    def __init__(self, images: Mapping[tuple, Sequence[tuple]]):
+        super().__init__()
+        self.images = images
+
+    def __missing__(self, tail: tuple) -> list:
+        u = tail[-1:]
+        image = self[tail] = [(f + u, m) for f, m in self.images[tail[:-1]]]
+        return image
+
+
 class MultiPoly:
     """Immutable sparse polynomial over a :class:`FieldSpec` in a :class:`VarSet`.
 
-    Invariant: ``terms`` maps exponent tuples of length ``vars.count`` to
-    nonzero raw coefficients of ``spec``, which are read over the common
-    denominator ``den``: int residues 0 < c < p over a prime field F_p and
-    :class:`FieldElement`s over an extension field, both over ``den`` = 1;
-    over Q, int numerators over a positive ``den`` with
-    gcd(den, *numerators) = 1.  With reduced coefficients a_i/b_i that
-    makes ``den`` = lcm(b_i), so the form is unique and equality and the
-    hash compare it structurally.  The raw form is private to this module;
-    readers outside it use :meth:`coeff`, :attr:`constant_term`,
-    :meth:`leading_term` and :meth:`eval`, which return field elements.
+    Invariant: ``terms`` maps exponent tuples to nonzero raw coefficients
+    of the base field of ``spec``, which are read over the common
+    denominator ``den``: in characteristic p int residues 0 < c < p over
+    ``den`` = 1, in characteristic 0 int numerators over a positive ``den``
+    with gcd(den, *numerators) = 1.  Over a base field the tuples have
+    length ``vars.count``.  Over an extension K = k[u]/(mu) of degree d the
+    polynomial is stored as one in k[t, y, u] of degree below d in u
+    (K[t, y] = k[t, y, u]/(mu)): each tuple has one more slot, the last,
+    holding the power j of u, 0 <= j < d, so one coefficient in K spreads
+    over up to d terms.  With reduced coefficients a_i/b_i that makes
+    ``den`` = lcm(b_i), so the form is unique and equality and the hash
+    compare it structurally.  The raw form is private to this module;
+    readers outside it use :meth:`monomials`, :meth:`coeff`,
+    :attr:`constant_term`, :meth:`leading_term` and :meth:`eval`, which
+    speak of monomials in t and y and return field elements.
 
     The public constructor validates and coerces untrusted terms; arithmetic
     results are canonical by construction and go through the trusted
-    :meth:`_raw` instead, so no result is normalized twice.  Over Q a result
-    whose numerators may share a factor with ``den`` goes through
-    :meth:`_reduced`, which costs nothing when ``den`` is 1.  Arithmetic,
-    face restriction, the model-conversion image, the hash and ``to_text``
-    run on the raw coefficients and build no FieldElement over F_p or Q,
-    and over Q no Fraction either, except one per term in ``to_text``; a
-    sum that cancels is dropped at the merge that cancels it.  Division
-    and substitution form quotients, so over Q they read each term once as
-    a Fraction.
+    :meth:`_raw` instead, so no result is normalized twice.  In
+    characteristic 0 a result whose numerators may share a factor with
+    ``den`` goes through :meth:`_reduced`, which costs nothing when ``den``
+    is 1.  Every field runs the same loops on the raw ints: a product adds
+    the powers of u as it adds any other exponent, and :func:`_fold` then
+    rewrites the powers of degree d and more.  Arithmetic, face
+    restriction, the model-conversion image and the hash build no
+    FieldElement and no Fraction; a sum that cancels is dropped at the
+    merge that cancels it.  Division and substitution form quotients, so
+    in characteristic 0 they read each term once as a Fraction.  Field
+    elements are built at the boundary only: by the validating
+    constructor, :meth:`coeff`, :attr:`constant_term`, :meth:`leading_term`,
+    :meth:`eval` and ``to_text`` over an extension field, and as the one
+    inverse of a divisor's leading coefficient with a power of u.
     """
 
     __slots__ = ("spec", "vars", "terms", "den", "_hash", "_text")
@@ -228,13 +298,21 @@ class MultiPoly:
     def __init__(self, spec: FieldSpec, vars: VarSet, terms: Mapping[tuple, Scalar]):
         self.spec = spec
         self.vars = vars
+        slots = _slots(spec)
         clean = {}
         for exp, c in terms.items():
             if len(exp) != vars.count:
                 raise ValueError("exponent vector length mismatch")
-            c = spec.element(c)
-            if c:
-                clean[tuple(exp)] = c if spec.ext else c.value
+            c = spec.element(c).value
+            if spec.ext is None:
+                if c:
+                    clean[tuple(exp)] = c
+                continue
+            # the coefficient's power-of-u vector, spread over the u slot
+            exp = tuple(exp)
+            for s, v in zip(slots, c):
+                if v:
+                    clean[exp + s] = v
         self.terms, self.den = _numerators(spec, clean)
         self._hash = self._text = None
 
@@ -244,8 +322,8 @@ class MultiPoly:
     def _raw(cls, spec: FieldSpec, vars: VarSet, terms: dict, den: int = 1) -> "MultiPoly":
         """Trusted constructor: ``terms`` over ``den`` must already satisfy
         the invariant (right exponent length, nonzero raw coefficients of
-        ``spec``, gcd 1 with ``den`` over Q) and is stored as is, without
-        copying."""
+        ``spec``, gcd 1 with ``den`` in characteristic 0) and is stored as
+        is, without copying."""
         self = object.__new__(cls)
         self.spec = spec
         self.vars = vars
@@ -257,15 +335,16 @@ class MultiPoly:
     @classmethod
     def _reduced(cls, spec: FieldSpec, vars: VarSet, terms: dict, den: int) -> "MultiPoly":
         """Trusted constructor for raw terms over ``den`` that may share a
-        factor with it: the factor is divided out, so ``den`` = 1 over
-        every field but Q, and over Q too when the terms are empty."""
+        factor with it: the factor is divided out, so ``den`` = 1 in
+        characteristic p, and in characteristic 0 too when the terms are
+        empty."""
         if den != 1:
             g = gcd(den, *terms.values())
             if g != 1:
                 den //= g
                 terms = {e: c // g for e, c in terms.items()}
         # built here, not by a call to _raw, which would cost about half
-        # a construction on every result over F_p and extension fields
+        # a construction on every result in characteristic p
         self = object.__new__(cls)
         self.spec = spec
         self.vars = vars
@@ -280,23 +359,28 @@ class MultiPoly:
 
     @classmethod
     def const(cls, spec, vars, c):
-        c, den = _scalar(spec, c)
-        return cls._raw(spec, vars, {(0,) * vars.count: c} if c else {}, den)
+        cs, den = _scalar(spec, c)
+        zero = (0,) * vars.count
+        if spec.ext is None:
+            return cls._raw(spec, vars, {zero: cs[0]} if cs[0] else {}, den)
+        return cls._raw(spec, vars, {zero + s: c for s, c in zip(_slots(spec), cs) if c}, den)
 
     @classmethod
     def variable(cls, spec, vars, name):
         exp = [0] * vars.count
         exp[vars.index(name)] = 1
-        return cls._raw(spec, vars, {tuple(exp): _kernel(spec)[2]})
+        return cls._raw(spec, vars, {tuple(exp) + _slots(spec)[0]: 1})
 
     def lift(self, vars: VarSet) -> "MultiPoly":
         """This polynomial in ``vars``, a ring with the same t-variables and
         at least as many y-variables; the added ones come last."""
         if vars.r != self.vars.r or vars.n < self.vars.n:
             raise ValueError("exponent vector length mismatch")
+        k = self.vars.count
         pad = (0,) * (vars.n - self.vars.n)
-        return MultiPoly._raw(self.spec, vars, {e + pad: c for e, c in self.terms.items()},
-                              self.den)
+        # the new y-slots go before the slot of u, if there is one
+        return MultiPoly._raw(self.spec, vars,
+                              {e[:k] + pad + e[k:]: c for e, c in self.terms.items()}, self.den)
 
     def _values(self) -> dict:
         """The coefficients as values that division acts on (see
@@ -345,7 +429,8 @@ class MultiPoly:
         p, zero, _ = _kernel(self.spec)
         mine, theirs, den = self.terms, other.terms, self.den
         if other.den != den:
-            # over Q: both numerator sets over the lcm of the denominators
+            # in characteristic 0: both numerator sets over the lcm of the
+            # denominators
             den = lcm(den, other.den)
             k1, k2 = den // self.den, den // other.den
             mine = {e: c * k1 for e, c in mine.items()} if k1 != 1 else mine
@@ -378,20 +463,23 @@ class MultiPoly:
         spec = self.spec
         p, zero, _ = _kernel(spec)
         if isinstance(other, (int, FieldElement)):
-            c, d = _scalar(spec, other)
-            if not c:
-                return MultiPoly._raw(spec, self.vars, {})
-            return self._times(c, d)
-        other = self._coerce(other)
+            cs, d = _scalar(spec, other)
+            if spec.ext is None or not any(cs[1:]):  # a base-field scalar scales each term
+                return self._times(cs[0], d) if cs[0] else MultiPoly._raw(spec, self.vars, {})
+            other = MultiPoly.const(spec, self.vars, other)
+        else:
+            other = self._coerce(other)
         den = self.den * other.den
-        # a monomial factor shifts exponents injectively and multiplies by a
-        # nonzero scalar, so nothing merges and nothing cancels
+        # a monomial factor with no power of u shifts exponents injectively
+        # and multiplies by a nonzero scalar, so nothing merges, cancels or
+        # folds
         poly, mono = (self, other) if len(other.terms) == 1 else (other, self)
         if len(mono.terms) == 1:
             ((e2, c2),) = mono.terms.items()
-            return MultiPoly._reduced(spec, self.vars, {
-                tuple(map(add, e1, e2)): c1 * c2 % p if p else c1 * c2
-                for e1, c1 in poly.terms.items()}, den)
+            if spec.ext is None or not e2[-1]:
+                return MultiPoly._reduced(spec, self.vars, {
+                    tuple(map(add, e1, e2)): c1 * c2 % p if p else c1 * c2
+                    for e1, c1 in poly.terms.items()}, den)
         out: dict[tuple, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -403,12 +491,15 @@ class MultiPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
+        if spec.ext is not None:
+            out, den = _fold(spec, out, den)
         return MultiPoly._reduced(spec, self.vars, out, den)
 
     __rmul__ = __mul__
 
     def _times(self, c, d: int) -> "MultiPoly":
-        """This polynomial times the nonzero raw numerator ``c`` over ``d``."""
+        """This polynomial times the nonzero raw base-field numerator ``c``
+        over ``d``."""
         p = _kernel(self.spec)[0]
         return MultiPoly._reduced(self.spec, self.vars, {
             e: v * c % p if p else v * c for e, v in self.terms.items()}, self.den * d)
@@ -428,10 +519,13 @@ class MultiPoly:
         (tail exponent vector, integer) pairs: a term c*x^(e1 + e2) becomes
         the sum of m*c*x^(e1 + f) over (f, m) in ``images[e2]``.  A factor
         m of +-1 adds or subtracts c; other integers are coerced into the
-        field once per call.  Over Q the numerators combine over the same
-        denominator."""
+        field once per call.  In characteristic 0 the numerators combine
+        over the same denominator, and over an extension field the power of
+        u rides along at the end of the tail (see :class:`_TailsWithU`)."""
         spec = self.spec
         p = _kernel(spec)[0]
+        if spec.ext is not None:
+            images = _TailsWithU(images)
         scalars: dict[int, object] = {}
         out: dict[tuple, object] = {}
         for e, c in self.terms.items():
@@ -446,7 +540,7 @@ class MultiPoly:
                 else:
                     k = scalars.get(m)
                     if k is None:
-                        k = scalars[m] = _scalar(spec, m)[0]
+                        k = scalars[m] = _scalar(spec, m)[0][0]
                     if not k:
                         continue
                     s = c * k if s is None else s + c * k
@@ -462,12 +556,31 @@ class MultiPoly:
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        # at most one term per power of u, and none with t or y
+        terms, count = self.terms, self.vars.count
+        return len(terms) <= len(_slots(self.spec)) and all(not any(e[:count]) for e in terms)
+
+    def monomials(self):
+        """The exponent vectors (t-block then y-block) of the monomials with
+        a nonzero coefficient, each once, as a sized view."""
+        if self.spec.ext is None:
+            return self.terms.keys()
+        count = self.vars.count
+        return dict.fromkeys([e[:count] for e in self.terms]).keys()
 
     def coeff(self, exp: tuple) -> FieldElement:
         """The coefficient of the monomial with exponent vector ``exp``."""
-        c = self.terms.get(exp)
-        return self.spec.zero if c is None else _wrap(self.spec, c, self.den)
+        spec, terms, den = self.spec, self.terms, self.den
+        if spec.ext is None:
+            c = terms.get(exp)
+            if c is None:
+                return spec.zero
+            return FieldElement(spec, c if spec.char else Fraction(c, den))
+        # the slots of the powers of u, read as one element
+        cs = [terms.get(exp + s, 0) for s in _slots(spec)]
+        if not any(cs):
+            return spec.zero
+        return FieldElement(spec, tuple(cs) if spec.char else tuple([Fraction(c, den) for c in cs]))
 
     @property
     def constant_term(self) -> FieldElement:
@@ -476,8 +589,8 @@ class MultiPoly:
     def leading_term(self) -> tuple[tuple, FieldElement]:
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
-        e = max(self.terms)
-        return e, _wrap(self.spec, self.terms[e], self.den)
+        e = max(self.terms)[:self.vars.count]
+        return e, self.coeff(e)
 
     def degree_in(self, var: str) -> int:
         """Maximal exponent of var; errors on the zero polynomial."""
@@ -498,11 +611,15 @@ class MultiPoly:
         return MultiPoly._reduced(self.spec, self.vars, out, self.den)
 
     def substitute(self, assignments: Mapping[str, Scalar], drop: bool = False) -> "MultiPoly":
-        """Evaluate some variables exactly; optionally remove them from the ring."""
+        """Evaluate some variables exactly; optionally remove them from the ring.
+
+        Values in the base field are put in by one pass over the terms.
+        Over an extension field a value with a power of u is then put in by
+        Horner's rule in the variable, on polynomials, whose products fold."""
         spec = self.spec
         p, zero, one = _kernel(spec)
-        idx = {self.vars.index(name): _rational(*_scalar(spec, v))
-               for name, v in assignments.items()}
+        values = {self.vars.index(name): (v, _scalar(spec, v)) for name, v in assignments.items()}
+        idx = {i: _rational(cs[0], d) for i, (_, (cs, d)) in values.items() if not any(cs[1:])}
         # per variable: None for the value 1, else a cache of its powers
         powers = {i: None if val == one else {1: val} for i, val in idx.items()}
         out: dict[tuple, object] = {}
@@ -530,6 +647,14 @@ class MultiPoly:
             else:
                 out.pop(key, None)
         result = MultiPoly._raw(spec, self.vars, *_numerators(spec, out))
+        names = self.vars.names()
+        for i, (v, _) in values.items():
+            if i not in idx:
+                value = MultiPoly.const(spec, self.vars, v)
+                acc = MultiPoly.zero(spec, self.vars)
+                for k in range(max((e[i] for e in result.terms), default=0), -1, -1):
+                    acc = acc * value + result.coefficient_of(names[i], k)
+                result = acc
         if drop:
             for name in sorted(assignments, reverse=True):
                 result = result.drop_var(name)
@@ -541,7 +666,11 @@ class MultiPoly:
 
         ``face`` is 0, 1 or INFINITY; the face at infinity keeps the terms of
         top degree in ``name`` (leading-coefficient extraction)."""
-        i = self.vars.index(name)
+        return self._restrict_face(self.vars.index(name), face)
+
+    def _restrict_face(self, i: int, face) -> "MultiPoly":
+        """:meth:`restrict_face` for the variable at position ``i`` of the
+        exponent vector."""
         terms = self.terms
         if face is INFINITY:
             top = max((e[i] for e in terms), default=0)
@@ -566,7 +695,7 @@ class MultiPoly:
                         del out[key]
         else:
             raise ValueError(f"{face!r} is not a face value (0, 1 or INFINITY)")
-        return MultiPoly._reduced(self.spec, self.vars.drop(name), out, self.den)
+        return MultiPoly._reduced(self.spec, self.vars._without(i), out, self.den)
 
     def drop_var(self, name: str) -> "MultiPoly":
         """Remove a variable not occurring in any term, reindexing the rest."""
@@ -580,11 +709,10 @@ class MultiPoly:
         """Full evaluation; values may live in an extension of the coefficient field."""
         if len(values) != self.vars.count:
             raise ValueError("need one value per variable")
-        spec, den = self.spec, self.den
-        target = values[0].spec if values else spec
+        target = values[0].spec if values else self.spec
         acc = target.zero
-        for e, c in self.terms.items():
-            c = _wrap(spec, c, den)
+        for e in self.monomials():
+            c = self.coeff(e)
             term = c if c.spec == target else target.embed(c)
             for v, k in zip(values, e):
                 if k:
@@ -595,33 +723,44 @@ class MultiPoly:
     def exact_div(self, g: "MultiPoly") -> "MultiPoly":
         """Return q with self == q*g, or raise InexactDivision.
 
-        A one-term divisor c*x^e shifts every exponent by -e, and scales
-        every coefficient by 1/c unless c = 1; it divides exactly when no
-        exponent goes negative.  Longer divisors run the division loop on
-        the lex-leading term, over Q on the coefficients as Fractions
-        unless both denominators are 1 and the leading coefficient is +-1.
+        Over an extension field a divisor whose leading coefficient has a
+        power of u is first scaled, with the dividend, by that
+        coefficient's inverse, so the lex-leading term of the divisor is a
+        base-field term with no u.  A one-term divisor c*x^e then shifts
+        every exponent by -e, and scales every coefficient by 1/c unless
+        c = 1; it divides exactly when no exponent goes negative.  Longer
+        divisors run the division loop on the lex-leading term, in
+        characteristic 0 on the coefficients as Fractions unless both
+        denominators are 1 and the leading coefficient is +-1; over an
+        extension field each step's product folds.
         """
         g = self._coerce(g)
         if not g:
             raise ZeroDivisor("division by the zero polynomial")
         spec = self.spec
         p, zero, one = _kernel(spec)
-        if len(g.terms) == 1:
-            ((eg, cg),) = g.terms.items()
+        f, h = self, g
+        if spec.ext is not None and max(g.terms)[-1]:
+            c = g.leading_term()[1].inverse()
+            f, h = self * c, g * c
+        if len(h.terms) == 1:
+            ((eg, cg),) = h.terms.items()
             out = {}
-            for e, c in self.terms.items():
+            for e, c in f.terms.items():
                 if not all(map(ge, e, eg)):
                     raise InexactDivision(f"{g.to_text()} does not divide {self.to_text()}")
                 out[tuple(map(sub, e, eg))] = c
-            q = MultiPoly._raw(spec, self.vars, out, self.den)
-            if cg == one and g.den == 1:
+            q = MultiPoly._raw(spec, self.vars, out, f.den)
+            if cg == one and h.den == 1:
                 return q
-            return q._times(*_inverse(spec, cg, g.den))
-        rem = dict(self._values())
+            return q._times(*_inverse(spec, cg, h.den))
+        rem = dict(f._values())
         out: dict[tuple, object] = {}
-        eg = max(g.terms)
-        cg_inv = _rational(*_inverse(spec, g.terms[eg], g.den))
-        divisor = g._values()
+        eg = max(h.terms)
+        cg_inv = _rational(*_inverse(spec, h.terms[eg], h.den))
+        divisor = h._values()
+        # a divisor with powers of u makes steps whose products fold
+        fold = spec.ext is not None and any(e[-1] for e in divisor)
         while rem:
             ef = max(rem)
             eq = tuple(a - b for a, b in zip(ef, eg))
@@ -632,7 +771,7 @@ class MultiPoly:
                 cq %= p
             out[eq] = cq
             neg_cq = p - cq if p else -cq
-            # rem -= cq * x^eq * g, in place
+            # rem -= cq * x^eq * h, in place
             for e2, c2 in divisor.items():
                 e = tuple(map(add, eq, e2))
                 s = rem.get(e, zero) + neg_cq * c2
@@ -642,6 +781,10 @@ class MultiPoly:
                     rem[e] = s
                 else:
                     rem.pop(e, None)
+            if fold:
+                rem, k = _fold(spec, rem, 1)
+                if k != 1:  # rows over Q that are not integral: back to values
+                    rem = {e: Fraction(c, k) for e, c in rem.items()}
         return MultiPoly._raw(spec, self.vars, *_numerators(spec, out))
 
     # -- text ----------------------------------------------------------------
@@ -655,9 +798,13 @@ class MultiPoly:
         if not self.terms:
             return "0"
         names = self.vars.names()
-        # a raw residue, or a numerator over den, prints as its field element does
+        # a raw residue, or a numerator over den, prints as its field
+        # element does; over an extension field each monomial's slots are
+        # read as one element
         den = self.den
-        if self.spec.ext:
+        items = self.terms.items()
+        if self.spec.ext is not None:
+            items = [(e, self.coeff(e)) for e in self.monomials()]
             text_of = FieldElement.to_text
         elif den == 1:
             text_of = str
@@ -666,14 +813,17 @@ class MultiPoly:
                 g = gcd(c, den)
                 return str(c // g) if g == den else f"{c // g}/{den // g}"
         parts = []
-        for e, c in sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True):
+        for e, c in sorted(items, key=lambda kv: kv[0], reverse=True):
             mono = "*".join(
                 names[i] if k == 1 else f"{names[i]}^{k}"
                 for i, k in enumerate(e)
                 if k
             )
             ct = text_of(c)
-            neg = ct.startswith("-") and " " not in ct
+            # a sum of powers of u whose leading coefficient is negative
+            # keeps its sign outside the parentheses on a monomial, and
+            # moves it to the separator as the constant term
+            neg = ct.startswith("-") and (" " not in ct or not mono)
             if neg:
                 ct = ct[1:]
             composite = ("+" in ct) or (" - " in ct)

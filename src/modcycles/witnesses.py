@@ -100,7 +100,7 @@ def _component_rho(p: MultiPoly) -> FieldElement:
         raise NotNormalized(f"component {p.to_text()} is not normalized to constant term 1")
     ones = (1,) * r
     too_high = False
-    for e in p.terms:
+    for e in p.monomials():
         t = e[:r]
         if 0 in t:
             if any(e):

@@ -75,30 +75,32 @@ def rand_cycle(rng, spec, n):
 
 
 def assert_canonical_poly(r):
-    assert all(len(e) == r.vars.count for e in r.terms)
+    # raw coefficients of the base field: reduced int residues in
+    # characteristic p, over the denominator 1; in characteristic 0, int
+    # numerators over a positive denominator prime to them all.  Over an
+    # extension of degree d each exponent vector has one more slot, last,
+    # the power of u, which is below d.
+    ext = r.spec.is_extension
+    assert all(len(e) == r.vars.count + ext for e in r.terms)
+    if ext:
+        assert all(0 <= e[-1] < r.spec.degree for e in r.terms)
     assert all(c for c in r.terms.values()), "zero coefficient stored"
-    # raw coefficients: reduced int residues over F_p and elements of the
-    # field itself over an extension, both over the denominator 1; over Q,
-    # int numerators over a positive denominator prime to them all
     assert type(r.den) is int
-    if r.spec.is_extension:
-        assert all(type(c) is FieldElement and c.spec == r.spec for c in r.terms.values())
-        assert r.den == 1
-    elif r.spec.char:
+    if r.spec.char:
         assert all(type(c) is int and 0 < c < r.spec.char for c in r.terms.values())
         assert r.den == 1
     else:
         assert all(type(c) is int for c in r.terms.values())
         assert r.den > 0 and math.gcd(r.den, *r.terms.values()) == 1
-    assert MultiPoly(r.spec, r.vars, {e: r.coeff(e) for e in r.terms}) == r
+    assert MultiPoly(r.spec, r.vars, {e: r.coeff(e) for e in r.monomials()}) == r
 
 
 def generic_product(a, b):
     """Term-by-term convolution of the field-element coefficients, merging
     equal exponents and dropping zeros."""
     out = {}
-    for e1 in a.terms:
-        for e2 in b.terms:
+    for e1 in a.monomials():
+        for e2 in b.monomials():
             e = tuple(x + y for x, y in zip(e1, e2))
             out[e] = out.get(e, a.spec.zero) + a.coeff(e1) * b.coeff(e2)
     return {e: c for e, c in out.items() if c}
@@ -147,7 +149,7 @@ class TestTrustedPolynomials:
         spec = SPECS[seed % 3]
         vars = VarSet(1, 2)
         a = rand_poly(rng, spec, vars)
-        items = [(e, a.coeff(e)) for e in a.terms]
+        items = [(e, a.coeff(e)) for e in a.monomials()]
         rng.shuffle(items)
         b = MultiPoly(spec, vars, dict(reversed(items)))
         assert a == b and hash(a) == hash(b)
@@ -214,7 +216,7 @@ class TestTrustedPolynomials:
             for x, y in ((mono, a), (a, mono), (zero, a), (a, zero)):
                 r = x * y
                 assert_canonical_poly(r)
-                assert {e: r.coeff(e) for e in r.terms} == generic_product(x, y)
+                assert {e: r.coeff(e) for e in r.monomials()} == generic_product(x, y)
 
 
 def rand_unipoly(rng, spec, max_deg=6):

@@ -264,6 +264,22 @@ class TestDegeneracy:
         assert is_level0_dropped(parse_poly("1 - 3*t1*t2", F7, VarSet(2, 0)))
         assert not is_level0_dropped(parse_poly("1 - t1*t2*(t1 + 3)", F7, VarSet(2, 0)))
 
+    def test_level0_flag_counts_monomials_over_an_extension(self):
+        # 1 - (u + 2)*t1*t2 has two monomials, but its coefficient (u + 2) is
+        # two stored terms over F3; three monomials are not dropped
+        vars = VarSet(2, 0)
+        p = parse_poly("1 - (u + 2)*t1*t2", F9, vars)
+        assert len(p.monomials()) == 2
+        assert is_level0_dropped(p)
+        assert is_level0_dropped(parse_poly("1 + u*t1^2*t2", F9, vars))
+        assert not is_level0_dropped(parse_poly("1 - (u + 2)*t1*t2 + u*t2", F9, vars))
+        assert not is_level0_dropped(parse_poly("u - (u + 2)*t1*t2", F9, vars))
+        # the level-1 generator with that coefficient bounds to it, and the
+        # flag drops it
+        Z = cyc("1 - (u + 2)*t1*t2*y1", spec=F9)
+        assert boundary(Z, level0_flag=False) == cyc("1 - (u + 2)*t1*t2", spec=F9, n=0)
+        assert not boundary(Z)
+
 
 class TestBoundary:
     def test_bounding_identity(self):

@@ -16,8 +16,20 @@ from operator import add, ge, sub
 import pytest
 
 from modcycles import polyring
-from modcycles.cycles import CoordModel, HypersurfaceCycle, psi_convert
-from modcycles.fields import FieldElement, WrongField, ZeroPolynomial, make_field
+from modcycles.cycles import (
+    CoordModel,
+    HypersurfaceCycle,
+    boundary,
+    check_face_condition,
+    psi_convert,
+)
+from modcycles.fields import (
+    FieldElement,
+    WrongField,
+    ZeroPolynomial,
+    make_field,
+    standard_extension,
+)
 from modcycles.polyring import (
     INFINITY,
     InexactDivision,
@@ -37,8 +49,16 @@ F7 = make_field(7)
 F65521 = make_field(65521)
 Q = make_field(0)
 F9 = make_field(3, [1, 0, 1])
-SPECS = (F2, F5, F7, F65521, Q, F9)
 RAW_SPECS = (F2, F5, F7, F65521, Q)
+# extension fields, whose polynomials are stored over the base field with u
+# as one more exponent slot: 251 = 3 mod 4, so u^2 + 1 is irreducible over
+# F_251, a field of 63001 > 2^15 elements; u^2 = 1/2 reduces by rows that are
+# not integral
+QI = make_field(0, [1, 0, 1])
+Q_HALF = make_field(0, [Fraction(-1, 2), 0, 1])
+EXT_SPECS = (F9, standard_extension(2, 2), standard_extension(2, 3), standard_extension(5, 2),
+             standard_extension(7, 2), make_field(251, [1, 0, 1]), QI, Q_HALF)
+SPECS = RAW_SPECS + EXT_SPECS
 
 
 class RefPoly:
@@ -241,7 +261,7 @@ class RefPoly:
             mono = "*".join(names[i] if k == 1 else f"{names[i]}^{k}"
                             for i, k in enumerate(e) if k)
             ct = c.to_text()
-            neg = ct.startswith("-") and " " not in ct
+            neg = ct.startswith("-") and (" " not in ct or not mono)
             if neg:
                 ct = ct[1:]
             if ("+" in ct or " - " in ct) and mono:
@@ -253,7 +273,7 @@ class RefPoly:
 
 def as_ref(P):
     """The reference polynomial with the coefficients ``P`` reports."""
-    return RefPoly._raw(P.spec, P.vars, {e: P.coeff(e) for e in P.terms})
+    return RefPoly._raw(P.spec, P.vars, {e: P.coeff(e) for e in P.monomials()})
 
 
 def outcome(fn):
@@ -274,8 +294,11 @@ def outcome(fn):
 
 
 def rand_elem(rng, spec):
-    if spec.is_extension:
+    if spec.is_extension and spec.char:
         return spec.element([rng.randrange(spec.char) for _ in range(spec.degree)])
+    if spec.is_extension:
+        return spec.element([rng.choice((0, 1, -1, Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
+                             for _ in range(spec.degree)])
     if spec.char:
         return spec.element(rng.choice((0, 1, spec.char - 1, rng.randrange(spec.char))))
     return spec.element(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
@@ -441,6 +464,70 @@ class TestNoFieldElementArithmetic:
             rebuilt = MultiPoly(a.spec, a.vars, {e: a.coeff(e) for e in a.terms})
             assert hash(rebuilt) == hash(a) and rebuilt.to_text() == a.to_text()
 
+    def test_extension_fields_run_on_base_integers(self, monkeypatch):
+        # the operations of the reference comparison over extension fields;
+        # only a divisor whose leading coefficient has a power of u takes
+        # one FieldElement inverse
+        rng = random.Random(6)
+        cases = []
+        for spec in EXT_SPECS:
+            for _ in range(8):
+                vars = VarSet(rng.randrange(3), rng.randrange(1, 3))
+                ops, y = operations(rng, spec, vars)
+                a = MultiPoly(spec, vars, rand_terms(rng, spec, vars))
+                b = MultiPoly(spec, vars, rand_terms(rng, spec, vars))
+                m = MultiPoly(spec, vars, {(1,) * vars.count: rand_elem(rng, spec) or spec.one})
+                h = MultiPoly.const(spec, vars, 1) - MultiPoly.variable(spec, vars, y)
+                want = [outcome(lambda: op(a, b, m, h)) for _, op in ops]
+                cases.append((a, b, m, h, ops, want))
+
+        def refuse(*args):
+            raise AssertionError("FieldElement arithmetic in a MultiPoly operation")
+
+        for name in self.GUARDED:
+            if name != "inverse":
+                monkeypatch.setattr(FieldElement, name, refuse)
+        for a, b, m, h, ops, want in cases:
+            for (label, op), w in zip(ops, want):
+                if label not in ("constant_term", "leading_term"):
+                    assert outcome(lambda: op(a, b, m, h)) == w, label
+
+    def test_extension_cycles_run_on_base_integers(self, monkeypatch):
+        # boundary, the face check and model conversion of seeded cycles over
+        # F9 and Q(i), in both models, with components whose constant and
+        # leading coefficients have powers of u
+        rng = random.Random(13)
+        cases = []
+        for spec in (F9, QI):
+            for n in (1, 2, 3):
+                vars = VarSet(2, n)
+                one = MultiPoly.const(spec, vars, 1)
+                tt = MultiPoly(spec, vars, {(1, 1) + (0,) * n: 1})
+                for _ in range(4):
+                    comps = []
+                    for _ in range(rng.randrange(1, 4)):
+                        g = MultiPoly(spec, vars, {
+                            (0, 0) + tuple(rng.randrange(2) for _ in range(n)): rand_elem(rng, spec)
+                            for _ in range(3)}) or one
+                        comps.append((rng.choice((-2, -1, 1, 2)),
+                                      (one - tt * g) * (rand_elem(rng, spec) or spec.one)))
+                    Z = HypersurfaceCycle(spec, vars, CoordModel.PSI, comps)
+                    for W in (Z, psi_convert(Z, CoordModel.ORIGINAL)):
+                        calls = (lambda W=W: boundary(W),
+                                 lambda W=W: check_face_condition(W).to_json(),
+                                 lambda W=W: psi_convert(W, W.model.other))
+                        cases.append([(call, outcome(call)) for call in calls])
+
+        def refuse(*args):
+            raise AssertionError("FieldElement arithmetic in a cycle operation")
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"):
+            monkeypatch.setattr(FieldElement, name, refuse)
+        for case in cases:
+            for call, want in case:
+                assert outcome(call) == want
+        assert any(want[0] == "value" and want[1] for case in cases for _, want in case[:1])
+
     def test_canonical_text_skips_the_general_parser(self, monkeypatch):
         rng = random.Random(8)
         texts = []
@@ -465,22 +552,32 @@ class TestNoFractionArithmetic:
                "__pos__", "__abs__", "__hash__")
 
     def test_q_runs_on_integer_numerators(self, monkeypatch):
-        rng = random.Random(21)
+        self.check_integer_numerators(Q, 21, monkeypatch)
+
+    def test_q_i_runs_on_integer_numerators(self, monkeypatch):
+        # over Q(i) the numerators also carry the power of u, and products
+        # fold u^2 = -1 on them
+        self.check_integer_numerators(QI, 22, monkeypatch)
+
+    def check_integer_numerators(self, spec, seed, monkeypatch):
+        rng = random.Random(seed)
         cases = []
         for _ in range(40):
             vars = VarSet(2, rng.randrange(1, 4))
             y = f"y{rng.randrange(1, vars.n + 1)}"
-            a = MultiPoly(Q, vars, rand_terms(rng, Q, vars))
-            b = MultiPoly(Q, vars, rand_terms(rng, Q, vars))
+            a = MultiPoly(spec, vars, rand_terms(rng, spec, vars))
+            b = MultiPoly(spec, vars, rand_terms(rng, spec, vars))
             k = rng.choice((-6, -1, 2, 3, 4))
-            one = MultiPoly.const(Q, vars, 1)
-            tt = MultiPoly(Q, vars, {(1, 1) + (0,) * vars.n: 1})
-            Z = HypersurfaceCycle(Q, vars, CoordModel.PSI, [(2, one - tt * (b + 1)), (-1, one - tt)])
+            one = MultiPoly.const(spec, vars, 1)
+            tt = MultiPoly(spec, vars, {(1, 1) + (0,) * vars.n: 1})
+            Z = HypersurfaceCycle(spec, vars, CoordModel.PSI, [(2, one - tt * (b + 1)), (-1, one - tt)])
             wider = VarSet(2, vars.n + 1)
+            c = rand_elem(rng, spec)
             ops = {
                 "a + b": lambda a, b: a + b, "a - b": lambda a, b: a - b,
                 "a * b": lambda a, b: a * b,
                 "a * k": lambda a, b, k=k: a * k, "k * b": lambda a, b, k=k: k * b,
+                "a * c": lambda a, b, c=c: a * c,
                 "restrict 0": lambda a, b, y=y: a.restrict_face(y, 0),
                 "restrict 1": lambda a, b, y=y: a.restrict_face(y, 1),
                 "restrict inf": lambda a, b, y=y: a.restrict_face(y, INFINITY),
@@ -490,7 +587,7 @@ class TestNoFractionArithmetic:
             cases.append((a, b, {label: (op, op(a, b)) for label, op in ops.items()}))
 
         def refuse(*args):
-            raise AssertionError("Fraction arithmetic in a MultiPoly operation over Q")
+            raise AssertionError(f"Fraction arithmetic in a MultiPoly operation over {spec.to_text()}")
 
         for name in self.GUARDED:
             monkeypatch.setattr(Fraction, name, refuse)
@@ -500,7 +597,7 @@ class TestNoFractionArithmetic:
             for label, (op, want) in ops.items():
                 assert op(a, b) == want, label
             assert (hash(a) == hash(b)) == (a == b)
-            assert {a: 1}.get(MultiPoly._raw(Q, a.vars, dict(a.terms), a.den)) == 1
+            assert {a: 1}.get(MultiPoly._raw(spec, a.vars, dict(a.terms), a.den)) == 1
 
 
 def general_parse(monkeypatch, text, spec, vars):
