@@ -3,6 +3,7 @@
 
     python3 scripts/item_times.py --workload ext-deep --seed 42 --repeat 12
     python3 scripts/item_times.py --workload ext-deep --seed 42 --profile cycle_n4:Q
+    python3 scripts/item_times.py --workload suite-full --seed 42 --repeat 1 --counts
 
 Run from the root of a source checkout.  The workload is set up once from
 the tree's own ``src/`` and ``perfbench/workloads.py``, then ``--repeat``
@@ -18,8 +19,12 @@ running it on each, alternately, not by its absolute numbers.
 ``--profile KIND[:FIELD]`` then runs one more pass over the items of that
 group (a field whose text starts with FIELD), or over a whole round for a
 workload that does not list its items, under cProfile and prints the 25
-largest own times.  ``--limit N`` keeps only the first N listed items.
-Standard library only.
+largest own times.  ``--counts`` then runs one more round with
+perfbench/tracer.py's ``instrument`` installed and prints every site the
+tracer records with its call count, sorted by name: a change's traffic
+without a full perfbench run.  It runs last, since the wrappers stay
+installed.  ``--limit N`` keeps only the first N listed items.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -139,6 +144,17 @@ def profile(wl, workloads, group: str, top: int = 25) -> str:
     return out.getvalue()
 
 
+def counts(m, workloads, wl) -> str:
+    """Call counts per tracer site over one round of ``wl`` with the
+    tracer's wrappers installed on ``m``, one site per line, by name."""
+    tracer = importlib.import_module("tracer")
+    tr = tracer.Tracer()
+    tracer.instrument(tr, m)
+    wl.run_round(workloads.Recorder(tracer=tr))
+    width = max(map(len, tr.sites), default=0)
+    return "\n".join(f"{name:<{width}}{calls:>12}" for name, (calls, _, _) in sorted(tr.sites.items()))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
@@ -146,6 +162,7 @@ def main(argv=None) -> int:
     ap.add_argument("--repeat", type=int, default=5, help="rounds; each item keeps its best")
     ap.add_argument("--limit", type=int, default=None, help="keep the first N listed items")
     ap.add_argument("--profile", default=None, metavar="KIND[:FIELD]")
+    ap.add_argument("--counts", action="store_true", help="call counts of one traced round")
     args = ap.parse_args(argv)
     m, workloads = load()
     if args.workload not in workloads.WORKLOADS:
@@ -158,6 +175,9 @@ def main(argv=None) -> int:
         print(table(best))
         if args.profile:
             print(profile(wl, workloads, args.profile))
+        if args.counts:
+            print("call counts of one traced round:")
+            print(counts(m, workloads, wl))
     return 0
 
 

@@ -117,32 +117,32 @@ def _face_text(face) -> str:
 
 class ModulusDatum:
     """A principal effective divisor on A^r cut out by a polynomial in the
-    t-variables; the monomial case t1^m1 ... tr^mr carries its exponents."""
+    t-variables; when it is t1^m1 ... tr^mr with every m_i >= 1, however
+    spelled, it is monomial and carries its exponents (else None)."""
 
     __slots__ = ("r", "divisor_poly", "monomial_exponents")
 
-    def __init__(self, divisor_poly: MultiPoly, monomial_exponents: tuple | None = None):
+    def __init__(self, divisor_poly: MultiPoly):
         if divisor_poly.vars.n != 0:
             raise ValueError("modulus divisor must involve only t-variables")
         if not divisor_poly or divisor_poly.is_constant:
             raise ValueError("modulus divisor must be a nonzero nonunit")
         self.r = divisor_poly.vars.r
         self.divisor_poly = divisor_poly
-        if monomial_exponents is not None:
-            monomial_exponents = tuple(monomial_exponents)
-            if any(m < 1 for m in monomial_exponents):
-                raise ValueError("monomial exponents must be >= 1")
-            expected = {tuple(monomial_exponents): divisor_poly.spec.one}
-            if MultiPoly(divisor_poly.spec, divisor_poly.vars, expected) != divisor_poly:
-                raise ValueError("monomial exponents do not match the divisor polynomial")
-        self.monomial_exponents = monomial_exponents
+        self.monomial_exponents = None
+        monomials = divisor_poly.monomials()
+        if len(monomials) == 1:
+            (e,) = monomials
+            if all(m >= 1 for m in e) and divisor_poly.coeff(e) == divisor_poly.spec.one:
+                self.monomial_exponents = e
 
     @classmethod
     def monomial(cls, spec: FieldSpec, exponents: Sequence[int]) -> "ModulusDatum":
         exps = tuple(int(m) for m in exponents)
-        vars = VarSet(len(exps), 0)
-        poly = MultiPoly(spec, vars, {exps: spec.one})
-        return cls(poly, exps)
+        D = cls(MultiPoly(spec, VarSet(len(exps), 0), {exps: spec.one}))
+        if not D.is_monomial:
+            raise ValueError("monomial exponents must be >= 1")
+        return D
 
     @property
     def spec(self) -> FieldSpec:
@@ -153,9 +153,8 @@ class ModulusDatum:
         return self.monomial_exponents is not None
 
     def radical_poly(self) -> MultiPoly:
-        """t_i product over the support (monomial data only)."""
-        exps = tuple(1 if m else 0 for m in self.monomial_exponents)
-        return MultiPoly(self.spec, self.divisor_poly.vars, {exps: self.spec.one})
+        """t1...tr, the radical of a monomial divisor."""
+        return MultiPoly(self.spec, self.divisor_poly.vars, {(1,) * self.r: self.spec.one})
 
     def __eq__(self, other):
         return isinstance(other, ModulusDatum) and self.divisor_poly == other.divisor_poly
@@ -168,6 +167,8 @@ def normalize_component(p: MultiPoly) -> MultiPoly:
     """Scale so the constant term is 1 when nonzero, else the leading coefficient."""
     if not p:
         raise ValueError("zero polynomial is not a hypersurface component")
+    if p.constant_term_is_one:
+        return p
     c = p.constant_term or p.leading_term()[1]
     if c == p.spec.one:
         return p
@@ -504,7 +505,7 @@ def is_degenerate(p: MultiPoly) -> bool:
 def is_level0_dropped(p: MultiPoly) -> bool:
     """Level-0 convention: a two-term component 1 - c*t^e is treated as
     degenerate when the configuration flag is on (see :func:`boundary`)."""
-    return p.vars.n == 0 and len(p.monomials()) == 2 and p.constant_term == p.spec.one
+    return p.vars.n == 0 and len(p.monomials()) == 2 and p.constant_term_is_one
 
 
 def _is_pruned(p: MultiPoly, level0_flag: bool) -> bool:
@@ -765,7 +766,7 @@ def check_modulus_codim1(Z: HypersurfaceCycle, D: ModulusDatum) -> ModulusReport
     else:
         rad = lifted
     one = MultiPoly.const(Z.spec, Z.vars, 1)
-    meets_axes = [p for p in Z.terms if p.constant_term != Z.spec.one]
+    meets_axes = [p for p in Z.terms if not p.constant_term_is_one]
     if meets_axes:
         text = min(meets_axes, key=MultiPoly.to_text).to_text()
         raise ConstantTermZero(f"component {text} has constant term 0; it meets the t-axes")
@@ -1116,22 +1117,15 @@ class EmbeddedCurve:
 def curve_avoids_divisor(embedding: Sequence[RatFunc], D: ModulusDatum) -> bool:
     """Whether the image of the parametrized curve is disjoint from the divisor.
 
-    Substitutes the coordinate functions into the divisor polynomial; the
-    image avoids the divisor exactly when every zero of the numerator is a
-    pole of the embedding (i.e. outside the source curve).
+    Evaluates the divisor polynomial at the coordinate functions, one per
+    t-variable (ValueError otherwise); the image avoids the divisor exactly
+    when every zero of the numerator is a pole of the embedding.
     """
-    spec = embedding[0].spec
-    acc = RatFunc.const(spec, 0)
-    for e in D.divisor_poly.monomials():
-        term = RatFunc.const(spec, D.divisor_poly.coeff(e))
-        for coord, k in zip(embedding, e):
-            if k:
-                term = term * coord**k
-        acc = acc + term
-    if not acc.num:
+    f = D.divisor_poly.eval(embedding)
+    if not f:
         return False  # identically zero on the curve
-    h = acc.num
-    pole_prod = UniPoly.const(spec, 1)
+    h = f.num
+    pole_prod = UniPoly.const(h.spec, 1)
     for e in embedding:
         pole_prod = pole_prod * e.den
     while h.degree > 0:

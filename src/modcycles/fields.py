@@ -724,10 +724,11 @@ class UniPoly:
     def eval(self, x: FieldElement) -> FieldElement:
         """Evaluate at x; coefficients embed into x's field when it extends ours.
 
-        At a point of its own prime field or Q, Horner's loop runs on the
-        raw residues mod p or Fractions and wraps the value once."""
+        At a field element of its own prime field or Q, Horner's loop runs
+        on raw residues mod p or Fractions and wraps the value once; other
+        points, rational functions too, take the loop on their own operators."""
         spec, target = self.spec, x.spec
-        if spec.ext is None and (target is spec or target == spec):
+        if spec.ext is None and isinstance(x, FieldElement) and (target is spec or target == spec):
             p, v, acc = spec.char, x.value, spec._zero_coeff
             for c in reversed(self.coeffs):
                 acc = acc * v + c.value

@@ -146,16 +146,6 @@ def _name_index(r: int, n: int) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def _kernel(spec: FieldSpec) -> tuple:
-    """(p, zero, one) for the raw coefficients of ``spec``, which are those
-    of its base field: the prime that residues are reduced by (0 in
-    characteristic 0), and the identities that sums start from and
-    coefficients are compared with.  In characteristic 0 they are those of
-    the integer numerators, so a numerator equal to ``one`` is the
-    coefficient 1 only over the denominator 1."""
-    return spec.char, 0, 1
-
-
 @lru_cache(maxsize=None)
 def _powers_of_u(d: int) -> tuple:
     return tuple((j,) for j in range(d))
@@ -271,9 +261,9 @@ class MultiPoly:
     over up to d terms.  With reduced coefficients a_i/b_i that makes
     ``den`` = lcm(b_i), so the form is unique and equality and the hash
     compare it structurally.  The raw form is private to this module;
-    readers outside it use :meth:`monomials`, :meth:`coeff`,
-    :attr:`constant_term`, :meth:`leading_term` and :meth:`eval`, which
-    speak of monomials in t and y and return field elements.
+    readers outside it use :meth:`monomials`, :meth:`coeff`, :attr:`constant_term`,
+    :attr:`constant_term_is_one`, :meth:`leading_term` and :meth:`eval`,
+    which speak of monomials in t and y and of field elements.
 
     The public constructor validates and coerces untrusted terms; arithmetic
     results are canonical by construction and go through the trusted
@@ -285,12 +275,13 @@ class MultiPoly:
     rewrites the powers of degree d and more.  Arithmetic, face
     restriction, the model-conversion image and the hash build no
     FieldElement and no Fraction; a sum that cancels is dropped at the
-    merge that cancels it.  Division and substitution form quotients, so
-    in characteristic 0 they read each term once as a Fraction.  Field
-    elements are built at the boundary only: by the validating
-    constructor, :meth:`coeff`, :attr:`constant_term`, :meth:`leading_term`,
-    :meth:`eval` and ``to_text`` over an extension field, and as the one
-    inverse of a divisor's leading coefficient with a power of u.
+    merge that cancels it; substitution is Horner's rule on it.  Division
+    forms quotients, so in characteristic 0 it reads each term once as a
+    Fraction.  Field elements are built at the boundary only: by the
+    validating constructor, :meth:`coeff`, :attr:`constant_term`,
+    :meth:`leading_term`, :meth:`eval` and ``to_text`` over an extension
+    field, and as the one inverse of a divisor's leading coefficient with a
+    power of u.
     """
 
     __slots__ = ("spec", "vars", "terms", "den", "_hash", "_text")
@@ -426,7 +417,7 @@ class MultiPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        p, zero, _ = _kernel(self.spec)
+        p = self.spec.char
         mine, theirs, den = self.terms, other.terms, self.den
         if other.den != den:
             # in characteristic 0: both numerator sets over the lcm of the
@@ -437,7 +428,7 @@ class MultiPoly:
             theirs = {e: c * k2 for e, c in theirs.items()} if k2 != 1 else theirs
         out = dict(mine)
         for e, c in theirs.items():
-            s = out.get(e, zero) + c
+            s = out.get(e, 0) + c
             if p:
                 s %= p
             if s:
@@ -449,7 +440,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        p = _kernel(self.spec)[0]
+        p = self.spec.char
         return MultiPoly._raw(self.spec, self.vars, {
             e: p - c if p else -c for e, c in self.terms.items()}, self.den)
 
@@ -461,7 +452,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         spec = self.spec
-        p, zero, _ = _kernel(spec)
+        p = spec.char
         if isinstance(other, (int, FieldElement)):
             cs, d = _scalar(spec, other)
             if spec.ext is None or not any(cs[1:]):  # a base-field scalar scales each term
@@ -484,7 +475,7 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
-                s = out.get(e, zero) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if p:
                     s %= p
                 if s:
@@ -500,7 +491,7 @@ class MultiPoly:
     def _times(self, c, d: int) -> "MultiPoly":
         """This polynomial times the nonzero raw base-field numerator ``c``
         over ``d``."""
-        p = _kernel(self.spec)[0]
+        p = self.spec.char
         return MultiPoly._reduced(self.spec, self.vars, {
             e: v * c % p if p else v * c for e, v in self.terms.items()}, self.den * d)
 
@@ -523,7 +514,7 @@ class MultiPoly:
         over the same denominator, and over an extension field the power of
         u rides along at the end of the tail (see :class:`_TailsWithU`)."""
         spec = self.spec
-        p = _kernel(spec)[0]
+        p = spec.char
         if spec.ext is not None:
             images = _TailsWithU(images)
         scalars: dict[int, object] = {}
@@ -586,6 +577,14 @@ class MultiPoly:
     def constant_term(self) -> FieldElement:
         return self.coeff((0,) * self.vars.count)
 
+    @property
+    def constant_term_is_one(self) -> bool:
+        """Whether the constant term is 1, read from the raw terms: a
+        numerator equal to ``den`` in the slot u^0 and none in the others."""
+        zero, terms = (0,) * self.vars.count, self.terms
+        first, *rest = _slots(self.spec)
+        return terms.get(zero + first) == self.den and not any(zero + s in terms for s in rest)
+
     def leading_term(self) -> tuple[tuple, FieldElement]:
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
@@ -613,48 +612,17 @@ class MultiPoly:
     def substitute(self, assignments: Mapping[str, Scalar], drop: bool = False) -> "MultiPoly":
         """Evaluate some variables exactly; optionally remove them from the ring.
 
-        Values in the base field are put in by one pass over the terms.
-        Over an extension field a value with a power of u is then put in by
-        Horner's rule in the variable, on polynomials, whose products fold."""
-        spec = self.spec
-        p, zero, one = _kernel(spec)
-        values = {self.vars.index(name): (v, _scalar(spec, v)) for name, v in assignments.items()}
-        idx = {i: _rational(cs[0], d) for i, (_, (cs, d)) in values.items() if not any(cs[1:])}
-        # per variable: None for the value 1, else a cache of its powers
-        powers = {i: None if val == one else {1: val} for i, val in idx.items()}
-        out: dict[tuple, object] = {}
-        for e, c in self._values().items():
-            coeff = c
-            e2 = list(e)
-            for i, cache in powers.items():
-                k = e[i]
-                if k and cache is not None:
-                    pk = cache.get(k)
-                    if pk is None:
-                        pk = cache[k] = pow(idx[i], k, p) if p else idx[i] ** k
-                    coeff = coeff * pk
-                    if p:
-                        coeff %= p
-                e2[i] = 0
-            if not coeff:
-                continue
-            key = tuple(e2)
-            s = out.get(key, zero) + coeff
-            if p:
-                s %= p
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        result = MultiPoly._raw(spec, self.vars, *_numerators(spec, out))
-        names = self.vars.names()
-        for i, (v, _) in values.items():
-            if i not in idx:
-                value = MultiPoly.const(spec, self.vars, v)
-                acc = MultiPoly.zero(spec, self.vars)
-                for k in range(max((e[i] for e in result.terms), default=0), -1, -1):
-                    acc = acc * value + result.coefficient_of(names[i], k)
-                result = acc
+        Each value is put in by Horner's rule in its variable, on the
+        polynomials that are the coefficients of its powers; over an
+        extension field the products by a value with a power of u fold."""
+        spec, vars, result = self.spec, self.vars, self
+        for name, v in assignments.items():
+            i = vars.index(name)
+            value = MultiPoly.const(spec, vars, v)
+            acc = MultiPoly.zero(spec, vars)
+            for k in range(max((e[i] for e in result.terms), default=0), -1, -1):
+                acc = acc * value + result.coefficient_of(name, k)
+            result = acc
         if drop:
             for name in sorted(assignments, reverse=True):
                 result = result.drop_var(name)
@@ -678,7 +646,7 @@ class MultiPoly:
         elif face == 0:
             out = {e[:i] + e[i + 1:]: c for e, c in terms.items() if not e[i]}
         elif face == 1:
-            p = _kernel(self.spec)[0]
+            p = self.spec.char
             out = {}
             for e, c in terms.items():
                 key = e[:i] + e[i + 1:]
@@ -706,7 +674,9 @@ class MultiPoly:
         return MultiPoly._raw(self.spec, self.vars.drop(name), out, self.den)
 
     def eval(self, values: Sequence[FieldElement]) -> FieldElement:
-        """Full evaluation; values may live in an extension of the coefficient field."""
+        """Full evaluation at one value per variable (ValueError otherwise);
+        values may live in an extension of the coefficient field, or be
+        RatFuncs, whose reflected operators take the coefficients."""
         if len(values) != self.vars.count:
             raise ValueError("need one value per variable")
         target = values[0].spec if values else self.spec
@@ -738,7 +708,7 @@ class MultiPoly:
         if not g:
             raise ZeroDivisor("division by the zero polynomial")
         spec = self.spec
-        p, zero, one = _kernel(spec)
+        p = spec.char
         f, h = self, g
         if spec.ext is not None and max(g.terms)[-1]:
             c = g.leading_term()[1].inverse()
@@ -751,7 +721,7 @@ class MultiPoly:
                     raise InexactDivision(f"{g.to_text()} does not divide {self.to_text()}")
                 out[tuple(map(sub, e, eg))] = c
             q = MultiPoly._raw(spec, self.vars, out, f.den)
-            if cg == one and h.den == 1:
+            if cg == 1 and h.den == 1:
                 return q
             return q._times(*_inverse(spec, cg, h.den))
         rem = dict(f._values())
@@ -774,7 +744,7 @@ class MultiPoly:
             # rem -= cq * x^eq * h, in place
             for e2, c2 in divisor.items():
                 e = tuple(map(add, eq, e2))
-                s = rem.get(e, zero) + neg_cq * c2
+                s = rem.get(e, 0) + neg_cq * c2
                 if p:
                     s %= p
                 if s:
@@ -1253,14 +1223,9 @@ class RatFunc:
         return RatFunc._raw(self.num**k, self.den**k)
 
     def compose(self, inner: "RatFunc") -> "RatFunc":
-        """self(inner(s)) by Horner in RatFunc arithmetic."""
-        acc_n = RatFunc.const(self.spec, 0)
-        for c in reversed(self.num.coeffs):
-            acc_n = acc_n * inner + RatFunc.const(self.spec, c)
-        acc_d = RatFunc.const(self.spec, 0)
-        for c in reversed(self.den.coeffs):
-            acc_d = acc_d * inner + RatFunc.const(self.spec, c)
-        return acc_n / acc_d
+        """self(inner(s)) by :meth:`UniPoly.eval` at ``inner``, in RatFunc
+        arithmetic; a field element over a RatFunc is a RatFunc too."""
+        return self.num.eval(inner) / self.den.eval(inner)
 
     # -- values and orders ----------------------------------------------------
 

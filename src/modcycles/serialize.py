@@ -95,7 +95,7 @@ def modulus_from_json(data: dict, spec: FieldSpec) -> ModulusDatum:
         poly = parse_poly(data["poly"], spec, VarSet(r, 0))
     except KeyError:
         raise SerializationError("modulus needs 'exponents' or 'r'+'poly'") from None
-    return ModulusDatum(poly, None)
+    return ModulusDatum(poly)
 
 
 # -- cycles ------------------------------------------------------------------

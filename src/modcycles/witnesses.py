@@ -94,9 +94,9 @@ def _component_rho(p: MultiPoly) -> FieldElement:
     and they must have y1-degree at most 1.  One pass over the terms checks
     both and reads the coefficient, without dividing or substituting.
     """
-    spec, vars = p.spec, p.vars
+    vars = p.vars
     r = vars.r
-    if p.constant_term != spec.one:
+    if not p.constant_term_is_one:
         raise NotNormalized(f"component {p.to_text()} is not normalized to constant term 1")
     ones = (1,) * r
     too_high = False
@@ -376,7 +376,7 @@ def bounding_surface(Z: HypersurfaceCycle, D: ModulusDatum,
     one_lift = MultiPoly.const(spec, lifted_vars, 1)
     surface_terms = []
     for mult, p in Z.components():
-        if p.constant_term != spec.one:
+        if not p.constant_term_is_one:
             raise NotPresentable(f"component {p.to_text()} has constant term 0")
         try:
             g = (one - p).exact_div(d_poly)

@@ -535,6 +535,11 @@ class TestUntrustedInputInASubprocess:
         (["verify"], _tampered_certificate(0, ["cycle", "field", "ext"], ["1/0", "0", "1"]),
          1, None),
         (["verify"], _tampered_certificate(-1, ["embedding", 0], "s/0"), 1, None),
+        # curve_avoids_divisor with no coordinates, or three for r = 2
+        (["verify"], _tampered_certificate(3, ["embedding"], []), 1, None),
+        (["verify"], _tampered_certificate(3, ["embedding"], {}), 1, None),
+        (["verify"], _tampered_certificate(3, ["embedding"], ""), 1, None),
+        (["verify"], _tampered_certificate(3, ["embedding"], ["s", "(6)/(s)", "s"]), 1, None),
         # an embedding needs a graph curve
         (["verify"], _tampered_certificate(-1, ["curve"], {
             "field": {"char": 7}, "model": "ORIGINAL", "base_t": ["5"], "components": ["t + 5"],
@@ -551,6 +556,8 @@ class TestUntrustedInputInASubprocess:
           "--pi", "t - 1/2", "--power", str(XI_MAX_POWER)], None, 0, None),
     ], ids=["generator-a-over-0", "totaro-entry-over-0", "xi-entry-over-0",
             "verify-point-over-0", "verify-field-over-0", "verify-embedding-over-0",
+            "verify-avoids-empty-list", "verify-avoids-empty-object", "verify-avoids-empty-string",
+            "verify-avoids-three-coordinates",
             "verify-embedding-on-constant-base", "split-degree", "rational-root-integer",
             "rational-root-tries", "xi-max-power-over-q"])
     def test_exit_code_and_json_report(self, tmp_path, argv, cert, exit_code, error):

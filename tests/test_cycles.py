@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modcycles import serialize as ser
-from modcycles.fields import FieldError, UniPoly, make_field, standard_extension
+from modcycles.fields import FieldError, UniPoly, make_field, poly_gcd, standard_extension
 from modcycles.milnor import FunctionField, MilnorElement, MilnorError, MilnorSymbol, total_delta
 from modcycles.polyring import INFINITY, MultiPoly, RatFunc, VarSet, parse_poly, parse_ratfunc
 from modcycles.cycles import (
@@ -42,6 +42,7 @@ from modcycles.cycles import (
     psi_convert,
 )
 from modcycles.suites import _rand_admissible_cycle
+from modcycles.witnesses import zero_cycle_vanishing_witness
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -477,6 +478,30 @@ class TestModulusCodim1:
             check_modulus_codim1(Z, self.D11)
         assert str(exc.value) == "component t1 + y1 has constant term 0; it meets the t-axes"
 
+    def test_a_monomial_divisor_does_not_depend_on_its_spelling(self):
+        built = ModulusDatum.monomial(F7, [2, 1])
+        parsed = ModulusDatum(parse_poly("t1^2*t2", F7, VarSet(2, 0)))
+        assert parsed == built and parsed.monomial_exponents == built.monomial_exponents == (2, 1)
+        for text, verdict in (("1 + t1*t2", ModulusVerdict.CERTIFIED),
+                              ("1 + 3*t1", ModulusVerdict.VIOLATES)):
+            Z = cyc(text, n=0)
+            assert check_modulus_codim1(Z, built).verdict is verdict
+            assert check_modulus_codim1(Z, parsed).verdict is verdict
+        # a modulus given as a polynomial serializes as its exponents
+        assert ser.modulus_to_json(parsed) == {"exponents": [2, 1]}
+        pt = ClosedPoint(F7, [F7.element(2), F7.element(3)], [])
+        assert (zero_cycle_vanishing_witness(pt, parsed, n=0).to_json()
+                == zero_cycle_vanishing_witness(pt, built, n=0).to_json())
+
+    def test_a_divisor_that_is_not_monomial(self):
+        A2 = VarSet(2, 0)
+        for spec, text in ((F7, "t2"), (F7, "3*t1*t2"), (F7, "t1*t2 + t1"), (QI, "u*t1*t2")):
+            D = ModulusDatum(parse_poly(text, spec, A2))
+            assert not D.is_monomial and D.monomial_exponents is None
+            assert ser.modulus_to_json(D) == {"r": 2, "poly": text}
+        with pytest.raises(ValueError, match="monomial exponents must be >= 1"):
+            ModulusDatum.monomial(F7, [0, 1])
+
     def test_wrong_model_rejected(self):
         from modcycles.cycles import WrongModel
 
@@ -499,6 +524,74 @@ class TestModulusZeroCycle:
         pt = ZeroCycle(F7, CoordModel.PSI, 2, 0,
                        [(1, ClosedPoint(F7, [F7.element(2), F7.element(3)], []))])
         assert check_modulus_zerocycle(pt, D2)
+
+
+def reference_curve_avoids_divisor(embedding, D):
+    """The earlier loop over the monomials of D, kept as the reference: D at
+    the coordinate functions built term by term in RatFunc arithmetic."""
+    spec = embedding[0].spec
+    acc = RatFunc.const(spec, 0)
+    for e in D.divisor_poly.monomials():
+        term = RatFunc.const(spec, D.divisor_poly.coeff(e))
+        for coord, k in zip(embedding, e):
+            if k:
+                term = term * coord**k
+        acc = acc + term
+    if not acc.num:
+        return False
+    h = acc.num
+    pole_prod = UniPoly.const(spec, 1)
+    for e in embedding:
+        pole_prod = pole_prod * e.den
+    while h.degree > 0:
+        g = poly_gcd(h, pole_prod)
+        if g.degree == 0:
+            return False
+        h = h // g
+    return True
+
+
+class TestCurveAvoidsDivisor:
+    @pytest.mark.parametrize("spec", (F5, Q, F9), ids=lambda s: s.to_text())
+    def test_equals_the_monomial_loop_reference(self, spec):
+        # coordinates c*g^k, k = +-1 or +-2, have the poles of g when some k
+        # is negative, so the curve often avoids a monomial divisor
+        rng = random.Random(f"avoids:{spec.to_text()}")
+        seen = set()
+        for _ in range(80):
+            r = rng.randrange(1, 4)
+            g = _corpus_ratfunc(rng, spec)
+            emb = tuple(RatFunc.const(spec, _corpus_scalar(rng, spec) or spec.one)
+                        * g ** rng.choice((-2, -1, 1, 2))
+                        if rng.random() < 0.7 else _corpus_ratfunc(rng, spec) for _ in range(r))
+            if rng.random() < 0.5:
+                D = ModulusDatum.monomial(spec, [rng.randint(1, 3) for _ in range(r)])
+            else:
+                p = MultiPoly(spec, VarSet(r, 0), {
+                    tuple(rng.randrange(3) for _ in range(r)): _corpus_scalar(rng, spec)
+                    for _ in range(rng.randint(1, 3))})
+                if not p or p.is_constant:
+                    continue
+                D = ModulusDatum(p)
+            want = reference_curve_avoids_divisor(emb, D)
+            assert curve_avoids_divisor(emb, D) is want, (emb, D)
+            seen.add((D.is_monomial, want))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_an_embedding_over_an_extension_of_the_divisor_field(self):
+        F49 = make_field(7, [1, 0, 1])
+        s, u = RatFunc.param(F49), RatFunc.const(F49, F49.gen_u)
+        for D in (ModulusDatum.monomial(F7, [1, 2]),
+                  ModulusDatum(parse_poly("t1*t2 - 1", F7, VarSet(2, 0)))):
+            for emb in ((s, u / s), (s + u, s), (u * s, RatFunc.const(F49, 1) / (s * s + u))):
+                assert curve_avoids_divisor(emb, D) is reference_curve_avoids_divisor(emb, D)
+
+    def test_one_coordinate_per_t_variable(self):
+        s = RatFunc.param(F7)
+        D = ModulusDatum.monomial(F7, [1, 1])
+        for emb in ((), (s,), (s, RatFunc.const(F7, 6) / s, s)):
+            with pytest.raises(ValueError, match="need one value per variable"):
+                curve_avoids_divisor(emb, D)
 
 
 def reference_convert_poly(p, to_model):

@@ -43,3 +43,19 @@ def test_a_tiny_ext_deep_run_with_a_profile():
                         for row in rows)
     assert sum(int(row.split()[-4]) for row in rows) == 30
     assert any("function calls" in line for line in out)
+
+
+def test_counts_lists_every_traced_site_by_name():
+    cmd = [sys.executable, "-B", os.path.join("scripts", "item_times.py"), "--workload", "ext-deep",
+           "--seed", "42", "--repeat", "1", "--limit", "12", "--counts"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    rows = [line.split() for line in out[out.index("call counts of one traced round:") + 1:]]
+    assert rows and all(len(row) == 2 and row[1].isdigit() for row in rows)
+    names = [name for name, _ in rows]
+    assert names == sorted(names) and len(set(names)) == len(names)
+    counts = dict(rows)
+    # sites with a fixed name are listed whether or not anything calls them
+    assert "polyring.substitute" in counts and "polyring.exact_div" in counts
+    assert int(counts["cycles.faces_enumerated"]) > 0 and int(counts["fields.element"]) > 0

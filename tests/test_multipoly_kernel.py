@@ -403,6 +403,40 @@ class TestAgainstTheReference:
                 compared += 1
         assert compared > 1000
 
+    @pytest.mark.parametrize("spec", (QI, Q_HALF), ids=lambda s: s.to_text())
+    def test_one_substitution_of_base_values_and_values_with_u(self, spec):
+        # each call assigns two or more variables, alternately a base value
+        # and one with a power of u, in a random order of the variables
+        rng = random.Random(f"substitute:{spec.to_text()}")
+        base = (spec.zero, spec.one, spec.element(Fraction(-2, 3)))
+        with_u = (spec.gen_u, spec.element([1, -1]), spec.element([Fraction(1, 2), -3]))
+        for _ in range(40):
+            vars = VarSet(rng.randrange(1, 3), rng.randrange(1, 3))
+            a, A = pair(spec, vars, rand_terms(rng, spec, vars, max_terms=6))
+            names = rng.sample(vars.names(), rng.randrange(2, vars.count + 1))
+            values = {name: rng.choice(with_u if j % 2 else base) for j, name in enumerate(names)}
+            drop = rng.random() < 0.5
+            assert (outcome(lambda: a.substitute(values, drop=drop))
+                    == outcome(lambda: A.substitute(values, drop=drop))), (a, values)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.to_text())
+    def test_constant_term_is_one_reads_the_raw_terms(self, spec):
+        # half the polynomials get the constant term 1, over Q often with a
+        # denominator above 1
+        rng = random.Random(f"constant:{spec.to_text()}")
+        seen = set()
+        for _ in range(60):
+            vars = VarSet(rng.randrange(3), rng.randrange(3))
+            terms = rand_terms(rng, spec, vars)
+            if rng.random() < 0.5:
+                terms[(0,) * vars.count] = spec.one
+            p = MultiPoly(spec, vars, terms)
+            want = p.constant_term == spec.one
+            assert p.constant_term_is_one is want, p
+            assert (p * 3).constant_term_is_one is ((p * 3).constant_term == spec.one)
+            seen.add(want)
+        assert seen == {True, False}
+
     @pytest.mark.parametrize("spec", RAW_SPECS, ids=lambda s: s.to_text())
     def test_mixed_rings_raise_alike(self, spec):
         vars = VarSet(1, 1)

@@ -434,3 +434,51 @@ class TestRatFuncArithmetic:
             if g:
                 results += [f / g, f.compose(g)]
 
+
+
+def reference_compose(f, inner):
+    """The earlier Horner loops of ``RatFunc.compose``, kept as the reference."""
+    acc_n = RatFunc.const(f.spec, 0)
+    for c in reversed(f.num.coeffs):
+        acc_n = acc_n * inner + RatFunc.const(f.spec, c)
+    acc_d = RatFunc.const(f.spec, 0)
+    for c in reversed(f.den.coeffs):
+        acc_d = acc_d * inner + RatFunc.const(f.spec, c)
+    return acc_n / acc_d
+
+
+class TestCompose:
+    @pytest.mark.parametrize("spec", (Q, F7, F9), ids=lambda s: s.to_text())
+    def test_equals_the_horner_reference(self, spec):
+        # outer functions cycle through zero, a nonzero constant and a
+        # fraction of pool factors; a constant inner can hit a pole
+        rng = random.Random(f"compose:{spec.to_text()}")
+        pool = factor_pool(rng, spec)
+        poles = 0
+        for k in range(60):
+            inner = rand_ratfunc(rng, spec, pool)
+            outer = (RatFunc.const(spec, 0), RatFunc.const(spec, rand_scalar(rng, spec) or spec.one),
+                     rand_ratfunc(rng, spec, pool))[k % 3]
+            try:
+                want = reference_compose(outer, inner)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    outer.compose(inner)
+                poles += 1
+                continue
+            got = outer.compose(inner)
+            assert isinstance(got, RatFunc) and got == want, (outer, inner)
+            TestRatFuncArithmetic.assert_reduced(got)
+        assert poles < 20
+
+    @pytest.mark.parametrize("spec", (Q, F7, F9), ids=lambda s: s.to_text())
+    def test_zero_and_constant_numerators(self, spec):
+        s = RatFunc.param(spec)
+        inner = (s + 1) / (s * s + 2)
+        c = spec.element(3) if spec.char != 3 else spec.gen_u
+        zero = RatFunc.const(spec, 0).compose(inner)
+        assert isinstance(zero, RatFunc) and not zero and zero.den == UniPoly.const(spec, 1)
+        assert RatFunc.const(spec, c).compose(inner) == RatFunc.const(spec, c)
+        # a constant numerator over a denominator that inner moves
+        f = RatFunc.const(spec, c) / (s - 1)
+        assert f.compose(inner) == RatFunc.const(spec, c) * (s * s + 2) / (s + 1 - (s * s + 2))
