@@ -122,14 +122,33 @@ def _load_json(path: str | None) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+def _decode_file(path: str | None, decode):
+    """``decode`` of the JSON document at ``path``; a document of the wrong
+    shape, which makes the decoder index a wrong type, is an InputError."""
+    data = _load_json(path)
+    try:
+        return decode(data)
+    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise InputError(f"{path} has the wrong shape: {type(exc).__name__}: {exc}") from None
+
+
+def _cycle_from_json(data):
+    if "terms" in data:
+        return ser.cycle_from_json(data)
+    return ser.zerocycle_from_json(data)
+
+
+def _curve_from_json(data):
+    """The curve and, if the document has one, its embedding."""
+    C = ser.curve_from_json(data)
+    emb = ser.embedding_from_json(data["embedding"], C.spec) if "embedding" in data else None
+    return C, emb
+
+
 def _load_cycle(args):
     """Cycle plus modulus from --file or --inline plus flags."""
     if args.file:
-        data = _load_json(args.file)
-        if "terms" in data:
-            Z, D = ser.cycle_from_json(data)
-        else:
-            Z, D = ser.zerocycle_from_json(data)
+        Z, D = _decode_file(args.file, _cycle_from_json)
         if D is None and getattr(args, "modulus", None):
             D = _parse_modulus(args.modulus, Z.spec)
         return Z, D
@@ -183,10 +202,8 @@ def cmd_check_cycle(args) -> int:
 
 def cmd_boundary(args) -> int:
     if args.curve:
-        data = _load_json(args.curve)
-        C = ser.curve_from_json(data)
-        if "embedding" in data:
-            emb = ser.embedding_from_json(data["embedding"], C.spec)
+        C, emb = _decode_file(args.curve, _curve_from_json)
+        if emb is not None:
             out = pushforward_closed_immersion(C, emb).boundary()
         else:
             out = curve_boundary(C)
@@ -249,8 +266,7 @@ def cmd_ktheory(args) -> int:
         table = k2_table(args.max_q)
         _emit({"k2": [pres.to_json() for pres in table]}, args)
         return 0 if all(pres.trivial for pres in table) else 1
-    data = _load_json(args.file)
-    elem = ser.milnor_element_from_json(data)
+    elem = _decode_file(args.file, ser.milnor_element_from_json)
     if args.kaction == "reduce":
         red = symbol_reduce(elem, certificate_mode=args.certificate)
         report = {"result": ser.milnor_element_to_json(red.result)}

@@ -65,14 +65,7 @@ class NotAPlace(FieldError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _prime_divisors(n) == [n]
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -189,8 +182,7 @@ class FieldSpec:
     @cached_property
     def _mu(self) -> "UniPoly":
         """The modulus mu as a polynomial over the base field."""
-        base = self.base
-        return UniPoly._raw(base, [FieldElement(base, c) for c in self.ext])
+        return UniPoly(self.base, self.ext)
 
     # -- element construction ----------------------------------------------
 
@@ -591,12 +583,13 @@ class _Lists:
 class UniPoly:
     """Dense univariate polynomial, coefficients low-degree-first, no trailing zeros.
 
-    The public constructor validates untrusted input: it coerces every
-    coefficient into ``spec`` and drops trailing zeros.  Arithmetic results
-    are built canonically from coefficients that are already elements of
-    ``spec`` and go through the trusted :meth:`_raw` instead.
+    One validating and one trusted constructor: the public constructor
+    validates untrusted input, coercing every coefficient into ``spec`` and
+    dropping trailing zeros, and builders such as :meth:`const`, :meth:`x`
+    and :meth:`derivative` go through it.  Arithmetic results are canonical
+    by construction and go through the kernel's trusted ``_Lists.wrap``.
 
-    Sums, differences, products, division with remainder, ``monic``,
+    Sums, differences, negation, products, division with remainder, ``monic``,
     ``powmod``, ``split_at`` and :func:`poly_gcd` run on the one
     coefficient-list kernel (``spec._lists``) and wrap the result once.
     Its lists hold int residues over F_p and Fractions over Q, so over a
@@ -608,33 +601,19 @@ class UniPoly:
 
     def __init__(self, spec: FieldSpec, coeffs: Sequence[Scalar]):
         self.spec = spec
-        cs = [spec.element(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def _raw(cls, spec: FieldSpec, coeffs: Sequence[FieldElement]) -> "UniPoly":
-        """Trusted constructor: ``coeffs`` must be elements of ``spec``; only
-        trailing zeros are dropped, nothing is coerced."""
-        while coeffs and not coeffs[-1]:
-            coeffs = coeffs[:-1]
-        self = object.__new__(cls)
-        self.spec = spec
-        self.coeffs = tuple(coeffs)
-        return self
+        self.coeffs = tuple(_strip([spec.element(c) for c in coeffs]))
 
     @classmethod
     def zero(cls, spec):
-        return cls._raw(spec, ())
+        return cls(spec, ())
 
     @classmethod
     def const(cls, spec, c):
-        return cls._raw(spec, (spec.element(c),))
+        return cls(spec, (c,))
 
     @classmethod
     def x(cls, spec):
-        return cls._raw(spec, (spec.zero, spec.one))
+        return cls(spec, (spec.zero, spec.one))
 
     @property
     def degree(self) -> int:
@@ -672,7 +651,8 @@ class UniPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly._raw(self.spec, [-c for c in self.coeffs])
+        k = self.spec._lists
+        return k.wrap(k.sub([], k.unwrap(self)))
 
     def __sub__(self, other):
         k, other = self.spec._lists, self._coerce(other)
@@ -719,7 +699,7 @@ class UniPoly:
         return k.wrap(k.monic(k.unwrap(self)))
 
     def derivative(self) -> "UniPoly":
-        return UniPoly._raw(self.spec, [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        return UniPoly(self.spec, [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
 
     def eval(self, x: FieldElement) -> FieldElement:
         """Evaluate at x; coefficients embed into x's field when it extends ours.
@@ -813,15 +793,8 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def _freeze_mu(char: int, mu) -> tuple:
-    base = make_field(char)
-    if isinstance(mu, UniPoly):
-        coeffs = [c if isinstance(c, FieldElement) else base.element(c) for c in mu.coeffs]
-    else:
-        coeffs = [base.element(c) for c in mu]
-    vals = [c.value for c in coeffs]
-    while vals and not vals[-1]:
-        vals.pop()
-    return tuple(vals)
+    coeffs = mu.coeffs if isinstance(mu, UniPoly) else mu
+    return tuple(c.value for c in UniPoly(make_field(char), coeffs).coeffs)
 
 
 # Largest finite field make_field builds, prime or extension.  It bounds
@@ -974,7 +947,7 @@ def _pth_root(f: UniPoly) -> UniPoly:
     out = []
     for i in range(0, len(f.coeffs), p):
         out.append(f.coeffs[i] ** (p ** (d - 1)))
-    return UniPoly._raw(f.spec, out)
+    return UniPoly(f.spec, out)
 
 
 def _squarefree_parts(f: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -1025,10 +998,10 @@ def _monic_splitters(spec: FieldSpec, n: int) -> Iterator[UniPoly]:
     # elements are listed only once degree 2 is reached
     one = spec.one
     for c in spec.elements():
-        yield UniPoly._raw(spec, (c, one))
+        yield UniPoly(spec, (c, one))
     for deg in range(2, n):
         for low in itertools.product(spec.elements(), repeat=deg):
-            yield UniPoly._raw(spec, low + (one,))
+            yield UniPoly(spec, low + (one,))
 
 
 def _trace_splitters(spec: FieldSpec, n: int) -> Iterator[UniPoly]:
@@ -1036,7 +1009,7 @@ def _trace_splitters(spec: FieldSpec, n: int) -> Iterator[UniPoly]:
     basis = [spec.element([0] * i + [1]) for i in range(spec.degree)] if spec.ext else [spec.one]
     for j in range(1, n):
         for b in basis:
-            yield UniPoly._raw(spec, (spec.zero,) * j + (b,))
+            yield UniPoly(spec, (spec.zero,) * j + (b,))
 
 
 def _splitting_poly(h: UniPoly, g: UniPoly, d: int) -> UniPoly:

@@ -32,6 +32,7 @@ from .fields import (
     UniPoly,
     WrongField,
     ZeroElement,
+    _prime_divisors,
     make_field,
     norm_k1_finite,
     standard_extension,
@@ -420,21 +421,15 @@ K2_ORACLE_MAX_Q = 64
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    """(p, d) with q = p**d; trial division stops at the square root."""
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            d = 0
-            while q % p == 0:
-                q //= p
-                d += 1
-            if q != 1:
-                raise NotPrimePower("not a prime power")
-            return p, d
-        p += 1
-    if q < 2:
+    """(p, d) with q = p**d, from the one prime that divides q."""
+    primes = _prime_divisors(q)
+    if len(primes) != 1:
         raise NotPrimePower("not a prime power")
-    return q, 1
+    p, d = primes[0], 0
+    while q > 1:
+        q //= p
+        d += 1
+    return p, d
 
 
 class K2Presentation:
@@ -568,8 +563,7 @@ def theta_map(C: ParamCurve) -> MilnorElement:
 # ---------------------------------------------------------------------------
 
 
-def totaro_steinberg_curve(f1: FieldElement, extra: Sequence[FieldElement] = (),
-                           base_t_coords: Sequence[FieldElement] = ()) -> ParamCurve:
+def totaro_steinberg_curve(f1: FieldElement, extra: Sequence[FieldElement] = ()) -> ParamCurve:
     """The rational curve whose boundary is the single point
     (f1, 1 - f1, f_3, ..., f_n), realizing the Steinberg relation.
 
@@ -590,11 +584,10 @@ def totaro_steinberg_curve(f1: FieldElement, extra: Sequence[FieldElement] = (),
     one = RatFunc.const(spec, 1)
     third = (RatFunc.const(spec, f1) - t) / (one - t)
     comps = [t, one - t, third] + [RatFunc.const(spec, c) for c in extra]
-    return ParamCurve(spec, CoordModel.ORIGINAL, comps, base_t_coords)
+    return ParamCurve(spec, CoordModel.ORIGINAL, comps)
 
 
-def totaro_mult_curve(f: FieldElement, g: FieldElement,
-                      base_t_coords: Sequence[FieldElement] = ()) -> ParamCurve:
+def totaro_mult_curve(f: FieldElement, g: FieldElement) -> ParamCurve:
     """The rational curve whose boundary realizes psi(f) + psi(g) - psi(fg).
 
     Components: (t, f(t - g)/(t - fg)) in the ORIGINAL model.  Requires
@@ -606,7 +599,7 @@ def totaro_mult_curve(f: FieldElement, g: FieldElement,
         raise DegenerateCurve("f = 1 makes the second component constant")
     t = RatFunc.param(spec)
     h = (RatFunc.const(spec, f) * t - RatFunc.const(spec, f * g)) / (t - RatFunc.const(spec, f * g))
-    return ParamCurve(spec, CoordModel.ORIGINAL, [t, h], base_t_coords)
+    return ParamCurve(spec, CoordModel.ORIGINAL, [t, h])
 
 
 # Largest |r| that xi_curve accepts.  The last entry u * pi^r has degree

@@ -265,14 +265,14 @@ class MultiPoly:
     :attr:`constant_term_is_one`, :meth:`leading_term` and :meth:`eval`,
     which speak of monomials in t and y and of field elements.
 
-    The public constructor validates and coerces untrusted terms; arithmetic
-    results are canonical by construction and go through the trusted
-    :meth:`_raw` instead, so no result is normalized twice.  In
-    characteristic 0 a result whose numerators may share a factor with
-    ``den`` goes through :meth:`_reduced`, which costs nothing when ``den``
-    is 1.  Every field runs the same loops on the raw ints: a product adds
-    the powers of u as it adds any other exponent, and :func:`_fold` then
-    rewrites the powers of degree d and more.  Arithmetic, face
+    One validating and one trusted constructor: the public constructor
+    validates and coerces untrusted terms; arithmetic results are canonical
+    by construction and go through the trusted :meth:`_raw` instead, so no
+    result is normalized twice.  :meth:`_raw` divides out a factor that the
+    numerators share with ``den`` in characteristic 0, which costs nothing
+    when ``den`` is 1.  Every field runs the same loops on the raw ints: a
+    product adds the powers of u as it adds any other exponent, and
+    :func:`_fold` then rewrites the powers of degree d and more.  Arithmetic, face
     restriction, the model-conversion image and the hash build no
     FieldElement and no Fraction; a sum that cancels is dropped at the
     merge that cancels it; substitution is Horner's rule on it.  Division
@@ -311,31 +311,16 @@ class MultiPoly:
 
     @classmethod
     def _raw(cls, spec: FieldSpec, vars: VarSet, terms: dict, den: int = 1) -> "MultiPoly":
-        """Trusted constructor: ``terms`` over ``den`` must already satisfy
-        the invariant (right exponent length, nonzero raw coefficients of
-        ``spec``, gcd 1 with ``den`` in characteristic 0) and is stored as
-        is, without copying."""
-        self = object.__new__(cls)
-        self.spec = spec
-        self.vars = vars
-        self.terms = terms
-        self.den = den
-        self._hash = self._text = None
-        return self
-
-    @classmethod
-    def _reduced(cls, spec: FieldSpec, vars: VarSet, terms: dict, den: int) -> "MultiPoly":
-        """Trusted constructor for raw terms over ``den`` that may share a
-        factor with it: the factor is divided out, so ``den`` = 1 in
-        characteristic p, and in characteristic 0 too when the terms are
-        empty."""
+        """Trusted constructor: ``terms`` must have the right exponent
+        length and nonzero raw coefficients of ``spec``, over a positive
+        ``den`` (1 in characteristic p).  A factor the numerators share with
+        ``den`` is divided out, so the result is reduced by construction;
+        otherwise ``terms`` is stored as is, without copying."""
         if den != 1:
             g = gcd(den, *terms.values())
             if g != 1:
                 den //= g
                 terms = {e: c // g for e, c in terms.items()}
-        # built here, not by a call to _raw, which would cost about half
-        # a construction on every result in characteristic p
         self = object.__new__(cls)
         self.spec = spec
         self.vars = vars
@@ -435,7 +420,7 @@ class MultiPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return MultiPoly._reduced(self.spec, self.vars, out, den)
+        return MultiPoly._raw(self.spec, self.vars, out, den)
 
     __radd__ = __add__
 
@@ -468,7 +453,7 @@ class MultiPoly:
         if len(mono.terms) == 1:
             ((e2, c2),) = mono.terms.items()
             if spec.ext is None or not e2[-1]:
-                return MultiPoly._reduced(spec, self.vars, {
+                return MultiPoly._raw(spec, self.vars, {
                     tuple(map(add, e1, e2)): c1 * c2 % p if p else c1 * c2
                     for e1, c1 in poly.terms.items()}, den)
         out: dict[tuple, object] = {}
@@ -484,7 +469,7 @@ class MultiPoly:
                     out.pop(e, None)
         if spec.ext is not None:
             out, den = _fold(spec, out, den)
-        return MultiPoly._reduced(spec, self.vars, out, den)
+        return MultiPoly._raw(spec, self.vars, out, den)
 
     __rmul__ = __mul__
 
@@ -492,7 +477,7 @@ class MultiPoly:
         """This polynomial times the nonzero raw base-field numerator ``c``
         over ``d``."""
         p = self.spec.char
-        return MultiPoly._reduced(self.spec, self.vars, {
+        return MultiPoly._raw(self.spec, self.vars, {
             e: v * c % p if p else v * c for e, v in self.terms.items()}, self.den * d)
 
     def __pow__(self, k: int):
@@ -541,7 +526,7 @@ class MultiPoly:
                     out[key] = s
                 else:
                     del out[key]
-        return MultiPoly._reduced(spec, self.vars, out, self.den)
+        return MultiPoly._raw(spec, self.vars, out, self.den)
 
     # -- structure ---------------------------------------------------------
 
@@ -607,7 +592,7 @@ class MultiPoly:
                 e2 = list(e)
                 e2[i] = 0
                 out[tuple(e2)] = c
-        return MultiPoly._reduced(self.spec, self.vars, out, self.den)
+        return MultiPoly._raw(self.spec, self.vars, out, self.den)
 
     def substitute(self, assignments: Mapping[str, Scalar], drop: bool = False) -> "MultiPoly":
         """Evaluate some variables exactly; optionally remove them from the ring.
@@ -663,7 +648,7 @@ class MultiPoly:
                         del out[key]
         else:
             raise ValueError(f"{face!r} is not a face value (0, 1 or INFINITY)")
-        return MultiPoly._reduced(self.spec, self.vars._without(i), out, self.den)
+        return MultiPoly._raw(self.spec, self.vars._without(i), out, self.den)
 
     def drop_var(self, name: str) -> "MultiPoly":
         """Remove a variable not occurring in any term, reindexing the rest."""
@@ -676,19 +661,23 @@ class MultiPoly:
     def eval(self, values: Sequence[FieldElement]) -> FieldElement:
         """Full evaluation at one value per variable (ValueError otherwise);
         values may live in an extension of the coefficient field, or be
-        RatFuncs, whose reflected operators take the coefficients."""
+        RatFuncs.  Each term is built from the value side and the sum starts
+        from the first term, with the constant term last, so a value's own
+        operators always take the coefficients."""
         if len(values) != self.vars.count:
             raise ValueError("need one value per variable")
         target = values[0].spec if values else self.spec
-        acc = target.zero
-        for e in self.monomials():
+        acc = None
+        for e in sorted(self.monomials(), reverse=True):
             c = self.coeff(e)
-            term = c if c.spec == target else target.embed(c)
+            c = c if c.spec == target else target.embed(c)
+            term = None
             for v, k in zip(values, e):
                 if k:
-                    term = term * v**k
-            acc = acc + term
-        return acc
+                    term = v**k if term is None else term * v**k
+            term = c if term is None else term * c
+            acc = term if acc is None else acc + term
+        return target.zero if acc is None else acc
 
     def exact_div(self, g: "MultiPoly") -> "MultiPoly":
         """Return q with self == q*g, or raise InexactDivision.

@@ -498,11 +498,13 @@ def zero_cycle_vanishing_witness(z: ClosedPoint, D: ModulusDatum, n: int = 0,
     ambient_D = ModulusDatum.monomial(spec, D.monomial_exponents)
     zc = ZeroCycle(spec, model, r, n, [(1, z)])
     zc_json = ser.zerocycle_to_json(zc, ambient_D)
-    if not check_modulus_zerocycle(zc, ambient_D):
+    modulus = _checked("modulus_zerocycle", {"cycle": zc_json}, True, memo)
+    face = _checked("face_condition", {"cycle": zc_json}, True, memo)
+    if modulus["status"] != "pass":
         raise PointOnModulus(f"{z!r} lies on the divisor")
-    face = check_face_condition(zc)
-    if not face.passed:
-        raise WitnessError(f"point violates the face condition: {face.violations}")
+    if face["status"] != "pass":
+        violations = check_face_condition(zc).violations
+        raise WitnessError(f"point violates the face condition: {violations}")
 
     emb, s0 = _hyperbola_embedding(spec, z.t_coords, variant)
     emb_json = ser.embedding_to_json(emb)
@@ -514,8 +516,8 @@ def zero_cycle_vanishing_witness(z: ClosedPoint, D: ModulusDatum, n: int = 0,
     curve_json = ser.curve_to_json(curve)
     target = ZeroCycle(spec, CoordModel.ORIGINAL, r, n, [(1, ClosedPoint(spec, z.t_coords, y))])
     transcript = [
-        _checked("modulus_zerocycle", {"cycle": zc_json}, True, memo),
-        _checked("face_condition", {"cycle": zc_json}, True, memo),
+        modulus,
+        face,
         _checked(
             "point_on_curve",
             {"field": field_json, "embedding": emb_json,

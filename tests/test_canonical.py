@@ -177,6 +177,15 @@ class TestTrustedPolynomials:
         for w in ways:
             assert_canonical_poly(w)
             assert w == a and hash(w) == hash(a) and w.to_text() == a.to_text()
+        # the exact-division shift and a coefficient extraction hand the
+        # trusted constructor numerators that share a factor with their
+        # denominator; their results are checked as built, in the wider
+        # ring, since a further drop_var would reduce them again
+        lifted = a.lift(wider)
+        for w in ((lifted * shares_a_prime).exact_div(shares_a_prime),
+                  (lifted + shares_a_prime).coefficient_of("y2", 0)):
+            assert_canonical_poly(w)
+            assert w == lifted and w.to_text() == lifted.to_text()
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**30))
@@ -259,6 +268,14 @@ class TestTrustedUnivariate:
         for r in results:
             assert_canonical_unipoly(r)
         assert near - a == near + (-a) and not (a - a)
+        # the builders outside the kernel, over every field whatever the draw
+        for other in UNI_SPECS:
+            f = rand_unipoly(rng, other)
+            for r in (-f, f.derivative(), UniPoly.const(other, rand_elem(rng, other)),
+                      UniPoly.const(other, 0), UniPoly.x(other)):
+                assert_canonical_unipoly(r)
+            assert -f + f == UniPoly.zero(other)
+            assert UniPoly.x(other).derivative() == UniPoly.const(other, 1)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**30))

@@ -579,3 +579,55 @@ class TestUntrustedInputInASubprocess:
             assert report == {"valid": False}
         else:
             assert report["identity"] is True
+
+    # JSON documents of the wrong shape: each makes a decoder index a value
+    # of the wrong type, which raised a bare KeyError, TypeError or
+    # AttributeError before the CLI mapped them to InputError
+    WRONG_SHAPES = {
+        "list-for-object": [1, 2],
+        "poly-not-text": {"field": {"char": 7}, "model": "PSI", "r": 1, "n": 1,
+                          "terms": [{"mult": 1, "poly": 5}]},
+        "ext-not-list": {"field": {"char": 7, "ext": 5}, "model": "PSI", "r": 1, "n": 1,
+                         "terms": []},
+        "point-not-object": {"field": {"char": 7}, "model": "PSI", "r": 1, "n": 0,
+                             "points": [5]},
+        "symbols-not-list": {"field": {"char": 7}, "symbols": 5},
+        "component-not-text": {"field": {"char": 7}, "model": "PSI", "components": [3]},
+    }
+    # every subcommand that reads a JSON file, with the option naming it
+    FILE_READERS = [
+        (["check-cycle"], "--file"), (["boundary"], "--file"), (["boundary"], "--curve"),
+        (["rho"], "--file"), (["witness-bounding"], "--file"),
+        (["witness-zero-cycle"], "--file"), (["convert-model", "--to", "psi"], "--file"),
+        (["ktheory", "reduce"], "--file"), (["ktheory", "tame", "--infinity"], "--file"),
+        (["ktheory", "delta"], "--file"), (["verify"], "--file"),
+    ]
+    # one process per document runs every subcommand on it; an exception
+    # that escapes main ends the process with a traceback on stderr
+    RUN_EACH = (
+        "import contextlib, io, json, sys\n"
+        "from modcycles.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    print(json.dumps([argv, code, json.loads(out.getvalue())]))\n"
+    )
+
+    @pytest.mark.parametrize("shape", sorted(WRONG_SHAPES))
+    def test_wrong_shape_exits_2_under_every_file_reader(self, tmp_path, shape):
+        path = tmp_path / f"{shape}.json"
+        path.write_text(json.dumps(self.WRONG_SHAPES[shape]))
+        argvs = [argv + [flag, str(path)] for argv, flag in self.FILE_READERS]
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run([sys.executable, "-c", self.RUN_EACH, json.dumps(argvs)],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.stderr == ""
+        assert proc.returncode == 0
+        results = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [argv for argv, _, _ in results] == argvs
+        for argv, code, report in results:
+            assert code == 2, argv
+            assert report["error"]["type"] in (
+                "InputError", "SerializationError", "MalformedCertificate"), argv

@@ -153,7 +153,7 @@ def reference_frobenius_kernel(f):
         vec[fc] = spec.one
         for r, pc in enumerate(pivots):
             vec[pc] = -m[r][fc]
-        basis.append(UniPoly._raw(spec, vec))
+        basis.append(UniPoly(spec, vec))
     return basis
 
 
@@ -565,6 +565,9 @@ class TestFieldCache:
                 make_field(5, [-1, 0, 1])
             with pytest.raises(NonPrimeCharacteristic):
                 make_field(6)
+            # a modulus over another prime field is not read as residues mod 7
+            with pytest.raises(WrongField):
+                make_field(7, UniPoly(F5, [2, 0, 1]))
 
     def test_order_cap(self):
         assert FINITE_FIELD_MAX_ORDER == 2**16
@@ -673,7 +676,7 @@ class TestGenerator:
 def reference_sum(a, b, sign=1):
     spec = a.spec
     n = max(len(a.coeffs), len(b.coeffs))
-    return UniPoly._raw(spec, [a.coeff(i) + b.coeff(i) * sign for i in range(n)])
+    return UniPoly(spec, [a.coeff(i) + b.coeff(i) * sign for i in range(n)])
 
 
 def reference_mul(a, b):
@@ -682,7 +685,7 @@ def reference_mul(a, b):
     for i, x in enumerate(a.coeffs):
         for j, y in enumerate(b.coeffs, i):
             out[j] = out[j] + x * y
-    return UniPoly._raw(spec, out)
+    return UniPoly(spec, out)
 
 
 def reference_divmod(a, b):
@@ -699,12 +702,12 @@ def reference_divmod(a, b):
             rem[i] = rem[i] - y * c
         while rem and not rem[-1]:
             rem.pop()
-    return UniPoly._raw(spec, q), UniPoly._raw(spec, rem)
+    return UniPoly(spec, q), UniPoly(spec, rem)
 
 
 def reference_monic(a):
     inv = a.leading.inverse()
-    return UniPoly._raw(a.spec, [c * inv for c in a.coeffs])
+    return UniPoly(a.spec, [c * inv for c in a.coeffs])
 
 
 def reference_gcd(a, b):
@@ -734,7 +737,7 @@ def reference_inverse(x):
     """Extended Euclid against mu on UniPoly values over the base field."""
     spec = x.spec
     base = spec.base
-    r0, r1 = spec._mu, UniPoly._raw(base, [FieldElement(base, v) for v in x.value])
+    r0, r1 = spec._mu, UniPoly(base, [FieldElement(base, v) for v in x.value])
     s0, s1 = UniPoly.zero(base), UniPoly.const(base, 1)
     while r1:
         q, rem = reference_divmod(r0, r1)

@@ -324,6 +324,23 @@ class TestRatFunc:
         x = Q.element(Fraction(5, 3))
         assert h.eval(x) == f.eval(g.eval(x))
 
+    def test_polynomial_eval_at_rational_functions(self, monkeypatch):
+        # each term is built from the value side and the constant term comes
+        # last, so no FieldElement operator is handed a RatFunc
+        met = []
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            def spy(self, other, op=getattr(FieldElement, name)):
+                out = op(self, other)
+                met.append(out)
+                return out
+            monkeypatch.setattr(FieldElement, name, spy)
+        t = RatFunc.param(F7)
+        p = parse_poly("3 + t1^2*t2 + 2*t2", F7, VarSet(2, 0))
+        got = p.eval([t, RatFunc.const(F7, 1) / t])
+        assert not any(x is NotImplemented for x in met)
+        monkeypatch.undo()
+        assert got == RatFunc.const(F7, 3) + t + RatFunc.const(F7, 2) / t
+
     def test_orders(self):
         t = RatFunc.param(F7)
         pi = UniPoly(F7, [6, 1])  # t - 1

@@ -333,6 +333,13 @@ class TestZeroCycleWitness:
         with pytest.raises(PointOnModulus):
             zero_cycle_vanishing_witness(z, D11_F7)
 
+    @pytest.mark.parametrize("y", [0, 1])
+    def test_point_on_a_face_rejected(self, y):
+        z = ClosedPoint(F5, [F5.element(2), F5.element(3)], [F5.element(y)])
+        with pytest.raises(WitnessError, match="point violates the face condition: .*y1") as info:
+            zero_cycle_vanishing_witness(z, ModulusDatum.monomial(F5, [1, 1]), n=1)
+        assert not isinstance(info.value, PointOnModulus)
+
     def test_n1_proves_vanishing_on_the_graph_curve(self):
         z = ClosedPoint(F5, [F5.element(2), F5.element(3)], [F5.element(4)])
         cert = zero_cycle_vanishing_witness(z, ModulusDatum.monomial(F5, [1, 1]), n=1)
