@@ -16,9 +16,9 @@ relabeling, so boundaries commute with conversion.
 Hypersurface cycles are formal Z-combinations of polynomial components, each
 taken up to scalar: components are normalized to constant term 1 when the
 constant term is nonzero, else to leading coefficient 1.  Restriction to a
-face at infinity is leading-coefficient extraction in that variable;
-restriction of a composite face extracts the joint corner coefficient, which
-differs from iterated extraction exactly on improper intersections.
+face y_i = inf keeps the terms of the component's own degree in y_i: it
+restricts the closure in (P^1)^n, so restrictions to composite faces commute
+and are taken one variable at a time.
 """
 
 from __future__ import annotations
@@ -594,38 +594,26 @@ class FaceReport:
         }
 
 
-def _finite_restrict(finite: tuple, restricted: dict) -> MultiPoly:
-    """Restriction to the finite face ``finite``, a tuple of (index, value)
-    pairs in ascending index order, with the restricted variables dropped;
-    ``restricted`` memoizes it per finite face, starting from ``{(): p}``,
-    so each new face is one kernel restriction of its prefix.  The k pairs
-    before (i, v) all have smaller indices, so y_i is y_(i-k) in the ring of
-    the prefix."""
-    g = restricted.get(finite)
+def _restrict(face: tuple, memo: dict, tops: Sequence[int]) -> MultiPoly:
+    """Restriction of the closure of p in (P^1)^n to the composite face
+    ``face``, a tuple of (index, value) pairs in ascending index order, with
+    the restricted variables dropped.  At infinity it keeps the terms of
+    degree ``tops[i - 1]`` = deg_{y_i} p in y_i, the terms the multihomogenized
+    p keeps at z_i = 0, so restrictions commute.  ``memo`` holds it per face,
+    starting from ``{(): p}``, so each new face is at most one kernel
+    restriction of its prefix.  The k pairs before (i, v) all have smaller
+    indices, so y_i is y_(i-k) in the ring of the prefix."""
+    g = memo.get(face)
     if g is None:
-        i, v = finite[-1]
-        prefix = _finite_restrict(finite[:-1], restricted)
-        g = restricted[finite] = prefix._restrict_face(prefix.vars.r + i - len(finite), v)
+        i, v = face[-1]
+        prefix = _restrict(face[:-1], memo, tops)
+        col = prefix.vars.r + i - len(face)
+        if prefix and (v is not INFINITY or max(e[col] for e in prefix.terms) == tops[i - 1]):
+            g = prefix._restrict_face(col, v)
+        else:
+            g = MultiPoly.zero(prefix.spec, prefix.vars._without(col))
+        memo[face] = g
     return g
-
-
-def _corner_is_proper(assignment: Sequence[tuple[int, object]], restricted: dict) -> bool:
-    """Whether the composite face ``assignment`` of (index, value) pairs
-    restricts p to a nonzero polynomial: the finite restriction, then the
-    joint corner for the variables sent to infinity, i.e. the terms that
-    attain every top degree at once, all degrees read off the finite
-    restriction before any is extracted."""
-    finite = tuple(a for a in assignment if a[1] is not INFINITY)
-    g = _finite_restrict(finite, restricted)
-    if not g:
-        return False
-    r = g.vars.r
-    cols = [r + i - 1 - sum(j < i for j, _ in finite) for i, v in assignment if v is INFINITY]
-    if not cols:
-        return True
-    monomials = g.monomials()
-    tops = [(c, max(e[c] for e in monomials)) for c in cols]
-    return any(all(e[c] == d for c, d in tops) for e in monomials)
 
 
 def _face_assignments(n: int, faces) -> Iterable[tuple]:
@@ -638,39 +626,46 @@ def _face_assignments(n: int, faces) -> Iterable[tuple]:
                 yield tuple(zip(subset, values))
 
 
-# Largest cube dimension n whose composite faces check_face_condition
-# enumerates for a hypersurface cycle: there are 3^n - 1 of them, so each
-# step in n costs about three and a half times the time of the one before.
+# Largest cube dimension n that check_face_condition takes for a hypersurface
+# cycle: a component that passes costs 2^(n+1) - 2 restrictions, one that
+# fails up to 3^n - 1, so each step in n costs two to three times the one before.
 FACE_CHECK_MAX_N = 8
 
 
 def check_face_condition(Z) -> FaceReport:
     """Proper intersection with every composite face.
 
-    Hypersurfaces: no face restriction is identically zero; a cycle on a
-    cube of dimension above FACE_CHECK_MAX_N raises CubeTooLarge.  Zero-cycles:
-    no y-coordinate sits on a face value (a coordinate equal to the model's
-    excluded value is reported separately).
+    Hypersurfaces: no face restriction of the closure in (P^1)^n is
+    identically zero; a cycle on a cube of dimension above FACE_CHECK_MAX_N
+    raises CubeTooLarge.  Restrictions commute, so a face is improper only if
+    one of its vertices is: each component is restricted to the 2^n vertices
+    first (2^(n+1) - 2 memoized restrictions), and its 3^n - 1 faces are
+    enumerated only when a vertex fails.  Zero-cycles: no y-coordinate sits
+    on a face value (a coordinate equal to the model's excluded value is
+    reported separately).
     """
     violations = []
     if isinstance(Z, HypersurfaceCycle):
-        if Z.vars.n > FACE_CHECK_MAX_N:
+        n, faces = Z.vars.n, Z.model.faces
+        if n > FACE_CHECK_MAX_N:
             raise CubeTooLarge(
-                f"n = {Z.vars.n} is above FACE_CHECK_MAX_N = {FACE_CHECK_MAX_N}: "
-                f"{3 ** Z.vars.n - 1} composite faces"
+                f"n = {n} is above FACE_CHECK_MAX_N = {FACE_CHECK_MAX_N}: "
+                f"{3 ** n - 1} composite faces"
             )
-        assignments = list(_face_assignments(Z.vars.n, Z.model.faces))
+        vertices = [tuple(enumerate(values, 1)) for values in itertools.product(faces, repeat=n)]
         # components in text order, faces in enumeration order
         bad = []
         for p in Z.terms:
-            restricted = {(): p}
-            faces = [a for a in assignments if not _corner_is_proper(a, restricted)]
-            if faces:
-                bad.append((p.to_text(), faces))
-        for text, faces in sorted(bad, key=lambda b: b[0]):
+            memo = {(): p}
+            tops = [max(e[col] for e in p.terms) for col in range(p.vars.r, p.vars.r + n)]
+            if all(_restrict(v, memo, tops) for v in vertices):
+                continue
+            improper = [a for a in _face_assignments(n, faces) if not _restrict(a, memo, tops)]
+            bad.append((p.to_text(), improper))
+        for text, improper in sorted(bad, key=lambda b: b[0]):
             violations.extend(
                 FaceViolation(text, tuple((f"y{i}", _face_text(v)) for i, v in a), "improper")
-                for a in faces
+                for a in improper
             )
         return FaceReport(violations)
     if isinstance(Z, ZeroCycle):

@@ -62,6 +62,20 @@ class TestCheckCycle:
         code, rep = run_json(["check-cycle", "--file", str(path)])
         assert code == 0 and rep["modulus"] == "Certified"
 
+    def test_closure_on_a_mixed_face_fails(self, tmp_path):
+        # ORIGINAL V(1 + y2 + y1*y2) has degree 1 in y1, so its closure
+        # contains the face y1 = inf, y2 = 0
+        blob = {
+            "field": {"char": 7}, "model": "ORIGINAL", "r": 1, "n": 2,
+            "terms": [{"mult": 1, "poly": "1 + y2 + y1*y2"}],
+        }
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps(blob))
+        code, rep = run_json(["check-cycle", "--file", str(path)])
+        assert code == 1 and rep["face"] == "fail"
+        assert rep["violations"] == [{"component": "y1*y2 + y2 + 1",
+                                      "face": {"y1": "inf", "y2": "0"}, "kind": "improper"}]
+
 
 class TestRho:
     def test_spec_example(self):

@@ -91,7 +91,7 @@ def reference_face_report(Z):
                     face = [(f"y{i}", v) for i, v in zip(subset, values)]
                     g = p.substitute({y: p.spec.element(v) for y, v in face if v is not INFINITY})
                     if g:
-                        degs = [(y, g.degree_in(y)) for y, v in face if v is INFINITY]
+                        degs = [(y, p.degree_in(y)) for y, v in face if v is INFINITY]
                         for y, d in degs:
                             g = g.coefficient_of(y, d)
                     if not g:
@@ -421,6 +421,49 @@ class TestFaceCondition:
         model = (CoordModel.ORIGINAL, CoordModel.PSI)[seed // 3 % 2]
         Z = random_face_cycle(rng, spec, model, 1 + seed // 6 % 4)
         assert check_face_condition(Z).to_json() == reference_face_report(Z)
+
+    def test_closure_contains_a_mixed_face_in_original(self):
+        # y2 = 0 leaves 1, of degree 0 in y1, but the component has degree 1
+        # in y1: its closure z1*z2 + z1*y2 + y1*y2 contains y1 = inf, y2 = 0
+        Z = cyc("1 + y2 + y1*y2", r=1, n=2, model=CoordModel.ORIGINAL)
+        report = check_face_condition(Z)
+        assert [v.face for v in report.violations] == [(("y1", "inf"), ("y2", "0"))]
+
+    def test_faces_agree_across_the_conversion(self):
+        # ORIGINAL inf and 0 are PSI 0 and 1, so V(p) and its PSI image must
+        # fail at the same faces
+        relabel = {"inf": "0", "0": "1"}
+
+        def faces(Z):
+            return {v.face for v in check_face_condition(Z).violations}
+
+        for seed in range(120):
+            rng = random.Random(seed)
+            spec, n = (F5, F9, Q)[seed % 3], 1 + seed // 3 % 4
+            for _, p in random_face_cycle(rng, spec, CoordModel.ORIGINAL, n).components():
+                image = HypersurfaceCycle.from_poly(_convert_poly(p, CoordModel.PSI), CoordModel.PSI)
+                got = faces(HypersurfaceCycle.from_poly(p, CoordModel.ORIGINAL))
+                assert {tuple((y, relabel[e]) for y, e in f) for f in got} == faces(image), p
+
+    @pytest.mark.parametrize("n, calls", [(1, 2), (2, 6), (3, 14), (4, 30)])
+    def test_passing_component_costs_only_its_vertices(self, monkeypatch, n, calls):
+        # 2 + 4 + ... + 2^n prefix restrictions reach the 2^n vertices; a
+        # failing component still lists every improper face
+        count = 0
+        restrict = MultiPoly._restrict_face
+
+        def counted(self, i, face):
+            nonlocal count
+            count += 1
+            return restrict(self, i, face)
+
+        monkeypatch.setattr(MultiPoly, "_restrict_face", counted)
+        ys = " + ".join(f"{i}*y{i}" for i in range(1, n + 1))
+        assert check_face_condition(cyc(f"1 - t1*t2*({ys} + 1)", n=n)).passed
+        assert count == calls
+        Z = cyc(f"y1 - y{n}" if n > 1 else "y1", n=n)
+        report = check_face_condition(Z)
+        assert report.violations and report.to_json() == reference_face_report(Z)
 
 
 class TestModulusCodim1:
