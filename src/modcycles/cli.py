@@ -132,12 +132,6 @@ def _decode_file(path: str | None, decode):
         raise InputError(f"{path} has the wrong shape: {type(exc).__name__}: {exc}") from None
 
 
-def _cycle_from_json(data):
-    if "terms" in data:
-        return ser.cycle_from_json(data)
-    return ser.zerocycle_from_json(data)
-
-
 def _curve_from_json(data):
     """The curve and, if the document has one, its embedding."""
     C = ser.curve_from_json(data)
@@ -148,7 +142,7 @@ def _curve_from_json(data):
 def _load_cycle(args):
     """Cycle plus modulus from --file or --inline plus flags."""
     if args.file:
-        Z, D = _decode_file(args.file, _cycle_from_json)
+        Z, D = _decode_file(args.file, lambda data: ser.cycle_codec(data)(data))
         if D is None and getattr(args, "modulus", None):
             D = _parse_modulus(args.modulus, Z.spec)
         return Z, D

@@ -599,20 +599,16 @@ def _restrict(face: tuple, memo: dict, tops: Sequence[int]) -> MultiPoly:
     ``face``, a tuple of (index, value) pairs in ascending index order, with
     the restricted variables dropped.  At infinity it keeps the terms of
     degree ``tops[i - 1]`` = deg_{y_i} p in y_i, the terms the multihomogenized
-    p keeps at z_i = 0, so restrictions commute.  ``memo`` holds it per face,
-    starting from ``{(): p}``, so each new face is at most one kernel
-    restriction of its prefix.  The k pairs before (i, v) all have smaller
-    indices, so y_i is y_(i-k) in the ring of the prefix."""
+    p keeps at z_i = 0, so restrictions commute; a prefix of lower degree in
+    y_i restricts to zero there.  ``memo`` holds it per face, starting from
+    ``{(): p}``, so each new face is one kernel restriction of its prefix.
+    The k pairs before (i, v) all have smaller indices, so y_i is y_(i-k) in
+    the ring of the prefix."""
     g = memo.get(face)
     if g is None:
         i, v = face[-1]
         prefix = _restrict(face[:-1], memo, tops)
-        col = prefix.vars.r + i - len(face)
-        if prefix and (v is not INFINITY or max(e[col] for e in prefix.terms) == tops[i - 1]):
-            g = prefix._restrict_face(col, v)
-        else:
-            g = MultiPoly.zero(prefix.spec, prefix.vars._without(col))
-        memo[face] = g
+        g = memo[face] = prefix._restrict_face(prefix.vars.r + i - len(face), v, tops[i - 1])
     return g
 
 

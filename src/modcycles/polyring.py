@@ -621,12 +621,15 @@ class MultiPoly:
         top degree in ``name`` (leading-coefficient extraction)."""
         return self._restrict_face(self.vars.index(name), face)
 
-    def _restrict_face(self, i: int, face) -> "MultiPoly":
+    def _restrict_face(self, i: int, face, top: int | None = None) -> "MultiPoly":
         """:meth:`restrict_face` for the variable at position ``i`` of the
-        exponent vector."""
+        exponent vector.  At INFINITY it keeps the terms of degree ``top`` in
+        that variable, by default the top degree present, so a ``top`` above
+        it gives zero."""
         terms = self.terms
         if face is INFINITY:
-            top = max((e[i] for e in terms), default=0)
+            if top is None:
+                top = max((e[i] for e in terms), default=0)
             out = {e[:i] + e[i + 1:]: c for e, c in terms.items() if e[i] == top}
         elif face == 0:
             out = {e[:i] + e[i + 1:]: c for e, c in terms.items() if not e[i]}

@@ -179,6 +179,17 @@ def zerocycle_from_json(data: dict) -> tuple[ZeroCycle, ModulusDatum | None]:
     return Z, D
 
 
+def cycle_codec(data: dict):
+    """The decoder for cycle JSON of either kind: cycle_from_json for a
+    hypersurface cycle ("terms"), zerocycle_from_json for a 0-cycle
+    ("points")."""
+    if "terms" in data:
+        return cycle_from_json
+    if "points" in data:
+        return zerocycle_from_json
+    raise SerializationError("cycle data needs 'terms' or 'points'")
+
+
 # -- curves ------------------------------------------------------------------
 
 

@@ -2,9 +2,13 @@
 
 A :class:`WitnessCertificate` is a self-contained JSON-shaped record: a
 structured claim, serialized witness data, and a transcript of named checks
-with the inputs and expected outcomes embedded.  :func:`verify_certificate`
-re-executes every transcript entry from the stored data alone, so a third
-party can re-verify without the generator.
+with the inputs and expected outcomes embedded.  One table says what a
+certificate must contain: CHECKS gives each check kind's inputs, codecs and
+accepted value, and CLAIMS gives each claim kind's check kinds and the
+certificate object each input must equal.  The generators build their
+transcripts from it, and :func:`verify_certificate` re-executes every entry
+from the stored data alone and holds the certificate to the table, so a
+third party can re-verify without the generator.
 
 The residue invariant ``rho`` of a level-1 cycle V(f) with f = 1 - t1...tr*g
 reads off the linear coefficient of g(0, ..., 0, y1): the convention
@@ -18,8 +22,8 @@ choice.
 
 from __future__ import annotations
 
-import json
-from typing import Sequence
+import itertools
+from typing import Callable, NamedTuple, Sequence
 
 from .fields import FieldElement, FieldSpec
 from .polyring import InexactDivision, MultiPoly, RatFunc, VarSet
@@ -36,7 +40,6 @@ from .cycles import (
     check_modulus_codim1,
     check_modulus_zerocycle,
     curve_avoids_divisor,
-    curve_boundary,
     prune_degenerate,
     psi_convert,
     pushforward_closed_immersion,
@@ -146,7 +149,8 @@ def rho_of_boundary(W: HypersurfaceCycle, D: ModulusDatum) -> FieldElement:
 
 
 class WitnessCertificate:
-    """claim + witnesses + transcript; Valid iff every transcript check passed."""
+    """claim + witnesses + transcript; ``valid`` iff every check passed when
+    the certificate was made (verify_certificate decides anew)."""
 
     __slots__ = ("claim", "witnesses", "transcript", "convention")
 
@@ -179,120 +183,319 @@ class WitnessCertificate:
         return f"WitnessCertificate(valid={self.valid}, checks={len(self.transcript)})"
 
 
-def _entry(check: str, data: dict, expected, passed: bool) -> dict:
-    return {
-        "check": check,
-        "data": data,
-        "expected": expected,
-        "status": "pass" if passed else "fail",
-    }
-
-
 def _convention(model: CoordModel, level0_flag: bool) -> dict:
     return {"model": model.value, "level0_degeneracy": bool(level0_flag)}
 
 
-# -- check implementations (shared by generation and re-verification) ---------
+# -- decoding: each certificate object once per certificate -------------------
 
 
-def _decoded(memo: dict, codec: str, data, *args):
-    """``ser.<codec>(data, *args)``, decoded once per certificate: ``memo``
-    maps the codec, the canonical JSON of ``data`` and ``args`` (the field of
-    an embedding) to the decoded object."""
-    key = (codec, json.dumps(data, sort_keys=True), *args)
+def _decoded(memo: dict, codec, data, *args):
+    """``codec(data, *args)``, decoded once per certificate: ``memo`` maps
+    the codec, the repr of ``data`` and ``args`` (the field of an embedding)
+    to the decoded object.  Equal reprs mean equal JSON; a copy with its
+    keys in another order only decodes once more."""
+    key = (codec, repr(data), *args)
     out = memo.get(key)
     if out is None:
-        out = memo[key] = getattr(ser, codec)(data, *args)
+        out = memo[key] = codec(data, *args)
     return out
 
 
-def _boundary_of(memo: dict, data) -> HypersurfaceCycle:
-    """The boundary of the cycle ``data`` encodes, computed once per
-    certificate and kept in ``memo`` beside the decoded cycle."""
-    key = ("boundary", json.dumps(data, sort_keys=True))
-    out = memo.get(key)
-    if out is None:
-        out = memo[key] = boundary(_decoded(memo, "cycle_from_json", data)[0])
-    return out
+# Codecs: each reads one input of a check from its JSON, given the memo and
+# the inputs of the same entry decoded before it.  A cycle comes with its
+# modulus, None if its JSON has none.
+
+
+def _cycle(memo, data, _):
+    return _decoded(memo, ser.cycle_from_json, data)
+
+
+def _zerocycle(memo, data, _):
+    return _decoded(memo, ser.zerocycle_from_json, data)
+
+
+def _boundary(memo, data, _):
+    """The boundary of a hypersurface cycle, with the cycle's modulus; the
+    boundary is computed once per certificate and kept in ``memo``."""
+    Z, D = _decoded(memo, ser.cycle_from_json, data)
+    key = ("boundary", repr(data))
+    if key not in memo:
+        memo[key] = boundary(Z)
+    return memo[key], D
+
+
+def _any_cycle(memo, data, _):
+    """A hypersurface cycle or a 0-cycle, by the key its JSON carries."""
+    try:
+        codec = ser.cycle_codec(data)
+    except ser.SerializationError as exc:
+        raise MalformedCertificate(str(exc)) from None
+    return _decoded(memo, codec, data)[0]
+
+
+def _field(memo, data, _):
+    return ser.spec_from_json(data)
+
+
+def _curve(memo, data, _):
+    return _decoded(memo, ser.curve_from_json, data)
+
+
+def _embedding(memo, data, inputs):
+    """Coordinate functions over the entry's field, or over its curve's."""
+    spec = inputs["field"] if "field" in inputs else inputs["curve"].spec
+    return _decoded(memo, ser.embedding_from_json, data, spec)
+
+
+def _element(memo, data, inputs):
+    return ser.element_from_json(data, inputs["field"])
+
+
+def _elements(memo, data, inputs):
+    return [ser.element_from_json(c, inputs["field"]) for c in data]
+
+
+def _modulus(memo, data, inputs):
+    return ser.modulus_from_json(data, inputs["field"])
+
+
+# -- recomputations that need more than one line --------------------------------
+
+
+def _with_modulus(cycle: tuple) -> tuple:
+    if cycle[1] is None:
+        raise MalformedCertificate("modulus check without modulus")
+    return cycle
+
+
+def _boundary_equals(surface, target, level0_flag) -> bool:
+    flag = bool(level0_flag)
+    got = boundary(surface[0], level0_flag=flag)
+    want = prune_degenerate(target[0], level0_flag=flag)
+    return ser.cycle_to_json(got) == ser.cycle_to_json(want)
+
+
+def _curve_bounds(curve, embedding, target) -> bool:
+    got = pushforward_closed_immersion(curve, embedding).boundary()
+    return ser.zerocycle_to_json(got) == ser.zerocycle_to_json(target[0])
+
+
+def _point_on_curve(field, embedding, parameter, point_t) -> bool:
+    values = [e.eval(parameter) for e in embedding]
+    return len(values) == len(point_t) and all(v == w for v, w in zip(values, point_t))
+
+
+def _in_original_model(memo, point: dict) -> dict:
+    """A 0-cycle's JSON in the ORIGINAL model, without its modulus: the
+    target that the witness curve of a point claim bounds."""
+    if point["model"] == CoordModel.PSI.value:
+        Z = _decoded(memo, ser.zerocycle_from_json, point)[0]
+        return ser.zerocycle_to_json(psi_convert(Z, CoordModel.ORIGINAL))
+    return {k: v for k, v in point.items() if k != "modulus"}
+
+
+# -- the check table: what every certificate must contain -----------------------
+
+
+def _source(text) -> tuple:
+    """(convert, path) for a path such as "claim.point.points.0.t", whose
+    object convert(memo, object) turns into the one it stands for, or
+    (None, path) for the object itself; ``text`` is the path or the pair."""
+    convert, text = text if isinstance(text, tuple) else (None, text)
+    return convert, tuple(int(k) if k.isdigit() else k for k in text.split("."))
+
+
+class _Check(NamedTuple):
+    run: Callable    # recomputes the check from its decoded inputs, in order
+    inputs: tuple    # (name, codec) pairs, in the order an entry's data holds
+                     # them; codec None: plain JSON, which may be absent
+    accepts: object  # the one value a valid certificate records, or, as a
+                     # source (see _source), the certificate object holding it
+
+
+CHECKS = {
+    "face_condition": _Check(
+        lambda cycle: check_face_condition(cycle).passed, (("cycle", _any_cycle),), True),
+    "modulus_codim1": _Check(
+        lambda cycle: check_modulus_codim1(*_with_modulus(cycle)).verdict.value,
+        (("cycle", _cycle),), ModulusVerdict.CERTIFIED.value),
+    "modulus_zerocycle": _Check(
+        lambda cycle: check_modulus_zerocycle(*_with_modulus(cycle)), (("cycle", _zerocycle),),
+        True),
+    "boundary_equals": _Check(
+        _boundary_equals,
+        (("surface", _cycle), ("target", _cycle), ("level0_degeneracy", None)), True),
+    "boundary_zero": _Check(
+        lambda cycle, level0_flag: not boundary(cycle[0], level0_flag=bool(level0_flag)),
+        (("cycle", _cycle), ("level0_degeneracy", None)), True),
+    "rho_equals": _Check(
+        lambda cycle: ser.element_to_json(rho(*cycle)), (("cycle", _cycle),),
+        _source("claim.value")),
+    "rho_of_boundary_zero": _Check(
+        lambda cycle: not rho(*cycle), (("cycle", _boundary),), True),
+    "curve_boundary_equals": _Check(
+        _curve_bounds, (("curve", _curve), ("embedding", _embedding), ("target", _zerocycle)), True),
+    "point_on_curve": _Check(
+        _point_on_curve,
+        (("field", _field), ("embedding", _embedding), ("parameter", _element),
+         ("point_t", _elements)), True),
+    "curve_avoids_divisor": _Check(
+        lambda field, embedding, modulus: curve_avoids_divisor(embedding, modulus),
+        (("field", _field), ("embedding", _embedding), ("modulus", _modulus)), True),
+}
+
+
+class _Claim(NamedTuple):
+    key: str         # the claim field that names the kind ...
+    statement: str   # ... and its value
+    inputs: dict     # check kind -> {input: the certificate object it equals},
+                     # one entry per kind, in transcript order
+    agree: tuple     # further pairs of certificate objects that must be equal
+
+
+def _claim(key: str, statement: str, inputs: dict, *agree) -> _Claim:
+    return _Claim(key, statement,
+                  {check: {name: _source(s) for name, s in sources.items()}
+                   for check, sources in inputs.items()},
+                  tuple((_source(a), _source(b)) for a, b in agree))
+
+
+CLAIMS = {
+    "generator": _claim("generator", "rho surjectivity witness", {
+        "face_condition": {"cycle": "claim.cycle"},
+        "modulus_codim1": {"cycle": "claim.cycle"},
+        "boundary_zero": {"cycle": "claim.cycle",
+                          "level0_degeneracy": "convention.level0_degeneracy"},
+        "rho_equals": {"cycle": "claim.cycle"},
+    }, ("witnesses.0", "claim.cycle"), ("convention.model", "claim.cycle.model")),
+    "identity": _claim("identity", "rho(boundary(W)) == 0", {
+        "face_condition": {"cycle": "claim.cycle"},
+        "modulus_codim1": {"cycle": "claim.cycle"},
+        "rho_of_boundary_zero": {"cycle": "claim.cycle"},
+    }, ("witnesses.0", "claim.cycle"), ("convention.model", "claim.cycle.model")),
+    "bounding": _claim("vanishing", "the level-0 cycle bounds", {
+        "face_condition": {"cycle": "witnesses.0"},
+        "modulus_codim1": {"cycle": "witnesses.0"},
+        "boundary_equals": {"surface": "witnesses.0", "target": "claim.cycle",
+                            "level0_degeneracy": "convention.level0_degeneracy"},
+    }, ("witnesses.0.modulus", "claim.modulus"), ("claim.cycle.modulus", "claim.modulus"),
+        ("convention.model", "claim.cycle.model")),
+    "point": _claim("vanishing", "the point bounds on a divisor-avoiding rational curve", {
+        "modulus_zerocycle": {"cycle": "claim.point"},
+        "face_condition": {"cycle": "claim.point"},
+        "point_on_curve": {"field": "witnesses.0.field", "embedding": "witnesses.0.embedding",
+                           "point_t": "claim.point.points.0.t"},
+        "curve_avoids_divisor": {"field": "witnesses.0.field",
+                                 "embedding": "witnesses.0.embedding",
+                                 "modulus": "claim.point.modulus"},
+        "curve_boundary_equals": {"curve": "witnesses.1", "embedding": "witnesses.0.embedding",
+                                  "target": (_in_original_model, "claim.point")},
+    }, ("witnesses.0.field", "claim.point.field"), ("convention.model", "claim.point.model")),
+}
+
+
+class _Missing:
+    """What a path that does not resolve reads: equal to nothing, itself
+    included."""
+
+    def __eq__(self, other):
+        return False
+
+    __hash__ = None
+
+
+_MISSING = _Missing()
+
+
+def _roots(cert: WitnessCertificate) -> dict:
+    return {"claim": cert.claim, "witnesses": cert.witnesses, "convention": cert.convention}
+
+
+def _read(roots: dict, source: tuple, memo: dict):
+    """The certificate object at ``source`` (see :func:`_source`)."""
+    convert, path = source
+    node = roots
+    for key in path:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return _MISSING
+    return node if convert is None else convert(memo, node)
+
+
+def _accepted(check: str, roots: dict, memo: dict):
+    accepts = CHECKS[check].accepts
+    return _read(roots, accepts, memo) if isinstance(accepts, tuple) else accepts
 
 
 def _run_check(check: str, data: dict, memo: dict):
     """Recompute a transcript check from its serialized inputs.
 
-    Returns the value that is compared against the entry's ``expected``.
+    Returns the value that is compared against the check's accepted value.
     ``memo`` belongs to one certificate; its entries share decoded objects.
     """
-    if check == "face_condition":
-        obj = _load_cycle_like(data["cycle"], memo)
-        return check_face_condition(obj).passed
-    if check == "modulus_codim1":
-        Z, D = _decoded(memo, "cycle_from_json", data["cycle"])
-        if D is None:
-            raise MalformedCertificate("modulus check without modulus")
-        return check_modulus_codim1(Z, D).verdict.value
-    if check == "modulus_zerocycle":
-        Z, D = _decoded(memo, "zerocycle_from_json", data["cycle"])
-        if D is None:
-            raise MalformedCertificate("modulus check without modulus")
-        return check_modulus_zerocycle(Z, D)
-    if check == "boundary_equals":
-        W, _ = _decoded(memo, "cycle_from_json", data["surface"])
-        Z, _ = _decoded(memo, "cycle_from_json", data["target"])
-        flag = bool(data.get("level0_degeneracy", True))
-        got = boundary(W, level0_flag=flag)
-        want = prune_degenerate(Z, level0_flag=flag)
-        return ser.cycle_to_json(got) == ser.cycle_to_json(want)
-    if check == "boundary_zero":
-        W, _ = _decoded(memo, "cycle_from_json", data["cycle"])
-        flag = bool(data.get("level0_degeneracy", True))
-        return not boundary(W, level0_flag=flag)
-    if check == "rho_equals":
-        Z, D = _decoded(memo, "cycle_from_json", data["cycle"])
-        return ser.element_to_json(rho(Z, D))
-    if check == "rho_of_boundary_zero":
-        _, D = _decoded(memo, "cycle_from_json", data["cycle"])
-        return not rho(_boundary_of(memo, data["cycle"]), D)
-    if check == "curve_boundary_equals":
-        C = _decoded(memo, "curve_from_json", data["curve"])
-        emb = _decoded(memo, "embedding_from_json", data["embedding"], C.spec) \
-            if "embedding" in data else None
-        Z, _ = _decoded(memo, "zerocycle_from_json", data["target"])
-        got = curve_boundary(C) if emb is None else pushforward_closed_immersion(C, emb).boundary()
-        return ser.zerocycle_to_json(got) == ser.zerocycle_to_json(Z)
-    if check == "point_on_curve":
-        spec = ser.spec_from_json(data["field"])
-        emb = _decoded(memo, "embedding_from_json", data["embedding"], spec)
-        s0 = ser.element_from_json(data["parameter"], spec)
-        want = [ser.element_from_json(c, spec) for c in data["point_t"]]
-        vals = [e.eval(s0) for e in emb]
-        return all(v == w for v, w in zip(vals, want)) and len(vals) == len(want)
-    if check == "curve_avoids_divisor":
-        spec = ser.spec_from_json(data["field"])
-        emb = _decoded(memo, "embedding_from_json", data["embedding"], spec)
-        D = ser.modulus_from_json(data["modulus"], spec)
-        return curve_avoids_divisor(emb, D)
-    raise MalformedCertificate(f"unknown check kind {check!r}")
+    kind = CHECKS.get(check)
+    if kind is None:
+        raise MalformedCertificate(f"unknown check kind {check!r}")
+    inputs = {}
+    for name, codec in kind.inputs:
+        inputs[name] = data.get(name) if codec is None else codec(memo, data[name], inputs)
+    return kind.run(*inputs.values())
 
 
-def _load_cycle_like(data: dict, memo: dict):
-    if "terms" in data:
-        return _decoded(memo, "cycle_from_json", data)[0]
-    if "points" in data:
-        return _decoded(memo, "zerocycle_from_json", data)[0]
-    raise MalformedCertificate("cycle data needs 'terms' or 'points'")
+def _new_claim(kind: str, **fields) -> dict:
+    claim = CLAIMS[kind]
+    return {claim.key: claim.statement, **fields}
 
 
-def _checked(check: str, data: dict, expected, memo: dict) -> dict:
-    got = _run_check(check, data, memo)
-    return _entry(check, data, expected, got == expected)
+def _transcript(cert: WitnessCertificate, kind: str, memo: dict, **given):
+    """The transcript entries of a claim of ``kind``, made lazily in the
+    table's order.  Each input is read off ``cert`` where the table binds
+    it, and taken from ``given`` where it does not; each entry expects the
+    value its check accepts."""
+    roots = _roots(cert)
+    for check, sources in CLAIMS[kind].inputs.items():
+        data = {name: _read(roots, sources[name], memo) if name in sources else given[name]
+                for name, _ in CHECKS[check].inputs}
+        expected = _accepted(check, roots, memo)
+        passed = _run_check(check, data, memo) == expected
+        yield {"check": check, "data": data, "expected": expected,
+               "status": "pass" if passed else "fail"}
+
+
+def _claim_kind(claim) -> _Claim:
+    if isinstance(claim, dict):
+        for kind in CLAIMS.values():
+            if claim.get(kind.key) == kind.statement:
+                return kind
+    raise MalformedCertificate(f"unknown claim kind: {repr(claim)[:120]}")
+
+
+def _bound(kind: _Claim, roots: dict, entries: dict, memo: dict) -> bool:
+    """Every input equals the certificate object its claim kind binds it to,
+    and the further pairs agree."""
+    for check, sources in kind.inputs.items():
+        data = entries[check]
+        for name, source in sources.items():
+            if data.get(name, _MISSING) != _read(roots, source, memo):
+                return False
+    return all(_read(roots, a, memo) == _read(roots, b, memo) for a, b in kind.agree)
 
 
 def verify_certificate(cert: WitnessCertificate | dict) -> bool:
-    """Re-run every transcript entry from the certificate's own data.
+    """Re-run every transcript entry from the certificate's own data, and
+    hold the certificate to the table.
 
-    A check whose recomputation hits a domain error (inadmissible witness,
+    True exactly when the claim's kind is in CLAIMS, the transcript has one
+    entry of each check kind that kind lists and no other, every entry
+    recomputes to the value CHECKS accepts and records that value as
+    expected, and every input equals the certificate object the claim kind
+    binds it to.  The certificate supplies no verdict of its own.  A check
+    whose recomputation hits a domain error (inadmissible witness,
     unnormalized component, ...) fails the certificate rather than raising;
-    structurally broken certificates raise MalformedCertificate.
+    structurally broken certificates and unknown claim or check kinds raise
+    MalformedCertificate.
     """
     from .fields import FieldError
     from .polyring import PolyError
@@ -305,26 +508,31 @@ def verify_certificate(cert: WitnessCertificate | dict) -> bool:
         raise MalformedCertificate("transcript must be a list")
     if not cert.transcript:
         raise MalformedCertificate("transcript is empty")
-    memo = {}
+    kind = _claim_kind(cert.claim)
+    roots = _roots(cert)
+    memo, entries = {}, {}
     for entry in cert.transcript:
         if not isinstance(entry, dict) or "check" not in entry or "data" not in entry:
             raise MalformedCertificate(f"malformed transcript entry: {entry!r}")
         if entry.get("status") != "pass":
             return False
+        check, data = entry["check"], entry["data"]
         try:
-            got = _run_check(entry["check"], entry["data"], memo)
+            got = _run_check(check, data, memo)
         except MalformedCertificate:
             raise
         except (KeyError, TypeError, AttributeError) as exc:
             raise MalformedCertificate(
-                f"unreadable data in {entry['check']!r} entry: {type(exc).__name__}: {exc}"
+                f"unreadable data in {check!r} entry: {type(exc).__name__}: {exc}"
             ) from exc
         except (FieldError, PolyError, CycleError, MilnorError, WitnessError,
                 ser.SerializationError, ValueError):
             return False
-        if got != entry.get("expected"):
+        want = _accepted(check, roots, memo)
+        if got != want or entry.get("expected") != want or check in entries:
             return False
-    return True
+        entries[check] = data
+    return entries.keys() == kind.inputs.keys() and _bound(kind, roots, entries, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -338,23 +546,20 @@ def verify_rho_reciprocity(W: HypersurfaceCycle, D: ModulusDatum) -> WitnessCert
         raise WrongLevel("reciprocity concerns level-2 cycles")
     cycle_json = ser.cycle_to_json(W, D)
     memo = {}
-    transcript = [
-        _checked("face_condition", {"cycle": cycle_json}, True, memo),
-        _checked("modulus_codim1", {"cycle": cycle_json}, ModulusVerdict.CERTIFIED.value, memo),
-    ]
-    if not all(entry["status"] == "pass" for entry in transcript):
+    cert = WitnessCertificate(_new_claim("identity", cycle=cycle_json), [cycle_json], [],
+                              _convention(W.model, True))
+    entries = _transcript(cert, "identity", memo)
+    # rho is defined on certified-admissible cycles only: the table lists the
+    # face and modulus checks first, and the rho check runs only if both pass
+    cert.transcript = list(itertools.islice(entries, 2))
+    if not cert.valid:
         raise WitnessError("the input cycle is not certified admissible")
-    transcript.append(_checked("rho_of_boundary_zero", {"cycle": cycle_json}, True, memo))
-    faces = [
+    cert.transcript.extend(entries)
+    cert.claim["boundary_faces"] = [
         {"poly": p.to_text(), "mult": m, "rho": ser.element_to_json(_component_rho(p))}
-        for m, p in _boundary_of(memo, cycle_json).components()
+        for m, p in _boundary(memo, cycle_json, {})[0].components()
     ]
-    claim = {
-        "identity": "rho(boundary(W)) == 0",
-        "cycle": cycle_json,
-        "boundary_faces": faces,
-    }
-    return WitnessCertificate(claim, [cycle_json], transcript, _convention(W.model, True))
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -387,24 +592,11 @@ def bounding_surface(Z: HypersurfaceCycle, D: ModulusDatum,
         y1 = MultiPoly.variable(spec, lifted_vars, "y1")
         surface_terms.append((mult, one_lift - d_lift * g.lift(lifted_vars) * y1))
     W = HypersurfaceCycle(spec, lifted_vars, Z.model, surface_terms)
-    w_json = ser.cycle_to_json(W, D)
-    z_json = ser.cycle_to_json(Z, D)
-    memo = {}
-    transcript = [
-        _checked("face_condition", {"cycle": w_json}, True, memo),
-        _checked("modulus_codim1", {"cycle": w_json}, ModulusVerdict.CERTIFIED.value, memo),
-        _checked(
-            "boundary_equals",
-            {"surface": w_json, "target": z_json, "level0_degeneracy": level0_flag},
-            True, memo,
-        ),
-    ]
-    claim = {
-        "vanishing": "the level-0 cycle bounds",
-        "cycle": z_json,
-        "modulus": ser.modulus_to_json(D),
-    }
-    return WitnessCertificate(claim, [w_json], transcript, _convention(Z.model, level0_flag))
+    claim = _new_claim("bounding", cycle=ser.cycle_to_json(Z, D), modulus=ser.modulus_to_json(D))
+    cert = WitnessCertificate(claim, [ser.cycle_to_json(W, D)], [],
+                              _convention(Z.model, level0_flag))
+    cert.transcript = list(_transcript(cert, "bounding", {}))
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -431,20 +623,9 @@ def generator_cycle(a: FieldElement, r: int,
     poly = MultiPoly.const(spec, vars, 1) - MultiPoly(spec, vars, {exp: a})
     Z = HypersurfaceCycle(spec, vars, CoordModel.PSI, [(1, poly)])  # empty at a = 0
     z_json = ser.cycle_to_json(Z, D)
-    memo = {}
-    transcript = [
-        _checked("face_condition", {"cycle": z_json}, True, memo),
-        _checked("modulus_codim1", {"cycle": z_json}, ModulusVerdict.CERTIFIED.value, memo),
-        _checked("boundary_zero", {"cycle": z_json, "level0_degeneracy": level0_flag},
-                 True, memo),
-        _checked("rho_equals", {"cycle": z_json}, ser.element_to_json(a), memo),
-    ]
-    claim = {
-        "generator": "rho surjectivity witness",
-        "value": ser.element_to_json(a),
-        "cycle": z_json,
-    }
-    cert = WitnessCertificate(claim, [z_json], transcript, _convention(CoordModel.PSI, level0_flag))
+    claim = _new_claim("generator", value=ser.element_to_json(a), cycle=z_json)
+    cert = WitnessCertificate(claim, [z_json], [], _convention(CoordModel.PSI, level0_flag))
+    cert.transcript = list(_transcript(cert, "generator", {}))
     return Z, cert
 
 
@@ -494,54 +675,22 @@ def zero_cycle_vanishing_witness(z: ClosedPoint, D: ModulusDatum, n: int = 0,
         raise WrongLevel("point has the wrong number of cube coordinates")
     if not D.is_monomial:
         raise UnsupportedModulus("witnesses are constructed for monomial moduli")
-    memo = {}
     ambient_D = ModulusDatum.monomial(spec, D.monomial_exponents)
     zc = ZeroCycle(spec, model, r, n, [(1, z)])
-    zc_json = ser.zerocycle_to_json(zc, ambient_D)
-    modulus = _checked("modulus_zerocycle", {"cycle": zc_json}, True, memo)
-    face = _checked("face_condition", {"cycle": zc_json}, True, memo)
-    if modulus["status"] != "pass":
+    if not check_modulus_zerocycle(zc, ambient_D):
         raise PointOnModulus(f"{z!r} lies on the divisor")
-    if face["status"] != "pass":
-        violations = check_face_condition(zc).violations
+    violations = check_face_condition(zc).violations
+    if violations:
         raise WitnessError(f"point violates the face condition: {violations}")
 
     emb, s0 = _hyperbola_embedding(spec, z.t_coords, variant)
-    emb_json = ser.embedding_to_json(emb)
-    field_json = ser.spec_to_json(spec)
     y = z.y_coords if model is CoordModel.ORIGINAL else \
         psi_convert(z, CoordModel.ORIGINAL).y_coords
     comps = [RatFunc.param(spec) - RatFunc.const(spec, s0)] + [RatFunc.const(spec, c) for c in y]
     curve = ParamCurve(spec, CoordModel.ORIGINAL, comps, graph_over_base=True)
-    curve_json = ser.curve_to_json(curve)
-    target = ZeroCycle(spec, CoordModel.ORIGINAL, r, n, [(1, ClosedPoint(spec, z.t_coords, y))])
-    transcript = [
-        modulus,
-        face,
-        _checked(
-            "point_on_curve",
-            {"field": field_json, "embedding": emb_json,
-             "parameter": ser.element_to_json(s0),
-             "point_t": [ser.element_to_json(c) for c in z.t_coords]},
-            True, memo,
-        ),
-        _checked(
-            "curve_avoids_divisor",
-            {"field": field_json, "embedding": emb_json,
-             "modulus": ser.modulus_to_json(ambient_D)},
-            True, memo,
-        ),
-        _checked(
-            "curve_boundary_equals",
-            {"curve": curve_json, "embedding": emb_json,
-             "target": ser.zerocycle_to_json(target)},
-            True, memo,
-        ),
-    ]
-    claim = {
-        "vanishing": "the point bounds on a divisor-avoiding rational curve",
-        "point": zc_json,
-        "variant": variant,
-    }
-    witnesses = [{"embedding": emb_json, "field": field_json}, curve_json]
-    return WitnessCertificate(claim, witnesses, transcript, _convention(model, True))
+    claim = _new_claim("point", point=ser.zerocycle_to_json(zc, ambient_D), variant=variant)
+    witnesses = [{"embedding": ser.embedding_to_json(emb), "field": ser.spec_to_json(spec)},
+                 ser.curve_to_json(curve)]
+    cert = WitnessCertificate(claim, witnesses, [], _convention(model, True))
+    cert.transcript = list(_transcript(cert, "point", {}, parameter=ser.element_to_json(s0)))
+    return cert

@@ -21,6 +21,7 @@ from modcycles.fields import (
 )
 from modcycles.milnor import XI_MAX_POWER
 from modcycles.witnesses import GENERATOR_MAX_R, zero_cycle_vanishing_witness
+from test_witnesses import forged_certificates
 
 
 def run(argv):
@@ -627,6 +628,29 @@ class TestUntrustedInputInASubprocess:
         "        code = main(argv)\n"
         "    print(json.dumps([argv, code, json.loads(out.getvalue())]))\n"
     )
+
+    def test_forged_certificates_exit_1_and_unknown_claims_exit_2(self, tmp_path):
+        certs = forged_certificates()
+        unknown = json.loads(json.dumps(certs["generator-value"]))
+        unknown["claim"] = {"theorem": "rho surjectivity witness"}
+        certs["unknown-claim-kind"] = unknown
+        argvs = []
+        for name, cert in sorted(certs.items()):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cert))
+            argvs.append(["verify", "--file", str(path)])
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run([sys.executable, "-c", self.RUN_EACH, json.dumps(argvs)],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.stderr == "" and proc.returncode == 0
+        results = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [argv for argv, _, _ in results] == argvs
+        for argv, code, report in results:
+            if argv[-1].endswith("unknown-claim-kind.json"):
+                assert code == 2 and report["error"]["type"] == "MalformedCertificate"
+            else:
+                assert code == 1 and report == {"valid": False}, argv
 
     @pytest.mark.parametrize("shape", sorted(WRONG_SHAPES))
     def test_wrong_shape_exits_2_under_every_file_reader(self, tmp_path, shape):

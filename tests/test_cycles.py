@@ -452,10 +452,10 @@ class TestFaceCondition:
         count = 0
         restrict = MultiPoly._restrict_face
 
-        def counted(self, i, face):
+        def counted(self, i, face, *top):
             nonlocal count
             count += 1
-            return restrict(self, i, face)
+            return restrict(self, i, face, *top)
 
         monkeypatch.setattr(MultiPoly, "_restrict_face", counted)
         ys = " + ".join(f"{i}*y{i}" for i in range(1, n + 1))

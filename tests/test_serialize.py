@@ -72,6 +72,15 @@ class TestCycles:
         Z2, _ = ser.zerocycle_from_json(through_json(ser.zerocycle_to_json(Z)))
         assert Z2 == Z
 
+    def test_cycle_codec_picks_the_decoder_by_key(self):
+        Z = HypersurfaceCycle.from_poly(parse_poly("1 - t1*y1", F7, VarSet(1, 1)), CoordModel.PSI)
+        P = ZeroCycle(F7, CoordModel.ORIGINAL, 1, 0, [(1, ClosedPoint(F7, [F7.element(2)], []))])
+        for cycle, encode in ((Z, ser.cycle_to_json), (P, ser.zerocycle_to_json)):
+            blob = through_json(encode(cycle))
+            assert ser.cycle_codec(blob)(blob) == (cycle, None)
+        with pytest.raises(ser.SerializationError, match="'terms' or 'points'"):
+            ser.cycle_codec({"field": {"char": 7}})
+
 
 class TestCurves:
     def test_curve_roundtrip(self):

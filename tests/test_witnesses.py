@@ -104,6 +104,42 @@ F7_POINT_CERT_TEXT = (
 )
 
 
+def as_json(cert):
+    return json.loads(json.dumps(cert.to_json()))
+
+
+def forged_certificates():
+    """Certificates whose transcript does not prove their claim, by name.
+    A verifier that compared each entry with its own ``expected`` and bound
+    no entry to the claim accepted every one of them."""
+    forged = {}
+    gen = as_json(generator_cycle(F7.element(3), 2)[1])
+    gen["claim"]["value"] = "4"
+    forged["generator-value"] = gen
+    forged["generator-value-without-rho"] = dict(
+        gen, transcript=[e for e in gen["transcript"] if e["check"] != "rho_equals"])
+    forged["generator-value-face-only"] = dict(
+        gen, transcript=[e for e in gen["transcript"] if e["check"] == "face_condition"])
+    # flag off, D = t1^2: the point t1 = 2 claimed to bound, by a witness
+    # whose modulus verdict Unknown the certificate declares acceptable
+    D = ModulusDatum.monomial(F7, [2])
+    bounding = as_json(bounding_surface(cyc("1 - t1^2", r=1, n=0), D, level0_flag=False))
+    point = ser.cycle_to_json(cyc("1 + 3*t1", r=1, n=0), D)
+    surface = ser.cycle_to_json(cyc("1 + 3*t1*y1", r=1, n=1), D)
+    bounding["claim"]["cycle"] = bounding["transcript"][2]["data"]["target"] = point
+    bounding["witnesses"] = [surface]
+    bounding["transcript"][0]["data"]["cycle"] = bounding["transcript"][1]["data"]["cycle"] = \
+        bounding["transcript"][2]["data"]["surface"] = surface
+    bounding["transcript"][1]["expected"] = "Unknown"
+    forged["bounding-modulus-unknown"] = bounding
+    # the claim and admissibility of (2, 3), the curve entries of (5, 1)
+    a, b = (as_json(zero_cycle_vanishing_witness(
+        ClosedPoint(F7, [F7.element(x), F7.element(y)], []), D11_F7)) for x, y in ((2, 3), (5, 1)))
+    a["transcript"][2:] = b["transcript"][2:]
+    forged["zero-cycle-splice"] = a
+    return forged
+
+
 class TestRho:
     def test_generator_value(self):
         assert rho(cyc("1 - t1*t2*3*y1"), D11_F7) == F7.element(3)
@@ -483,6 +519,98 @@ class TestVerifyCertificate:
         assert json.dumps(a.to_json()) == json.dumps(b.to_json())
 
 
+class TestCheckTable:
+    """verify_certificate holds every certificate to CHECKS and CLAIMS: the
+    certificate supplies no verdict of its own."""
+
+    @pytest.mark.parametrize("name", sorted(forged_certificates()))
+    def test_forged_certificate_fails(self, name):
+        assert verify_certificate(forged_certificates()[name]) is False
+
+    def test_generated_transcripts_follow_the_table(self):
+        certs = {
+            "generator": generator_cycle(F7.element(3), 2)[1],
+            "identity": verify_rho_reciprocity(cyc("1 - t1*t2*(2*y1*y2 + 3*y1)", n=2), D11_F7),
+            "bounding": bounding_surface(cyc("1 - t1*t2*(t1 + 3)", n=0), D11_F7),
+            "point": zero_cycle_vanishing_witness(
+                ClosedPoint(F7, [F7.element(2), F7.element(3)], []), D11_F7),
+        }
+        for kind, cert in certs.items():
+            checks = [e["check"] for e in cert.transcript]
+            assert checks == list(witnesses.CLAIMS[kind].inputs), kind
+            assert all(e["expected"] == witnesses._accepted(e["check"], witnesses._roots(cert), {})
+                       for e in cert.transcript)
+            assert verify_certificate(as_json(cert))
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_every_entry_of_the_pinned_certificate_is_needed_once(self, index):
+        cert = json.loads(F7_POINT_CERT_TEXT)
+        assert verify_certificate(cert)
+        entries = cert["transcript"]
+        assert verify_certificate(dict(cert, transcript=entries[:index] + entries[index + 1:])) is False
+        assert verify_certificate(dict(cert, transcript=entries + [entries[index]])) is False
+
+    @pytest.mark.parametrize("level0", [True, False])
+    def test_one_level0_convention_per_certificate(self, level0):
+        for cert in (generator_cycle(F7.element(3), 2, level0)[1],
+                     bounding_surface(cyc("1 - t1*t2*(t1 + 3)", n=0), D11_F7, level0)):
+            blob = as_json(cert)
+            entry = next(e for e in blob["transcript"] if "level0_degeneracy" in e["data"])
+            assert verify_certificate(blob) is cert.valid
+            # the flag missing, the entry's flag flipped, the block's flipped
+            del entry["data"]["level0_degeneracy"]
+            assert verify_certificate(blob) is False
+            entry["data"]["level0_degeneracy"] = not level0
+            assert verify_certificate(blob) is False
+            entry["data"]["level0_degeneracy"] = level0
+            blob["convention"]["level0_degeneracy"] = not level0
+            assert verify_certificate(blob) is False
+
+    @pytest.mark.parametrize("path, value", [
+        (["claim", "value"], None), (["claim", "cycle"], 5), (["claim", "cycle", "model"], "ORIGINAL"),
+        (["witnesses"], []), (["witnesses", 0], {}), (["convention", "model"], "ORIGINAL"),
+        (["convention"], []), (["transcript", 3, "expected"], "4"),
+    ])
+    def test_claim_objects_that_differ_from_their_inputs_fail(self, path, value):
+        blob = as_json(generator_cycle(F7.element(3), 2)[1])
+        node = blob
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        assert verify_certificate(blob) is False
+        if len(path) > 1:  # without a top-level object the certificate is malformed
+            del node[path[-1]]
+            assert verify_certificate(blob) is False
+
+    def test_psi_point_must_be_bounded_in_the_original_model(self):
+        z = ClosedPoint(F7, [F7.element(2), F7.element(3)], [F7.element(4)])
+        blob = as_json(zero_cycle_vanishing_witness(z, D11_F7, n=1, model=CoordModel.PSI))
+        assert verify_certificate(blob)
+        point = {k: v for k, v in blob["claim"]["point"].items() if k != "modulus"}
+        blob["transcript"][-1]["data"]["target"] = point
+        assert verify_certificate(blob) is False
+
+    @pytest.mark.parametrize("claim", [
+        {}, [], {"generator": "rho surjectivity"}, {"theorem": "rho surjectivity witness"},
+    ])
+    def test_unknown_claim_kind_is_malformed(self, claim):
+        blob = as_json(generator_cycle(F7.element(3), 2)[1])
+        blob["claim"] = claim
+        with pytest.raises(MalformedCertificate, match="unknown claim kind"):
+            verify_certificate(blob)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 8: with the level-0 flag on, "
+                       "boundary_equals prunes 1 - c*t^e whatever the modulus")
+    def test_flag_on_level0_pruning_forgery_fails(self):
+        # V(1 + 3*t1), the point t1 = 2, does not bound with D = t1^2
+        D = ModulusDatum.monomial(F7, [2])
+        blob = as_json(bounding_surface(cyc("1 - t1^2", r=1, n=0), D))
+        assert blob["witnesses"][0]["terms"][0]["poly"] == "6*t1^2*y1 + 1"  # 1 - t1^2*y1
+        point = ser.cycle_to_json(cyc("1 + 3*t1", r=1, n=0), D)
+        blob["claim"]["cycle"] = blob["transcript"][2]["data"]["target"] = point
+        assert verify_certificate(blob) is False
+
+
 def load_workloads():
     """The benchmark's workload module, for its certificate mutators."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -557,6 +685,7 @@ class TestDecodeOnce:
                             lambda check, data, memo: run_check(check, data, {}))
         assert [verdict(c) for c in certs] == with_memo
         assert all(v is False for v, (_, mode) in zip(with_memo, bench.mutants) if mode == "data")
+        assert all(v is False for v in with_memo)
 
 
 # sha256 of _certificate_corpus(), computed before the a = 0 generator and the
