@@ -29,7 +29,6 @@ from .cycles import (
     check_modulus_zerocycle,
     curve_boundary,
     psi_convert,
-    pushforward_closed_immersion,
 )
 from .milnor import (
     FunctionField,
@@ -143,7 +142,7 @@ def _load_cycle(args):
     """Cycle plus modulus from --file or --inline plus flags."""
     if args.file:
         Z, D = _decode_file(args.file, lambda data: ser.cycle_codec(data)(data))
-        if D is None and getattr(args, "modulus", None):
+        if D is None and args.modulus:
             D = _parse_modulus(args.modulus, Z.spec)
         return Z, D
     if args.inline:
@@ -197,10 +196,7 @@ def cmd_check_cycle(args) -> int:
 def cmd_boundary(args) -> int:
     if args.curve:
         C, emb = _decode_file(args.curve, _curve_from_json)
-        if emb is not None:
-            out = pushforward_closed_immersion(C, emb).boundary()
-        else:
-            out = curve_boundary(C)
+        out = curve_boundary(C, embedding=emb)
         _emit(ser.zerocycle_to_json(-out if args.flip_sign else out), args)
         return 0
     Z, D = _load_cycle(args)
@@ -246,9 +242,10 @@ def cmd_generator(args) -> int:
     spec = _parse_field(args.field)
     a = _parse_scalar(args.a, spec)
     Z, cert = generator_cycle(a, args.r, level0_flag=args.level0_degeneracy == "on")
+    D = ModulusDatum.monomial(spec, [1] * args.r)
     report = {
-        "cycle": ser.cycle_to_json(Z, ModulusDatum.monomial(spec, [1] * args.r)),
-        "rho": ser.element_to_json(rho(Z, ModulusDatum.monomial(spec, [1] * args.r))),
+        "cycle": ser.cycle_to_json(Z, D),
+        "rho": ser.element_to_json(rho(Z, D)),
         "certificate": cert.to_json(),
     }
     _emit(report, args)
@@ -362,7 +359,7 @@ def cmd_verify(args) -> int:
 # -- argument wiring -----------------------------------------------------------
 
 
-def _add_io(p, modulus=True, inline=True):
+def _add_io(p, inline=True):
     p.add_argument("--file", help="input JSON path")
     if inline:
         p.add_argument("--inline", help="inline polynomial text")
@@ -371,8 +368,7 @@ def _add_io(p, modulus=True, inline=True):
         p.add_argument("--n", type=int, default=1,
                        help="number of cube variables; face checks take at most "
                             f"FACE_CHECK_MAX_N = {FACE_CHECK_MAX_N}")
-    if modulus:
-        p.add_argument("--modulus", help="comma-separated monomial exponents")
+    p.add_argument("--modulus", help="comma-separated monomial exponents")
     p.add_argument("--out", help="write the report here instead of stdout")
 
 

@@ -11,7 +11,8 @@ Two coordinate models of the cube are supported and never mixed:
 
 The models correspond under y -> 1/(1-y), which sends 0 -> 1, inf -> 0 and
 1 -> inf; :func:`psi_convert` applies that substitution and the induced face
-relabeling, so boundaries commute with conversion.
+relabeling, so boundaries commute with conversion.  :class:`CoordModel` is
+the one place that knows the faces, the puncture and the signs.
 
 Hypersurface cycles are formal Z-combinations of polynomial components, each
 taken up to scalar: components are normalized to constant term 1 when the
@@ -88,6 +89,9 @@ class CubeTooLarge(CycleError):
 
 
 class CoordModel(Enum):
+    """A model of the cube: where a coordinate value lies on it, the sign of
+    each face in the boundary, and the change of model of a coordinate."""
+
     ORIGINAL = "ORIGINAL"
     PSI = "PSI"
 
@@ -102,13 +106,40 @@ class CoordModel(Enum):
         return (INFINITY, 0) if self is CoordModel.ORIGINAL else (0, 1)
 
     @property
-    def excluded_value(self):
-        """The puncture of the cube: 1 in ORIGINAL, infinity in PSI."""
-        return 1 if self is CoordModel.ORIGINAL else INFINITY
-
-    @property
     def other(self):
         return CoordModel.PSI if self is CoordModel.ORIGINAL else CoordModel.ORIGINAL
+
+    def locate(self, v) -> str | None:
+        """Where the coordinate value ``v``, an element of any field or
+        INFINITY, lies: "improper" on a face, "excluded" on the puncture (1
+        in ORIGINAL, infinity in PSI), None inside the cube."""
+        original = self is CoordModel.ORIGINAL
+        if v is INFINITY:
+            return "improper" if original else "excluded"
+        if not v:
+            return "improper"
+        if v == v.spec.one:
+            return "excluded" if original else "improper"
+        return None
+
+    def face_sign(self, i: int, face) -> int:
+        """The sign of the face y_i = face in the boundary
+        sum_i (-1)^i (d_i^pos - d_i^neg)."""
+        return (-1) ** i if face == self.boundary_pair[0] else -((-1) ** i)
+
+    def convert(self, y):
+        """The coordinate ``y`` of the other model, a field element or a
+        RatFunc, in this one: y -> 1/(1 - y) into PSI, y -> (y - 1)/y into
+        ORIGINAL.  The pole, y = 1 or y = 0, raises UndefinedAtPole."""
+        one = y.spec.one if isinstance(y, FieldElement) else RatFunc.const(y.spec, 1)
+        if self is CoordModel.PSI:
+            h = one - y
+            if not h:
+                raise UndefinedAtPole("y = 1 maps to infinity in the PSI model")
+            return h.inverse()
+        if not y:
+            raise UndefinedAtPole("y = 0 maps to infinity in the ORIGINAL model")
+        return (y - one) / y
 
 
 def _face_text(face) -> str:
@@ -415,20 +446,13 @@ class ParamCurve:
         self.model = model
         self.base_t_coords = tuple(spec.element(c) for c in base_t_coords)
         self.graph_over_base = graph_over_base
-        comps = []
-        for g in components:
+        self.components = tuple(components)
+        for g in self.components:
             if g.spec != spec:
                 raise WrongField("component over the wrong field")
-            if not g.num:
-                raise DegenerateCurve("component identically a face value (0)")
-            if g.is_constant:
-                v = g.constant_value()
-                if v == spec.zero or (model is CoordModel.PSI and v == spec.one):
-                    raise DegenerateCurve("component identically a face value")
-                if model is CoordModel.ORIGINAL and v == spec.one:
-                    raise DegenerateCurve("component identically the excluded value 1")
-            comps.append(g)
-        self.components = tuple(comps)
+            kind = g.is_constant and model.locate(g.constant_value())
+            if kind:
+                raise DegenerateCurve(f"component identically {g.to_text()}: {kind} on the cube")
 
     @property
     def n(self) -> int:
@@ -539,12 +563,10 @@ def boundary(Z: HypersurfaceCycle, *, level0_flag: bool = True) -> HypersurfaceC
     n = Z.vars.n
     if n < 1:
         raise ValueError("boundary requires n >= 1")
-    pos, neg = Z.model.boundary_pair
     acc: dict[MultiPoly, int] = {}
     for i in range(1, n + 1):
-        sign = (-1) ** i
-        _add_face(Z, i, pos, sign, acc)
-        _add_face(Z, i, neg, -sign, acc)
+        for face in Z.model.boundary_pair:
+            _add_face(Z, i, face, Z.model.face_sign(i, face), acc)
     out = {p: m for p, m in acc.items() if m and not _is_pruned(p, level0_flag)}
     return HypersurfaceCycle._trusted((Z.spec, VarSet(Z.vars.r, n - 1), Z.model), out)
 
@@ -637,8 +659,7 @@ def check_face_condition(Z) -> FaceReport:
     one of its vertices is: each component is restricted to the 2^n vertices
     first (2^(n+1) - 2 memoized restrictions), and its 3^n - 1 faces are
     enumerated only when a vertex fails.  Zero-cycles: no y-coordinate sits
-    on a face value (a coordinate equal to the model's excluded value is
-    reported separately).
+    on a face value or on the puncture (see :meth:`CoordModel.locate`).
     """
     violations = []
     if isinstance(Z, HypersurfaceCycle):
@@ -665,18 +686,11 @@ def check_face_condition(Z) -> FaceReport:
             )
         return FaceReport(violations)
     if isinstance(Z, ZeroCycle):
-        face_vals = [Z.spec.element(f) for f in Z.model.faces if f is not INFINITY]
-        excl = Z.model.excluded_value
         for pt, _ in Z.items():
-            here = pt.residue_spec
-            bad_vals = [here.embed(v) for v in face_vals]
-            ex_val = None if excl is INFINITY else here.embed(Z.spec.element(excl))
             for j, y in enumerate(pt.y_coords):
-                face = ((f"y{j+1}", y.to_text()),)
-                if y in bad_vals:
-                    violations.append(FaceViolation(repr(pt), face, "improper"))
-                elif ex_val is not None and y == ex_val:
-                    violations.append(FaceViolation(repr(pt), face, "excluded"))
+                kind = Z.model.locate(y)
+                if kind:
+                    violations.append(FaceViolation(repr(pt), ((f"y{j+1}", y.to_text()),), kind))
         return FaceReport(violations)
     raise TypeError(f"cannot face-check {type(Z).__name__}")
 
@@ -879,19 +893,7 @@ def psi_convert(obj, to_model: CoordModel):
             out[q] = out.get(q, 0) + m
         return HypersurfaceCycle._trusted((obj.spec, obj.vars, to_model), out)
     if isinstance(obj, ClosedPoint):
-        here = obj.residue_spec
-        one = here.one
-        new = []
-        for y in obj.y_coords:
-            if to_model is CoordModel.PSI:
-                if y == one:
-                    raise UndefinedAtPole("y = 1 maps to infinity in the PSI model")
-                new.append(one / (one - y))
-            else:
-                if not y:
-                    raise UndefinedAtPole("y = 0 maps to infinity in the ORIGINAL model")
-                new.append((y - one) / y)
-        return ClosedPoint(here, obj.t_coords, new)
+        return ClosedPoint(obj.residue_spec, obj.t_coords, map(to_model.convert, obj.y_coords))
     if isinstance(obj, ZeroCycle):
         if obj.model is to_model:
             raise WrongModel("cycle already lives in the target model")
@@ -900,18 +902,7 @@ def psi_convert(obj, to_model: CoordModel):
     if isinstance(obj, ParamCurve):
         if obj.model is to_model:
             raise WrongModel("curve already lives in the target model")
-        one = RatFunc.const(obj.spec, 1)
-        comps = []
-        for g in obj.components:
-            if to_model is CoordModel.PSI:
-                h = one - g
-                if not h.num:
-                    raise UndefinedAtPole("component identically 1 has no PSI image")
-                comps.append(one / h)
-            else:
-                if not g.num:
-                    raise UndefinedAtPole("component identically 0 has no ORIGINAL image")
-                comps.append((g - one) / g)
+        comps = [to_model.convert(g) for g in obj.components]
         return ParamCurve(obj.spec, to_model, comps, obj.base_t_coords, obj.graph_over_base)
     raise TypeError(f"cannot convert {type(obj).__name__}")
 
@@ -965,7 +956,7 @@ def _places(poly: UniPoly, memo: dict | None = None) -> list[tuple[UniPoly, int]
     return out
 
 
-def curve_boundary(curve: ParamCurve, *, domain_poles: Sequence[UniPoly] = (),
+def curve_boundary(curve: ParamCurve, *, embedding: Sequence[RatFunc] | None = None,
                    places: dict | None = None) -> ZeroCycle:
     """Cubical boundary of a parametric curve as a 0-cycle one level down.
 
@@ -973,26 +964,28 @@ def curve_boundary(curve: ParamCurve, *, domain_poles: Sequence[UniPoly] = (),
     face, with multiplicity the order of vanishing of h = 1/g at the face at
     infinity and of h = g - c at a finite face c: the closed points of the
     parameter line where h vanishes, plus the point at infinity for
-    constant-base curves.  Places dividing one of ``domain_poles`` lie outside
-    the source curve and are skipped.  Points whose remaining coordinates hit
-    the model's puncture are outside the cube and are discarded; hitting
-    another face is an improper boundary.  A graph curve's boundary lies over
-    the parameter line; the boundary of a curve embedded in A^r is the
-    push-forward of that one (see EmbeddedCurve).  ``places`` is a memo of
-    factorizations that a caller shares with :func:`milnor.total_delta` on
-    the same entries (see :func:`_places`).
+    constant-base curves.  Points whose remaining coordinates hit the
+    model's puncture are outside the cube and are discarded; hitting another
+    face is an improper boundary.  A graph curve's boundary lies over the
+    parameter line.  With ``embedding``, coordinate functions of a closed
+    immersion of that line into A^r, it is pushed forward to the image
+    (:func:`pushforward_closed_immersion`); places at the embedding's poles
+    lie outside the source curve and are skipped, and a curve that is not a
+    graph raises ValueError.  ``places`` is a memo of factorizations that a
+    caller shares with :func:`milnor.total_delta` on the same entries (see
+    :func:`_places`).
     """
-    spec, model = curve.spec, curve.model
-    faces = model.faces
-    neg_face = model.boundary_pair[1]
-    excluded = model.excluded_value
     graph = curve.graph_over_base
+    if embedding is not None and not graph:
+        raise ValueError("only curves over the parameter line can be pushed forward")
+    poles = [e.den for e in embedding or () if e.den.degree > 0]
+    spec, model = curve.spec, curve.model
     terms = []
 
     # gather candidates: (place | None for infinity, component index, face, mult)
     candidates: list[tuple] = []
     for idx, g in enumerate(curve.components):
-        for face in faces:
+        for face in model.faces:
             h = g.inverse() if face is INFINITY else g - RatFunc.const(spec, face)
             candidates.extend((pi, idx, face, m) for pi, m in _places(h.num, places))
             if not graph:
@@ -1003,106 +996,68 @@ def curve_boundary(curve: ParamCurve, *, domain_poles: Sequence[UniPoly] = (),
     for place, idx, face, mult in candidates:
         if place is None:
             ell, root = spec, None
-        elif any(dp.degree > 0 and not (dp % place) for dp in domain_poles):
+        elif any(not (dp % place) for dp in poles):
             continue
         else:
             ell, root = _place_field(spec, place)
 
-        ex_val = None if excluded is INFINITY else ell.embed(spec.element(excluded))
-        face_vals = [ell.embed(spec.element(f)) for f in faces if f is not INFINITY]
-
         # remaining cube coordinates: a coordinate on the puncture means the
         # point is outside the cube entirely, which takes precedence over any
-        # face hit, so evaluate everything before classifying
+        # face hit, so locate everything before classifying
         y_vals = [
             g.value_at_infinity() if place is None else g.eval(root)
             for j, g in enumerate(curve.components)
             if j != idx
         ]
-        on_puncture = any(
-            (v is INFINITY) if excluded is INFINITY else (v is not INFINITY and v == ex_val)
-            for v in y_vals
-        )
-        if on_puncture:
+        kinds = {model.locate(v) for v in y_vals}
+        if "excluded" in kinds:
             continue
-        for v in y_vals:
-            if v is INFINITY or v in face_vals:
-                raise ImproperBoundary(
-                    f"a remaining component hits a face on the boundary point at "
-                    f"{'infinity' if place is None else place.to_text()}"
-                )
+        if "improper" in kinds:
+            raise ImproperBoundary(
+                f"a remaining component hits a face on the boundary point at "
+                f"{'infinity' if place is None else place.to_text()}"
+            )
 
         if graph:
             t_vals = [root]
         else:
             t_vals = [ell.embed(c) if ell != spec else c for c in curve.base_t_coords]
-
-        sign = (-1) ** (idx + 1)  # components are 1-indexed in the convention
-        if face == neg_face:
-            sign = -sign
-        terms.append((sign * mult, ClosedPoint(ell, t_vals, y_vals)))
+        # components are 1-indexed in the convention
+        terms.append((model.face_sign(idx + 1, face) * mult, ClosedPoint(ell, t_vals, y_vals)))
     r_out = 1 if graph else len(curve.base_t_coords)
-    return ZeroCycle(spec, model, r_out, curve.n - 1, terms)
+    out = ZeroCycle(spec, model, r_out, curve.n - 1, terms)
+    return out if embedding is None else pushforward_closed_immersion(out, embedding)
 
 
-def pushforward_closed_immersion(obj, embedding: Sequence[RatFunc],
-                                 D: ModulusDatum | None = None):
-    """Push a 0-cycle (on a parametrized curve) or a curve forward along a
-    closed immersion given by coordinate functions of the parameter.
+def pushforward_closed_immersion(obj: ZeroCycle, embedding: Sequence[RatFunc],
+                                 D: ModulusDatum | None = None) -> ZeroCycle:
+    """Push a 0-cycle on a parametrized curve forward along a closed
+    immersion given by coordinate functions of the parameter.
 
     Points map by coordinate composition with multiplicity 1.  When a modulus
-    datum is attached, every image point must avoid the divisor.  A curve
-    must be a graph over the parameter line (ValueError otherwise); its
-    image is an EmbeddedCurve.
+    datum is attached, every image point must avoid the divisor.  A curve's
+    boundary is pushed forward by :func:`curve_boundary` with its embedding.
     """
-    if isinstance(obj, ZeroCycle):
-        if obj.r != 1:
-            raise ValueError("source points must carry a single parameter coordinate")
-        out = []
-        for pt, m in obj.items():
-            s0 = pt.t_coords[0]
-            t_vals = []
-            for e in embedding:
-                v = e.eval(s0)
-                if v is INFINITY:
-                    raise IndeterminateCoordinate(
-                        f"embedding has a pole at parameter {s0.to_text()}"
-                    )
-                t_vals.append(v)
-            image = ClosedPoint(pt.residue_spec, t_vals, pt.y_coords)
-            if D is not None:
-                if D.divisor_poly.eval(list(image.t_coords)) == pt.residue_spec.zero:
-                    raise ModulusNotAvoided(f"image point {image!r} lies on the divisor")
-            out.append((m, image))
-        return ZeroCycle(obj.spec, obj.model, len(embedding), obj.n, out)
-    if isinstance(obj, ParamCurve):
-        if not obj.graph_over_base:
-            raise ValueError("only curves over the parameter line can be pushed forward")
-        if D is not None and not curve_avoids_divisor(embedding, D):
-            raise ModulusNotAvoided("the image curve meets the divisor")
-        return EmbeddedCurve(obj, tuple(embedding))
-    raise TypeError(f"cannot push forward {type(obj).__name__}")
-
-
-class EmbeddedCurve:
-    """A graph curve together with a closed immersion of its parameter line
-    into A^r.
-
-    Its boundary is the push-forward of the boundary on the parameter line.
-    The poles of the embedding lie outside the source curve, so boundary
-    points there are dropped before pushing forward.
-    """
-
-    __slots__ = ("curve", "embedding")
-
-    def __init__(self, curve: ParamCurve, embedding: tuple[RatFunc, ...]):
-        self.curve = curve
-        self.embedding = embedding
-
-    def boundary(self) -> ZeroCycle:
-        poles = [e.den for e in self.embedding]
-        line = curve_boundary(self.curve, domain_poles=poles)
-        return pushforward_closed_immersion(line, self.embedding)
+    if not isinstance(obj, ZeroCycle):
+        raise TypeError(f"cannot push forward {type(obj).__name__}")
+    if obj.r != 1:
+        raise ValueError("source points must carry a single parameter coordinate")
+    out = []
+    for pt, m in obj.items():
+        s0 = pt.t_coords[0]
+        t_vals = []
+        for e in embedding:
+            v = e.eval(s0)
+            if v is INFINITY:
+                raise IndeterminateCoordinate(
+                    f"embedding has a pole at parameter {s0.to_text()}"
+                )
+            t_vals.append(v)
+        image = ClosedPoint(pt.residue_spec, t_vals, pt.y_coords)
+        if D is not None and D.divisor_poly.eval(list(image.t_coords)) == pt.residue_spec.zero:
+            raise ModulusNotAvoided(f"image point {image!r} lies on the divisor")
+        out.append((m, image))
+    return ZeroCycle(obj.spec, obj.model, len(embedding), obj.n, out)
 
 
 def curve_avoids_divisor(embedding: Sequence[RatFunc], D: ModulusDatum) -> bool:

@@ -81,23 +81,22 @@ class PowerTooLarge(MilnorError):
 class FunctionField:
     """The rational function field k(t) over an exact base field."""
 
-    __slots__ = ("base", "var")
+    __slots__ = ("base",)
 
-    def __init__(self, base: FieldSpec, var: str = "t"):
+    def __init__(self, base: FieldSpec):
         self.base = base
-        self.var = var
 
     def __eq__(self, other):
-        return isinstance(other, FunctionField) and (self.base, self.var) == (other.base, other.var)
+        return isinstance(other, FunctionField) and self.base == other.base
 
     def __hash__(self):
-        return hash(("funfield", self.base, self.var))
+        return hash(("funfield", self.base))
 
     def __repr__(self):
-        return f"FunctionField({self.base.to_text()}({self.var}))"
+        return f"FunctionField({self.to_text()})"
 
     def to_text(self):
-        return f"{self.base.to_text()}({self.var})"
+        return f"{self.base.to_text()}(t)"
 
 
 def _entry_is_one(e) -> bool:
@@ -234,33 +233,28 @@ def symbol_reduce(e: MilnorElement, certificate_mode: bool = False) -> SymbolRed
     certificate mode (K_n for n > 2 is spanned by products through K_2).
     """
     field = e.field
-    finite = isinstance(field, FieldSpec) and field.is_finite
+    base = isinstance(field, FieldSpec)
+    finite = base and field.is_finite
     terms = []
-    theorem_used = False
     oracle_result = None
-    max_len = max((s.length for s in e.terms), default=0)
-    if finite and max_len >= 2:
-        if certificate_mode:
-            oracle_result = k2_presentation_oracle(field.order)
-            if not oracle_result.trivial:
-                raise MilnorError("oracle found a nontrivial K_2; field table is corrupt")
-        else:
-            theorem_used = any(s.length >= 2 for s in e.terms)
-    ones_collapsed = field.one if isinstance(field, FieldSpec) else None
-    k1_acc = ones_collapsed
-    k1_seen = False
+    steinberg = finite and any(s.length >= 2 for s in e.terms)
+    if steinberg and certificate_mode:
+        oracle_result = k2_presentation_oracle(field.order)
+        if not oracle_result.trivial:
+            raise MilnorError("oracle found a nontrivial K_2; field table is corrupt")
+    k1_acc = field.one if base else None
     for sym, m in e.items():
         if finite and sym.length >= 2:
             continue  # vanishes (Steinberg)
-        if sym.length == 1 and isinstance(field, FieldSpec):
+        if sym.length == 1 and base:
             k1_acc = k1_acc * sym.entries[0] ** m
-            k1_seen = True
             continue
         sorted_entries, sign = _sorted_with_sign(sym.entries)
         terms.append((sign * m, MilnorSymbol(field, sorted_entries)))
-    if k1_seen and k1_acc != ones_collapsed:
+    if base and k1_acc != field.one:
         terms.append((1, MilnorSymbol(field, [k1_acc])))
-    return SymbolReduction(MilnorElement(field, terms), theorem_backed=theorem_used,
+    return SymbolReduction(MilnorElement(field, terms),
+                           theorem_backed=steinberg and not certificate_mode,
                            oracle=oracle_result)
 
 

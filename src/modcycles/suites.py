@@ -108,6 +108,16 @@ def _rand_admissible_cycle(rng, spec, r, n) -> HypersurfaceCycle:
     return HypersurfaceCycle.from_poly(f, CoordModel.PSI)
 
 
+class UnknownSuite(ValueError):
+    """A suite name that is empty or not in SUITES."""
+
+
+def _failed_by(label: str, error: Exception | None) -> str:
+    """A case's label, followed by the type and message of the exception
+    that failed it, if one did."""
+    return label if error is None else f"{label}: {type(error).__name__}: {error}"
+
+
 class SuiteResult:
     __slots__ = ("name", "cases", "passes", "failures")
 
@@ -201,12 +211,13 @@ def suite_bounding_surfaces(rng, count=200) -> SuiteResult:
         f = MultiPoly.const(spec, vars, 1) - _t_monomial(spec, vars, [1] * r) * g
         Z = HypersurfaceCycle.from_poly(f, CoordModel.PSI)
         D = ModulusDatum.monomial(spec, [1] * r)
+        error = None
         try:
             cert = bounding_surface(Z, D)
             ok = cert.valid and verify_certificate(cert)
         except Exception as exc:  # noqa: BLE001 - failures are recorded, not raised
-            ok = False
-        res.record(ok, f"case {k}: {f.to_text()}")
+            ok, error = False, exc
+        res.record(ok, _failed_by(f"case {k}: {f.to_text()}", error))
     return res
 
 
@@ -249,12 +260,13 @@ def suite_zero_cycle_witnesses(rng, count=200) -> SuiteResult:
         z = ClosedPoint(spec, coords, [])
         D = ModulusDatum.monomial(spec, m)
         variant = "plain" if k % 4 else "product_base"
+        error = None
         try:
             cert = zero_cycle_vanishing_witness(z, D, n=0, variant=variant)
             ok = cert.valid and verify_certificate(cert)
-        except Exception:
-            ok = False
-        res.record(ok, f"case {k}: {z!r} m={m} {variant}")
+        except Exception as exc:
+            ok, error = False, exc
+        res.record(ok, _failed_by(f"case {k}: {z!r} m={m} {variant}", error))
     return res
 
 
@@ -303,7 +315,7 @@ def suite_weil_reciprocity(rng, count=100) -> SuiteResult:
         g = UniPoly(spec, [rng.randrange(p) for _ in range(rng.randrange(1, 4))] + [rng.randrange(1, p)])
         sym = MilnorElement(ff, [(1, MilnorSymbol(ff, [RatFunc.from_poly(f), RatFunc.from_poly(g)]))])
         total = spec.one
-        ok = True
+        error = None
         try:
             for v, e in total_delta(sym).items():
                 val = k1_value(e)
@@ -311,9 +323,9 @@ def suite_weil_reciprocity(rng, count=100) -> SuiteResult:
                     val = norm_k1_finite(val)
                 total = total * val
             ok = total == spec.one
-        except Exception:
-            ok = False
-        res.record(ok, f"case {k}: f={f.to_text()}, g={g.to_text()}")
+        except Exception as exc:
+            ok, error = False, exc
+        res.record(ok, _failed_by(f"case {k}: f={f.to_text()}, g={g.to_text()}", error))
     return res
 
 
@@ -370,14 +382,15 @@ def suite_xi_curves(rng, count=50) -> SuiteResult:
             used.add(b.value)
             fs.append(t - RatFunc.const(spec, b))
         u = RatFunc.const(spec, _rand_elem(rng, spec, nonzero=True))
+        error = None
         try:
             curve = xi_curve(fs, u, pi, r)
             sym = MilnorElement(ff, [(1, MilnorSymbol(ff, fs + [u * RatFunc.from_poly(pi) ** r]))])
             out = verify_xi_curve(curve, sym)
             ok = out.ok
-        except Exception:
-            ok = False
-        res.record(ok, f"case {k}")
+        except Exception as exc:
+            ok, error = False, exc
+        res.record(ok, _failed_by(f"case {k}", error))
     return res
 
 
@@ -394,15 +407,16 @@ def suite_boundary_square(rng, count=200) -> SuiteResult:
         bP = boundary(Z, level0_flag=False)
         ok = not boundary(bP, level0_flag=False)
         Zo = psi_convert(Z, CoordModel.ORIGINAL)
+        error = None
         if check_face_condition(Zo).passed:
             b1 = boundary(Zo, level0_flag=False)
             ok = ok and not boundary(b1, level0_flag=False)
             # conversion conjugates the boundary
             try:
                 ok = ok and psi_convert(bP, CoordModel.ORIGINAL) == b1
-            except Exception:
-                ok = False
-        res.record(ok, f"case {k}: n={n}")
+            except Exception as exc:
+                ok, error = False, exc
+        res.record(ok, _failed_by(f"case {k}: n={n}", error))
     return res
 
 
@@ -460,8 +474,15 @@ _SMALL_COUNTS = {
 
 
 def run_suites(seed: int, sizes: str = "full", only: list[str] | None = None) -> dict:
-    """Run the property suites with a fixed seed; the report is deterministic."""
+    """Run the property suites with a fixed seed; the report is deterministic.
+
+    ``only`` names the suites to run, all of them when it is empty; an empty
+    or unknown name raises UnknownSuite."""
     names = sorted(only) if only else sorted(SUITES)
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise UnknownSuite(f"unknown suite names {unknown}; the suites are "
+                           f"{', '.join(sorted(SUITES))}")
     results = []
     all_passed = True
     for name in names:

@@ -40,9 +40,9 @@ from .cycles import (
     check_modulus_codim1,
     check_modulus_zerocycle,
     curve_avoids_divisor,
+    curve_boundary,
     prune_degenerate,
     psi_convert,
-    pushforward_closed_immersion,
 )
 from . import serialize as ser
 
@@ -277,13 +277,36 @@ def _boundary_equals(surface, target, level0_flag) -> bool:
 
 
 def _curve_bounds(curve, embedding, target) -> bool:
-    got = pushforward_closed_immersion(curve, embedding).boundary()
+    got = curve_boundary(curve, embedding=embedding)
     return ser.zerocycle_to_json(got) == ser.zerocycle_to_json(target[0])
 
 
 def _point_on_curve(field, embedding, parameter, point_t) -> bool:
     values = [e.eval(parameter) for e in embedding]
     return len(values) == len(point_t) and all(v == w for v, w in zip(values, point_t))
+
+
+def _boundary_faces(B: HypersurfaceCycle) -> list:
+    """The ``boundary_faces`` of an identity claim: each component of the
+    boundary B in text order, with its multiplicity and rho; distinct
+    components have distinct texts, so the sort never compares two of them."""
+    faces = sorted((p.to_text(), m, p) for p, m in B.terms.items())
+    return [{"poly": text, "mult": m, "rho": ser.element_to_json(_component_rho(p))}
+            for text, m, p in faces]
+
+
+def _rendered_boundary(memo, cycle) -> list:
+    """The ``boundary_faces`` of ``cycle``'s JSON, rendered from the boundary
+    its rho check keeps in ``memo`` (see :func:`_boundary`), which this
+    computes no second time.  It never raises: a cycle without a kept
+    boundary, or a component without a rho, reads as missing."""
+    B = memo.get(("boundary", repr(cycle)))
+    if B is None:
+        return _MISSING
+    try:
+        return _boundary_faces(B)
+    except WitnessError:
+        return _MISSING
 
 
 def _in_original_model(memo, point: dict) -> dict:
@@ -373,7 +396,8 @@ CLAIMS = {
         "face_condition": {"cycle": "claim.cycle"},
         "modulus_codim1": {"cycle": "claim.cycle"},
         "rho_of_boundary_zero": {"cycle": "claim.cycle"},
-    }, ("witnesses.0", "claim.cycle"), ("convention.model", "claim.cycle.model")),
+    }, ("witnesses.0", "claim.cycle"), ("convention.model", "claim.cycle.model"),
+        ((_rendered_boundary, "claim.cycle"), "claim.boundary_faces")),
     "bounding": _claim("vanishing", "the level-0 cycle bounds", {
         "face_condition": {"cycle": "witnesses.0"},
         "modulus_codim1": {"cycle": "witnesses.0"},
@@ -555,10 +579,7 @@ def verify_rho_reciprocity(W: HypersurfaceCycle, D: ModulusDatum) -> WitnessCert
     if not cert.valid:
         raise WitnessError("the input cycle is not certified admissible")
     cert.transcript.extend(entries)
-    cert.claim["boundary_faces"] = [
-        {"poly": p.to_text(), "mult": m, "rho": ser.element_to_json(_component_rho(p))}
-        for m, p in _boundary(memo, cycle_json, {})[0].components()
-    ]
+    cert.claim["boundary_faces"] = _boundary_faces(_boundary(memo, cycle_json, {})[0])
     return cert
 
 

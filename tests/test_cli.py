@@ -537,57 +537,97 @@ def _squarefree_f7_text(degree):
     return f.to_text()
 
 
+# name -> (argv, certificate passed as --file or None, exit code, error type
+# or None)
+UNTRUSTED_CASES = {
+    "generator-a-over-0": (["generator", "--a", "1/0", "--field", "Q"], None, 2, "InputError"),
+    "totaro-entry-over-0": (["curves", "totaro", "--field", "Q", "--entries", "1/0"],
+                            None, 2, "InputError"),
+    "xi-entry-over-0": (["curves", "xi", "--field", "Q", "--entries", "t - 2/0", "--unit", "3",
+                         "--pi", "t - 1"], None, 2, "ParseError"),
+    "verify-point-over-0": (
+        ["verify"], _tampered_certificate(0, ["cycle", "points", 0, "t", 0], "1/0"), 1, None),
+    "verify-field-over-0": (
+        ["verify"], _tampered_certificate(0, ["cycle", "field", "ext"], ["1/0", "0", "1"]),
+        1, None),
+    "verify-embedding-over-0": (
+        ["verify"], _tampered_certificate(-1, ["embedding", 0], "s/0"), 1, None),
+    # curve_avoids_divisor with no coordinates, or three for r = 2
+    "verify-avoids-empty-list": (["verify"], _tampered_certificate(3, ["embedding"], []), 1, None),
+    "verify-avoids-empty-object": (
+        ["verify"], _tampered_certificate(3, ["embedding"], {}), 1, None),
+    "verify-avoids-empty-string": (
+        ["verify"], _tampered_certificate(3, ["embedding"], ""), 1, None),
+    "verify-avoids-three-coordinates": (
+        ["verify"], _tampered_certificate(3, ["embedding"], ["s", "(6)/(s)", "s"]), 1, None),
+    # an embedding needs a graph curve
+    "verify-embedding-on-constant-base": (["verify"], _tampered_certificate(-1, ["curve"], {
+        "field": {"char": 7}, "model": "ORIGINAL", "base_t": ["5"], "components": ["t + 5"],
+    }), 1, None),
+    # the factorization bounds, each at bound + 1
+    "split-degree": (["curves", "xi", "--field", "Fp:7", "--unit", "3", "--pi", "t - 1",
+                      "--entries", _squarefree_f7_text(SQUAREFREE_SPLIT_MAX_DEGREE + 1)],
+                     None, 2, "UnfactorableEntry"),
+    "rational-root-integer": (XI_Q + [f"t^2 + {RATIONAL_ROOT_MAX_INT + 1}"],
+                              None, 2, "UnfactorableEntry"),
+    # end coefficients with 19 and 27 divisors: 2 * 19 * 27 candidate roots
+    "rational-root-tries": (XI_Q + [f"{3**18}*t^2 + {2**26}"], None, 2, "UnfactorableEntry"),
+    # a power that XI_MAX_POWER admits finishes, over Q too
+    "xi-max-power-over-q": (["curves", "xi", "--field", "Q", "--entries", "t - 2", "--unit", "3",
+                             "--pi", "t - 1/2", "--power", str(XI_MAX_POWER)], None, 0, None),
+}
+
+
 class TestUntrustedInputInASubprocess:
     """Malformed or oversized input ends in a JSON report and an exit code,
     never a traceback or a hang."""
 
-    @pytest.mark.parametrize("argv, cert, exit_code, error", [
-        (["generator", "--a", "1/0", "--field", "Q"], None, 2, "InputError"),
-        (["curves", "totaro", "--field", "Q", "--entries", "1/0"], None, 2, "InputError"),
-        (["curves", "xi", "--field", "Q", "--entries", "t - 2/0", "--unit", "3", "--pi", "t - 1"],
-         None, 2, "ParseError"),
-        (["verify"], _tampered_certificate(0, ["cycle", "points", 0, "t", 0], "1/0"), 1, None),
-        (["verify"], _tampered_certificate(0, ["cycle", "field", "ext"], ["1/0", "0", "1"]),
-         1, None),
-        (["verify"], _tampered_certificate(-1, ["embedding", 0], "s/0"), 1, None),
-        # curve_avoids_divisor with no coordinates, or three for r = 2
-        (["verify"], _tampered_certificate(3, ["embedding"], []), 1, None),
-        (["verify"], _tampered_certificate(3, ["embedding"], {}), 1, None),
-        (["verify"], _tampered_certificate(3, ["embedding"], ""), 1, None),
-        (["verify"], _tampered_certificate(3, ["embedding"], ["s", "(6)/(s)", "s"]), 1, None),
-        # an embedding needs a graph curve
-        (["verify"], _tampered_certificate(-1, ["curve"], {
-            "field": {"char": 7}, "model": "ORIGINAL", "base_t": ["5"], "components": ["t + 5"],
-        }), 1, None),
-        # the factorization bounds, each at bound + 1
-        (["curves", "xi", "--field", "Fp:7", "--unit", "3", "--pi", "t - 1",
-          "--entries", _squarefree_f7_text(SQUAREFREE_SPLIT_MAX_DEGREE + 1)],
-         None, 2, "UnfactorableEntry"),
-        (XI_Q + [f"t^2 + {RATIONAL_ROOT_MAX_INT + 1}"], None, 2, "UnfactorableEntry"),
-        # end coefficients with 19 and 27 divisors: 2 * 19 * 27 candidate roots
-        (XI_Q + [f"{3**18}*t^2 + {2**26}"], None, 2, "UnfactorableEntry"),
-        # a power that XI_MAX_POWER admits finishes, over Q too
-        (["curves", "xi", "--field", "Q", "--entries", "t - 2", "--unit", "3",
-          "--pi", "t - 1/2", "--power", str(XI_MAX_POWER)], None, 0, None),
-    ], ids=["generator-a-over-0", "totaro-entry-over-0", "xi-entry-over-0",
-            "verify-point-over-0", "verify-field-over-0", "verify-embedding-over-0",
-            "verify-avoids-empty-list", "verify-avoids-empty-object", "verify-avoids-empty-string",
-            "verify-avoids-three-coordinates",
-            "verify-embedding-on-constant-base", "split-degree", "rational-root-integer",
-            "rational-root-tries", "xi-max-power-over-q"])
-    def test_exit_code_and_json_report(self, tmp_path, argv, cert, exit_code, error):
-        if cert is not None:
-            path = tmp_path / "cert.json"
-            path.write_text(json.dumps(cert))
-            argv = argv + ["--file", str(path)]
+    # one process runs every subcommand in a list; an exception that escapes
+    # main ends the process with a traceback on stderr
+    RUN_EACH = (
+        "import contextlib, io, json, sys\n"
+        "from modcycles.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    print(json.dumps([argv, code, json.loads(out.getvalue()), err.getvalue()]))\n"
+    )
+
+    @classmethod
+    def run_each(cls, argvs, timeout=60):
+        """The RUN_EACH process over ``argvs``, and its [argv, exit code,
+        report, stderr] line for each argv."""
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from modcycles.cli import main; sys.exit(main())",
-             *argv], capture_output=True, text=True, timeout=60, env=env)
+        proc = subprocess.run([sys.executable, "-c", cls.RUN_EACH, json.dumps(argvs)],
+                              capture_output=True, text=True, timeout=timeout, env=env)
+        return proc, [json.loads(line) for line in proc.stdout.splitlines()]
+
+    @pytest.fixture(scope="class")
+    def untrusted_runs(self, tmp_path_factory):
+        """The process that ran every case of UNTRUSTED_CASES, and each case's
+        (argv, exit code, report, stderr) by name."""
+        tmp = tmp_path_factory.mktemp("untrusted")
+        argvs = []
+        for name, (argv, cert, _, _) in UNTRUSTED_CASES.items():
+            if cert is not None:
+                path = tmp / f"{name}.json"
+                path.write_text(json.dumps(cert))
+                argv = argv + ["--file", str(path)]
+            argvs.append(argv)
+        proc, results = self.run_each(argvs, timeout=60 * len(argvs))
+        return proc, dict(zip(UNTRUSTED_CASES, results))
+
+    @pytest.mark.parametrize("name", list(UNTRUSTED_CASES))
+    def test_exit_code_and_json_report(self, untrusted_runs, name):
+        argv, _, exit_code, error = UNTRUSTED_CASES[name]
+        proc, results = untrusted_runs
         assert proc.stderr == ""
-        assert proc.returncode == exit_code
-        report = json.loads(proc.stdout)
+        got_argv, code, report, stderr = results[name]
+        assert got_argv[:len(argv)] == argv
+        assert stderr == ""
+        assert code == exit_code
         if error is not None:
             assert report["error"]["type"] == error
         elif argv[0] == "verify":
@@ -617,17 +657,6 @@ class TestUntrustedInputInASubprocess:
         (["ktheory", "reduce"], "--file"), (["ktheory", "tame", "--infinity"], "--file"),
         (["ktheory", "delta"], "--file"), (["verify"], "--file"),
     ]
-    # one process per document runs every subcommand on it; an exception
-    # that escapes main ends the process with a traceback on stderr
-    RUN_EACH = (
-        "import contextlib, io, json, sys\n"
-        "from modcycles.cli import main\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    out = io.StringIO()\n"
-        "    with contextlib.redirect_stdout(out):\n"
-        "        code = main(argv)\n"
-        "    print(json.dumps([argv, code, json.loads(out.getvalue())]))\n"
-    )
 
     def test_forged_certificates_exit_1_and_unknown_claims_exit_2(self, tmp_path):
         certs = forged_certificates()
@@ -639,14 +668,11 @@ class TestUntrustedInputInASubprocess:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(cert))
             argvs.append(["verify", "--file", str(path)])
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-        proc = subprocess.run([sys.executable, "-c", self.RUN_EACH, json.dumps(argvs)],
-                              capture_output=True, text=True, timeout=60, env=env)
+        proc, results = self.run_each(argvs)
         assert proc.stderr == "" and proc.returncode == 0
-        results = [json.loads(line) for line in proc.stdout.splitlines()]
-        assert [argv for argv, _, _ in results] == argvs
-        for argv, code, report in results:
+        assert [argv for argv, *_ in results] == argvs
+        for argv, code, report, stderr in results:
+            assert stderr == "", argv
             if argv[-1].endswith("unknown-claim-kind.json"):
                 assert code == 2 and report["error"]["type"] == "MalformedCertificate"
             else:
@@ -657,15 +683,12 @@ class TestUntrustedInputInASubprocess:
         path = tmp_path / f"{shape}.json"
         path.write_text(json.dumps(self.WRONG_SHAPES[shape]))
         argvs = [argv + [flag, str(path)] for argv, flag in self.FILE_READERS]
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-        proc = subprocess.run([sys.executable, "-c", self.RUN_EACH, json.dumps(argvs)],
-                              capture_output=True, text=True, timeout=60, env=env)
+        proc, results = self.run_each(argvs)
         assert proc.stderr == ""
         assert proc.returncode == 0
-        results = [json.loads(line) for line in proc.stdout.splitlines()]
-        assert [argv for argv, _, _ in results] == argvs
-        for argv, code, report in results:
+        assert [argv for argv, *_ in results] == argvs
+        for argv, code, report, stderr in results:
+            assert stderr == "", argv
             assert code == 2, argv
             assert report["error"]["type"] in (
                 "InputError", "SerializationError", "MalformedCertificate"), argv

@@ -19,7 +19,9 @@ from modcycles.cycles import (
     ClosedPoint,
     CoordModel,
     CycleError,
+    DegenerateCurve,
     HypersurfaceCycle,
+    ImproperBoundary,
     ImproperFaceIntersection,
     ModulusDatum,
     ModulusVerdict,
@@ -148,6 +150,15 @@ def reference_psi_convert(Z, to_model):
         if q and not q.is_constant:
             out.append((m, q))
     return HypersurfaceCycle(Z.spec, Z.vars, to_model, out)
+
+
+def error_of(fn, *args):
+    """The type of the CycleError that fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except CycleError as exc:
+        return type(exc)
+    return None
 
 
 def outcome_of(fn, *args, **kwargs):
@@ -816,7 +827,7 @@ class TestPushforward:
         emb = (s, RatFunc.const(F7, F7.element(6)) / s)
         comp = s - RatFunc.const(F7, 2)
         curve = ParamCurve(F7, CoordModel.ORIGINAL, [comp], graph_over_base=True)
-        pushed = pushforward_closed_immersion(curve, emb).boundary()
+        pushed = curve_boundary(curve, embedding=emb)
         assert pushed == ZeroCycle(F7, CoordModel.ORIGINAL, 2, 0,
                                    [(1, ClosedPoint(F7, [F7.element(2), F7.element(3)], []))])
 
@@ -863,10 +874,84 @@ class TestCurveBoundary:
         emb = (s, RatFunc.const(Q, c) / s, RatFunc.const(Q, 4))
         comp = s - RatFunc.const(Q, Fraction(1, 2))
         curve = ParamCurve(Q, CoordModel.ORIGINAL, [comp], graph_over_base=True)
-        b = pushforward_closed_immersion(curve, emb).boundary()
+        b = curve_boundary(curve, embedding=emb)
         target = ClosedPoint(Q, [Q.element(Fraction(1, 2)), Q.element(3), Q.element(4)], [])
         assert b == ZeroCycle(Q, CoordModel.ORIGINAL, 3, 0, [(1, target)])
         assert curve_avoids_divisor(emb, ModulusDatum.monomial(Q, [1, 2, 3]))
+
+
+ORIGINAL, PSI = CoordModel.ORIGINAL, CoordModel.PSI
+
+
+class TestCube:
+    """Where a coordinate value lies on the cube, in both models, over F7.
+
+    Per (model, value): whether a constant curve component there raises
+    DegenerateCurve, the 0-cycle face verdict, what happens to a curve
+    boundary point whose remaining coordinate is there, and whether
+    psi_convert of a point or a constant curve component there hits the
+    pole.  Infinity is no field element, so only the curve boundary sees it.
+    """
+
+    TABLE = [
+        # model, value, constant component raises, 0-cycle kind, the boundary
+        # point at s = 0 (its multiplicity, the sign of y1 = 0), pole
+        (ORIGINAL, 0, True, "improper", "raises", False),
+        (ORIGINAL, 1, True, "excluded", "dropped", True),
+        (ORIGINAL, INFINITY, None, None, "raises", None),
+        (ORIGINAL, 3, False, None, 1, False),
+        (PSI, 0, True, "improper", "raises", True),
+        (PSI, 1, True, "improper", "raises", False),
+        (PSI, INFINITY, None, None, "dropped", None),
+        (PSI, 3, False, None, -1, False),
+    ]
+
+    @staticmethod
+    def curve_through(model, value):
+        """The graph curve (s, g) with g(0) = value: its first component meets
+        the face 0 at s = 0, and every other point where a component meets a
+        face has its remaining coordinate inside the cube."""
+        s = RatFunc.param(F7)
+        g = (1 + 2 * s) / s if value is INFINITY else RatFunc.const(F7, value) + 2 * s
+        return ParamCurve(F7, model, [s, g], graph_over_base=True)
+
+    @staticmethod
+    def unchecked_curve(model, value):
+        """A curve with the constant component ``value``, built without the
+        constructor, which rejects a component on a face or the puncture."""
+        curve = object.__new__(ParamCurve)
+        curve.spec, curve.model, curve.base_t_coords = F7, model, ()
+        curve.components, curve.graph_over_base = (RatFunc.const(F7, value),), True
+        return curve
+
+    @pytest.mark.parametrize("model, value, degenerate, kind, point, pole", TABLE)
+    def test_where_a_value_lies(self, model, value, degenerate, kind, point, pole):
+        if value is not INFINITY:
+            constant = [RatFunc.const(F7, value)]
+            assert error_of(ParamCurve, F7, model, constant) is \
+                (DegenerateCurve if degenerate else None)
+
+            pt = ClosedPoint(F7, [F7.one], [F7.element(value)])
+            report = check_face_condition(ZeroCycle(F7, model, 1, 1, [(1, pt)]))
+            assert [v.kind for v in report.violations] == ([kind] if kind else [])
+
+            assert error_of(psi_convert, pt, model.other) is (UndefinedAtPole if pole else None)
+            # off the pole, a constant component on a face or the puncture
+            # converts to one there, which the curve constructor rejects
+            curve = self.unchecked_curve(model, value)
+            assert error_of(psi_convert, curve, model.other) is \
+                (UndefinedAtPole if pole else DegenerateCurve if degenerate else None)
+
+        curve = self.curve_through(model, value)
+        if point == "raises":
+            with pytest.raises(ImproperBoundary):
+                curve_boundary(curve)
+            return
+        b = curve_boundary(curve)
+        at_zero = [m for p, m in b.items() if not p.t_coords[0]]
+        assert at_zero == ([] if point == "dropped" else [point])
+        # a kept or dropped point stays so in the other model
+        assert psi_convert(b, model.other) == curve_boundary(psi_convert(curve, model.other))
 
 
 # sha256 of _curve_boundary_corpus(), computed before embedded boundaries were
@@ -933,7 +1018,7 @@ def _curve_boundary_corpus():
                     lambda: ser.zerocycle_to_json(curve_boundary(curve).scale(sign)))
                 record[f"pushed{flip}"] = _outcome(
                     lambda: ser.zerocycle_to_json(
-                        pushforward_closed_immersion(curve, emb).boundary().scale(sign)))
+                        curve_boundary(curve, embedding=emb).scale(sign)))
             sym = MilnorElement(ff, [(1, MilnorSymbol(ff, curve.components))])
             record["delta"] = _outcome(lambda: [
                 [ser.place_to_json(v), ser.milnor_element_to_json(e)]

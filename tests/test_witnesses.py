@@ -137,6 +137,14 @@ def forged_certificates():
         ClosedPoint(F7, [F7.element(x), F7.element(y)], []), D11_F7)) for x, y in ((2, 3), (5, 1)))
     a["transcript"][2:] = b["transcript"][2:]
     forged["zero-cycle-splice"] = a
+    # reciprocity faces whose rho values still sum to 0 mod 7, with the first
+    # face's rho 5 read as 6 and the last face (rho 6) dropped
+    identity = as_json(verify_rho_reciprocity(
+        cyc("1 - t1*t2*(2*y1*y2 + 3*y1 + 4*y2 + 5)", n=2), D11_F7))
+    faces = identity["claim"]["boundary_faces"]
+    faces[0]["rho"] = "6"
+    del faces[-1]
+    forged["identity-boundary-faces"] = identity
     return forged
 
 
@@ -277,8 +285,12 @@ class TestRhoReciprocity:
         real = witnesses.boundary
         monkeypatch.setattr(witnesses, "boundary", lambda *a, **k: calls.append(a) or real(*a, **k))
         W = cyc("1 - t1*t2*(2*y1*y2 + 3*y1 + 4*y2 + 5)", n=2)
-        assert verify_rho_reciprocity(W, D11_F7).valid
+        cert = verify_rho_reciprocity(W, D11_F7)
+        assert cert.valid
         assert len(calls) == 1
+        # verifying checks boundary_faces against the boundary the rho entry built
+        assert verify_certificate(as_json(cert))
+        assert len(calls) == 2
 
     def test_with_higher_order_terms(self):
         W = cyc("1 - t1*t2*(2*y1*y2 + 3*y1 + 4*y2 + 5) + t1^3*t2*(y1*y2 + 2)", n=2)
