@@ -25,11 +25,12 @@ from __future__ import annotations
 import itertools
 from typing import Callable, NamedTuple, Sequence
 
-from .fields import FieldElement, FieldSpec
-from .polyring import InexactDivision, MultiPoly, RatFunc, VarSet
+from .fields import FieldElement, FieldError, FieldSpec
+from .polyring import InexactDivision, MultiPoly, PolyError, RatFunc, VarSet
 from .cycles import (
     ClosedPoint,
     CoordModel,
+    CycleError,
     HypersurfaceCycle,
     ModulusDatum,
     ModulusVerdict,
@@ -288,24 +289,20 @@ def _point_on_curve(field, embedding, parameter, point_t) -> bool:
 
 def _boundary_faces(B: HypersurfaceCycle) -> list:
     """The ``boundary_faces`` of an identity claim: each component of the
-    boundary B in text order, with its multiplicity and rho; distinct
-    components have distinct texts, so the sort never compares two of them."""
-    faces = sorted((p.to_text(), m, p) for p, m in B.terms.items())
-    return [{"poly": text, "mult": m, "rho": ser.element_to_json(_component_rho(p))}
-            for text, m, p in faces]
+    boundary B in text order, with its multiplicity and rho."""
+    return [{"poly": p.to_text(), "mult": m, "rho": ser.element_to_json(_component_rho(p))}
+            for m, p in B.components()]
 
 
 def _rendered_boundary(memo, cycle) -> list:
-    """The ``boundary_faces`` of ``cycle``'s JSON, rendered from the boundary
-    its rho check keeps in ``memo`` (see :func:`_boundary`), which this
-    computes no second time.  It never raises: a cycle without a kept
-    boundary, or a component without a rho, reads as missing."""
-    B = memo.get(("boundary", repr(cycle)))
-    if B is None:
-        return _MISSING
+    """The ``boundary_faces`` of ``cycle``'s JSON.  Its boundary is the one
+    the rho check kept in ``memo`` (see :func:`_boundary`) whenever the two
+    JSONs have the same repr, and is computed again when only their key
+    order differs.  It never raises: anything unreadable reads as missing."""
     try:
-        return _boundary_faces(B)
-    except WitnessError:
+        return _boundary_faces(_boundary(memo, cycle, None)[0])
+    except (WitnessError, CycleError, FieldError, PolyError, ser.SerializationError,
+            KeyError, TypeError, AttributeError, ValueError):
         return _MISSING
 
 
@@ -521,9 +518,6 @@ def verify_certificate(cert: WitnessCertificate | dict) -> bool:
     structurally broken certificates and unknown claim or check kinds raise
     MalformedCertificate.
     """
-    from .fields import FieldError
-    from .polyring import PolyError
-    from .cycles import CycleError
     from .milnor import MilnorError
 
     if isinstance(cert, dict):

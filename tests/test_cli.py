@@ -595,13 +595,13 @@ class TestUntrustedInputInASubprocess:
     )
 
     @classmethod
-    def run_each(cls, argvs, timeout=60):
+    def run_each(cls, argvs):
         """The RUN_EACH process over ``argvs``, and its [argv, exit code,
         report, stderr] line for each argv."""
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
         proc = subprocess.run([sys.executable, "-c", cls.RUN_EACH, json.dumps(argvs)],
-                              capture_output=True, text=True, timeout=timeout, env=env)
+                              capture_output=True, text=True, timeout=60, env=env)
         return proc, [json.loads(line) for line in proc.stdout.splitlines()]
 
     @pytest.fixture(scope="class")
@@ -616,7 +616,7 @@ class TestUntrustedInputInASubprocess:
                 path.write_text(json.dumps(cert))
                 argv = argv + ["--file", str(path)]
             argvs.append(argv)
-        proc, results = self.run_each(argvs, timeout=60 * len(argvs))
+        proc, results = self.run_each(argvs)
         return proc, dict(zip(UNTRUSTED_CASES, results))
 
     @pytest.mark.parametrize("name", list(UNTRUSTED_CASES))

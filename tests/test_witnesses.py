@@ -292,6 +292,16 @@ class TestRhoReciprocity:
         assert verify_certificate(as_json(cert))
         assert len(calls) == 2
 
+    def test_boundary_faces_check_ignores_key_order(self):
+        # objects are compared as parsed JSON: the claim's cycle with its keys
+        # reversed is still the rho entry's cycle
+        W = cyc("1 - t1*t2*(2*y1*y2 + 3*y1 + 4*y2 + 5)", n=2)
+        cert = as_json(verify_rho_reciprocity(W, D11_F7))
+        cycle = cert["claim"]["cycle"]
+        cert["claim"]["cycle"] = dict(reversed(list(cycle.items())))
+        assert json.dumps(cert["claim"]["cycle"]) != json.dumps(cycle)
+        assert verify_certificate(cert)
+
     def test_with_higher_order_terms(self):
         W = cyc("1 - t1*t2*(2*y1*y2 + 3*y1 + 4*y2 + 5) + t1^3*t2*(y1*y2 + 2)", n=2)
         cert = verify_rho_reciprocity(W, D11_F7)
