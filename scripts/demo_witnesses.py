@@ -16,9 +16,6 @@ from modcycles import (  # noqa: E402
     ClosedPoint,
     CoordModel,
     HypersurfaceCycle,
-    FunctionField,
-    MilnorElement,
-    MilnorSymbol,
     ModulusDatum,
     RatFunc,
     UniPoly,
@@ -29,6 +26,7 @@ from modcycles import (  # noqa: E402
     make_field,
     parse_poly,
     rho,
+    theta_map,
     totaro_steinberg_curve,
     total_delta,
     verify_certificate,
@@ -74,17 +72,15 @@ def main() -> None:
 
     print("\n== a residue symbol bounds on its graph ==")
     F5 = make_field(5)
-    ff = FunctionField(F5)
     t = RatFunc.param(F5)
     pi = UniPoly(F5, [4, 1])  # t - 1
     fs = [t - RatFunc.const(F5, 2)]
     u = RatFunc.const(F5, 3)
     curve = xi_curve(fs, u, pi, 2)
-    symbol = MilnorElement(ff, [(1, MilnorSymbol(ff, fs + [u * RatFunc.from_poly(pi) ** 2]))])
     print("total residue:")
-    for v, e in total_delta(symbol, include_infinity=False).items():
+    for v, e in total_delta(theta_map(curve), include_infinity=False).items():
         print(f"  {v!r}: {e!r}")
-    out = verify_xi_curve(curve, symbol)
+    out = verify_xi_curve(curve)
     print(f"graph boundary matches (global sign {out.sign}): {out.ok}")
     print(f"boundary: {out.actual!r}")
 

@@ -10,6 +10,7 @@ from .fields import (
     FieldElement,
     FieldSpec,
     Factorization,
+    ModcyclesError,
     UniPoly,
     factor_univariate,
     make_field,

@@ -14,12 +14,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .fields import FieldError, make_field
-from .polyring import PolyError, VarSet, parse_poly, parse_ratfunc, parse_unipoly
+from .fields import ModcyclesError, make_field
+from .polyring import VarSet, parse_poly, parse_ratfunc, parse_unipoly
 from .cycles import (
     FACE_CHECK_MAX_N,
     CoordModel,
-    CycleError,
     HypersurfaceCycle,
     ModulusDatum,
     ModulusVerdict,
@@ -34,7 +33,6 @@ from .milnor import (
     FunctionField,
     K2_ORACLE_MAX_Q,
     XI_MAX_POWER,
-    MilnorError,
     Valuation,
     k2_table,
     symbol_reduce,
@@ -46,12 +44,9 @@ from .milnor import (
     verify_steinberg_curve,
     verify_xi_curve,
     xi_curve,
-    MilnorElement,
-    MilnorSymbol,
 )
 from .witnesses import (
     GENERATOR_MAX_R,
-    WitnessError,
     bounding_surface,
     generator_cycle,
     rho,
@@ -62,10 +57,8 @@ from .witnesses import (
 from . import serialize as ser
 from .suites import run_suites
 
-from .polyring import RatFunc
 
-
-class InputError(Exception):
+class InputError(ModcyclesError):
     pass
 
 
@@ -317,9 +310,7 @@ def cmd_curves(args) -> int:
         u = parse_ratfunc(args.unit, spec)
         pi = parse_unipoly(args.pi, spec).monic()
         curve = xi_curve(fs, u, pi, args.power)
-        ff = FunctionField(spec)
-        sym = MilnorElement(ff, [(1, MilnorSymbol(ff, fs + [u * RatFunc.from_poly(pi) ** args.power]))])
-        out = verify_xi_curve(curve, sym)
+        out = verify_xi_curve(curve)
     report = {
         "curve": ser.curve_to_json(curve),
         "boundary": ser.zerocycle_to_json(out.actual),
@@ -469,8 +460,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, FieldError, PolyError, CycleError, MilnorError,
-            WitnessError, ser.SerializationError, ValueError) as exc:
+    except (ModcyclesError, ValueError) as exc:
         sys.stdout.write(json.dumps(
             {"error": {"type": type(exc).__name__, "message": str(exc)}},
             indent=2) + "\n")

@@ -35,6 +35,7 @@ from .fields import (
     ExtensionNotSupported,
     FieldElement,
     FieldSpec,
+    ModcyclesError,
     UniPoly,
     WrongField,
     factor_univariate,
@@ -44,7 +45,7 @@ from .fields import (
 from .polyring import INFINITY, MultiPoly, RatFunc, VarSet
 
 
-class CycleError(Exception):
+class CycleError(ModcyclesError):
     pass
 
 
@@ -61,10 +62,6 @@ class WrongModel(CycleError):
 
 
 class UndefinedAtPole(CycleError):
-    pass
-
-
-class ModulusNotAvoided(CycleError):
     pass
 
 
@@ -1029,13 +1026,11 @@ def curve_boundary(curve: ParamCurve, *, embedding: Sequence[RatFunc] | None = N
     return out if embedding is None else pushforward_closed_immersion(out, embedding)
 
 
-def pushforward_closed_immersion(obj: ZeroCycle, embedding: Sequence[RatFunc],
-                                 D: ModulusDatum | None = None) -> ZeroCycle:
+def pushforward_closed_immersion(obj: ZeroCycle, embedding: Sequence[RatFunc]) -> ZeroCycle:
     """Push a 0-cycle on a parametrized curve forward along a closed
     immersion given by coordinate functions of the parameter.
 
-    Points map by coordinate composition with multiplicity 1.  When a modulus
-    datum is attached, every image point must avoid the divisor.  A curve's
+    Points map by coordinate composition with multiplicity 1.  A curve's
     boundary is pushed forward by :func:`curve_boundary` with its embedding.
     """
     if not isinstance(obj, ZeroCycle):
@@ -1053,10 +1048,7 @@ def pushforward_closed_immersion(obj: ZeroCycle, embedding: Sequence[RatFunc],
                     f"embedding has a pole at parameter {s0.to_text()}"
                 )
             t_vals.append(v)
-        image = ClosedPoint(pt.residue_spec, t_vals, pt.y_coords)
-        if D is not None and D.divisor_poly.eval(list(image.t_coords)) == pt.residue_spec.zero:
-            raise ModulusNotAvoided(f"image point {image!r} lies on the divisor")
-        out.append((m, image))
+        out.append((m, ClosedPoint(pt.residue_spec, t_vals, pt.y_coords)))
     return ZeroCycle(obj.spec, obj.model, len(embedding), obj.n, out)
 
 

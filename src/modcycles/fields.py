@@ -24,7 +24,13 @@ from typing import Iterator, Sequence, Union
 Scalar = Union[int, Fraction, "FieldElement"]
 
 
-class FieldError(Exception):
+class ModcyclesError(Exception):
+    """The root of every typed modcycles error: each layer's base class
+    (FieldError, PolyError, CycleError, MilnorError, WitnessError,
+    SerializationError, the CLI's InputError) derives from it."""
+
+
+class FieldError(ModcyclesError):
     """Base class for exact-arithmetic errors."""
 
 

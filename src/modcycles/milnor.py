@@ -28,6 +28,7 @@ from typing import Iterable, Mapping, Sequence
 from .fields import (
     FieldElement,
     FieldSpec,
+    ModcyclesError,
     NotAPlace,
     UniPoly,
     WrongField,
@@ -50,7 +51,7 @@ from .cycles import (
     curve_boundary,
 )
 
-class MilnorError(Exception):
+class MilnorError(ModcyclesError):
     pass
 
 
@@ -671,16 +672,17 @@ def verify_mult_curve(curve: ParamCurve, f: FieldElement, g: FieldElement) -> Cu
     return CurveIdentity(b == expected, b, expected, -1)
 
 
-def verify_xi_curve(curve: ParamCurve, symbol: MilnorElement) -> CurveIdentity:
-    """d(xi) = (-1)^n psi(delta(symbol)) over the finite places, psi extended
-    Z-linearly."""
+def verify_xi_curve(curve: ParamCurve) -> CurveIdentity:
+    """d(xi) = (-1)^n psi(delta(theta(xi))) over the finite places, psi
+    extended Z-linearly; theta(xi) is the symbol {f_1, ..., f_n, u*pi^r} of
+    the curve's components."""
     n = curve.n - 1
     sign = (-1) ** n
     places: dict = {}  # each entry is factored once, for both sides
     b = curve_boundary(curve, places=places)
     spec = curve.spec
     terms = []
-    for v, res in total_delta(symbol, include_infinity=False, places=places).items():
+    for v, res in total_delta(theta_map(curve), include_infinity=False, places=places).items():
         base = v.base_point()
         for sym, m in res.items():
             terms.append((sign * m, ClosedPoint(base.residue_spec, base.t_coords, sym.entries)))

@@ -40,6 +40,7 @@ from typing import Mapping, Sequence
 from .fields import (
     FieldElement,
     FieldSpec,
+    ModcyclesError,
     Scalar,
     UniPoly,
     WrongField,
@@ -49,7 +50,7 @@ from .fields import (
 )
 
 
-class PolyError(Exception):
+class PolyError(ModcyclesError):
     pass
 
 
@@ -1030,8 +1031,6 @@ def parse_poly(text: str, spec: FieldSpec, vars: VarSet) -> MultiPoly:
             return MultiPoly.const(spec, vars, num)
         try:
             return MultiPoly.const(spec, vars, Fraction(num, den))
-        except WrongField:
-            raise
         except ZeroDivisionError:
             raise ParseError("zero denominator", pos) from None
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import FieldElement, FieldSpec, make_field
+from .fields import FieldElement, FieldSpec, ModcyclesError, make_field
 from .polyring import RatFunc, VarSet, parse_poly, parse_ratfunc, parse_unipoly
 from .cycles import (
     ClosedPoint,
@@ -23,7 +23,7 @@ from .cycles import (
 from .milnor import FunctionField, MilnorElement, MilnorSymbol, Valuation
 
 
-class SerializationError(Exception):
+class SerializationError(ModcyclesError):
     pass
 
 

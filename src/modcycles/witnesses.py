@@ -25,12 +25,11 @@ from __future__ import annotations
 import itertools
 from typing import Callable, NamedTuple, Sequence
 
-from .fields import FieldElement, FieldError, FieldSpec
-from .polyring import InexactDivision, MultiPoly, PolyError, RatFunc, VarSet
+from .fields import FieldElement, FieldSpec, ModcyclesError
+from .polyring import InexactDivision, MultiPoly, RatFunc, VarSet
 from .cycles import (
     ClosedPoint,
     CoordModel,
-    CycleError,
     HypersurfaceCycle,
     ModulusDatum,
     ModulusVerdict,
@@ -48,7 +47,7 @@ from .cycles import (
 from . import serialize as ser
 
 
-class WitnessError(Exception):
+class WitnessError(ModcyclesError):
     pass
 
 
@@ -301,8 +300,7 @@ def _rendered_boundary(memo, cycle) -> list:
     order differs.  It never raises: anything unreadable reads as missing."""
     try:
         return _boundary_faces(_boundary(memo, cycle, None)[0])
-    except (WitnessError, CycleError, FieldError, PolyError, ser.SerializationError,
-            KeyError, TypeError, AttributeError, ValueError):
+    except (ModcyclesError, ValueError, KeyError, TypeError, AttributeError):
         return _MISSING
 
 
@@ -518,8 +516,6 @@ def verify_certificate(cert: WitnessCertificate | dict) -> bool:
     structurally broken certificates and unknown claim or check kinds raise
     MalformedCertificate.
     """
-    from .milnor import MilnorError
-
     if isinstance(cert, dict):
         cert = WitnessCertificate.from_json(cert)
     if not isinstance(cert.transcript, list):
@@ -543,8 +539,7 @@ def verify_certificate(cert: WitnessCertificate | dict) -> bool:
             raise MalformedCertificate(
                 f"unreadable data in {check!r} entry: {type(exc).__name__}: {exc}"
             ) from exc
-        except (FieldError, PolyError, CycleError, MilnorError, WitnessError,
-                ser.SerializationError, ValueError):
+        except (ModcyclesError, ValueError):
             return False
         want = _accepted(check, roots, memo)
         if got != want or entry.get("expected") != want or check in entries:

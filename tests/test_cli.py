@@ -333,6 +333,13 @@ class TestSuiteCommand:
 
 
 class TestErrorPaths:
+    def test_every_layer_error_is_a_modcycles_error(self):
+        from modcycles import cli, cycles, fields, milnor, polyring, serialize, witnesses
+
+        roots = [fields.FieldError, polyring.PolyError, cycles.CycleError, milnor.MilnorError,
+                 witnesses.WitnessError, serialize.SerializationError, cli.InputError]
+        assert all(issubclass(cls, fields.ModcyclesError) for cls in roots)
+
     def test_input_error_exits_2(self):
         code, rep = run_json(["rho", "--inline", "1 - t9", "--field", "Fp:7",
                               "--modulus", "1,1"])

@@ -831,16 +831,6 @@ class TestPushforward:
         assert pushed == ZeroCycle(F7, CoordModel.ORIGINAL, 2, 0,
                                    [(1, ClosedPoint(F7, [F7.element(2), F7.element(3)], []))])
 
-    def test_modulus_guard(self):
-        from modcycles.cycles import ModulusNotAvoided
-
-        s = RatFunc.param(F7)
-        emb = (s, s)  # lands in the divisor at s = 0
-        src = ZeroCycle(F7, CoordModel.ORIGINAL, 1, 0,
-                        [(1, ClosedPoint(F7, [F7.zero], []))])
-        with pytest.raises(ModulusNotAvoided):
-            pushforward_closed_immersion(src, emb, ModulusDatum.monomial(F7, [1, 1]))
-
 
 class TestCurveBoundary:
     def test_single_linear_zero(self):

@@ -27,31 +27,44 @@ def boom(*args, **kwargs):
     raise ValueError("boom")
 
 
-psi_convert = suites.psi_convert
-
-
-def psi_convert_failing_one_level_down(obj, to_model):
-    # boundary-square converts its level-2 or 3 cycle outside the handler,
-    # and the level-1 boundary of a level-2 cycle inside it
-    if obj.vars.n == 1:
-        boom()
-    return psi_convert(obj, to_model)
-
-
 class TestFailureCauses:
-    """Each suite that catches exceptions records the type and message of
-    the one that failed a case in the case's failure label."""
+    """A case whose check raises fails, and its failure label ends with the
+    type and message of the exception; the suite runs on to its last case."""
 
-    @pytest.mark.parametrize("name, target, replacement", [
-        ("bounding-surfaces", "bounding_surface", boom),
-        ("zero-cycle-witnesses", "zero_cycle_vanishing_witness", boom),
-        ("weil-reciprocity", "total_delta", boom),
-        ("xi-curves", "xi_curve", boom),
-        ("boundary-square", "psi_convert", psi_convert_failing_one_level_down),
+    @pytest.mark.parametrize("name, target", [
+        ("bounding-surfaces", "bounding_surface"),
+        ("zero-cycle-witnesses", "zero_cycle_vanishing_witness"),
+        ("weil-reciprocity", "total_delta"),
+        ("xi-curves", "xi_curve"),
+        ("boundary-square", "psi_convert"),
+        ("rho-reciprocity", "rho_of_boundary"),
+        ("rho-surjectivity", "generator_cycle"),
+        ("degree-bound", "check_modulus_codim1"),
+        ("tame-formula", "tame_symbol"),
+        ("steinberg-curves", "verify_steinberg_curve"),
+        ("mult-curves", "totaro_mult_curve"),
+        ("face-containment", "face_restrict"),
+        ("boundary-square", "boundary"),
     ])
-    def test_label_names_the_exception(self, monkeypatch, name, target, replacement):
-        monkeypatch.setattr(suites, target, replacement)
+    def test_label_names_the_exception(self, monkeypatch, name, target):
+        monkeypatch.setattr(suites, target, boom)
         out = SUITES[name](random.Random(0), 6)
-        assert out.failures
-        assert all(label.startswith("case ") and label.endswith(": ValueError: boom")
-                   for label in out.failures)
+        # rho-surjectivity labels its cases by field, and a field's coverage
+        # case fails without raising when none of its generators ran
+        prefix = ("F", "Q ") if name == "rho-surjectivity" else ("case ",)
+        raised = [label for label in out.failures if not label.endswith(" image covers the field")]
+        assert raised and all(label.startswith(prefix) and label.endswith(": ValueError: boom")
+                              for label in raised)
+        monkeypatch.undo()
+        assert out.cases == SUITES[name](random.Random(0), 6).cases
+
+    def test_cli_reports_a_raising_case_with_exit_1(self, monkeypatch):
+        def type_error(*args, **kwargs):
+            raise TypeError("boom")
+
+        monkeypatch.setattr(suites, "check_modulus_codim1", type_error)
+        code, rep = run_json(["suite", "--sizes", "small", "--only", "degree-bound"])
+        assert code == 1 and not rep["all_passed"]
+        (res,) = rep["suites"]
+        assert res["suite"] == "degree-bound" and res["cases"] == 20 and res["passes"] == 0
+        assert res["failures"] == [f"case {k}: TypeError: boom" for k in range(20)]
