@@ -469,8 +469,9 @@ class FieldElement:
 # Over a base field no FieldElement is built until a result is wrapped.  One
 # loop per operation serves all three: sums and products are formed with the
 # native operators and, over F_p, reduced mod p once per coefficient.
-# ``powmod``, ``split_at``, ``poly_gcd`` and ``FieldElement.inverse`` are
-# written on top of it.
+# ``FieldElement.inverse``, the UniPoly operations, finite-field and rational
+# factorization and the tame residue of ``milnor.Valuation`` are written on
+# top of it.
 
 
 def _strip(a: list) -> list:
@@ -498,6 +499,12 @@ class _Lists:
     their values.  ``p`` is the prime over F_p, where every result is
     reduced mod p, and 0 over Q and extension fields, whose operators keep
     values canonical.
+
+    Besides the ring operations, division with remainder and ``monic``, it
+    has the derivative, the monic ``gcd``, ``powmod`` and ``split``, the
+    one division loop that takes a place out of a polynomial and leaves
+    the remainder that is its residue.  Finite-field and rational
+    factorization run on these lists end to end.
     """
 
     __slots__ = ("spec", "p", "raw", "zero", "one")
@@ -580,6 +587,33 @@ class _Lists:
             return a
         return [x * inv % p for x in a] if p else [x * inv for x in a]
 
+    def derivative(self, a) -> list:
+        p = self.p
+        terms = enumerate(a[1:], 1)
+        return _strip([x * i % p for i, x in terms] if p else [x * i for i, x in terms])
+
+    def gcd(self, a, b) -> list:
+        """The monic gcd, [] when a and b are both zero."""
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return self.monic(a) if a else []
+
+    def powmod(self, a, n: int, m) -> list:
+        """a^n mod m for n >= 0 and a nonzero m."""
+        return square_and_multiply(self.divmod(a, m)[1], n, self.divmod(self.one, m)[1],
+                                   lambda x, y: self.divmod(self.mul(x, y), m)[1])
+
+    def split(self, a, b) -> tuple[int, list, list]:
+        """(n, g, r) with a = b^n * g and r = g mod b nonzero, for a nonzero
+        a and b of degree >= 1: one division loop gives the multiplicity,
+        the cofactor and its class mod b."""
+        n = 0
+        while True:
+            q, r = self.divmod(a, b)
+            if r:
+                return n, a, r
+            a, n = q, n + 1
+
 
 # ---------------------------------------------------------------------------
 # Univariate polynomials over a FieldSpec
@@ -591,16 +625,19 @@ class UniPoly:
 
     One validating and one trusted constructor: the public constructor
     validates untrusted input, coercing every coefficient into ``spec`` and
-    dropping trailing zeros, and builders such as :meth:`const`, :meth:`x`
-    and :meth:`derivative` go through it.  Arithmetic results are canonical
-    by construction and go through the kernel's trusted ``_Lists.wrap``.
+    dropping trailing zeros, and the builders :meth:`const` and :meth:`x`
+    go through it.  Arithmetic results are canonical by construction and go
+    through the kernel's trusted ``_Lists.wrap``.
 
     Sums, differences, negation, products, division with remainder, ``monic``,
-    ``powmod``, ``split_at`` and :func:`poly_gcd` run on the one
-    coefficient-list kernel (``spec._lists``) and wrap the result once.
-    Its lists hold int residues over F_p and Fractions over Q, so over a
-    base field they make no FieldElement arithmetic; over an extension
-    field they hold its FieldElements.
+    ``derivative``, ``powmod``, ``split_at`` and :func:`poly_gcd` run on the
+    one coefficient-list kernel (``spec._lists``) and wrap the result once;
+    so do :func:`factor_univariate` and :func:`is_irreducible`, which wrap
+    only the factors they return, and the residue split of
+    ``milnor.Valuation``, which wraps only the residue.  The kernel's lists
+    hold int residues over F_p and Fractions over Q, so over a base field
+    they make no FieldElement arithmetic; over an extension field they hold
+    its FieldElements.
     """
 
     __slots__ = ("spec", "coeffs")
@@ -705,7 +742,8 @@ class UniPoly:
         return k.wrap(k.monic(k.unwrap(self)))
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(self.spec, [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        k = self.spec._lists
+        return k.wrap(k.derivative(k.unwrap(self)))
 
     def eval(self, x: FieldElement) -> FieldElement:
         """Evaluate at x; coefficients embed into x's field when it extends ours.
@@ -734,10 +772,7 @@ class UniPoly:
         if not modulus:
             raise ZeroDivisionError("division by zero polynomial")
         k = self.spec._lists
-        m = k.unwrap(modulus)
-        acc = square_and_multiply(k.divmod(k.unwrap(self), m)[1], n, k.divmod(k.one, m)[1],
-                                  lambda a, b: k.divmod(k.mul(a, b), m)[1])
-        return k.wrap(acc)
+        return k.wrap(k.powmod(k.unwrap(self), n, k.unwrap(modulus)))
 
     def ord_at(self, pi: "UniPoly") -> int:
         """Multiplicity of the monic irreducible pi in self (self nonzero)."""
@@ -750,12 +785,8 @@ class UniPoly:
         if pi.degree < 1:
             raise NotAPlace(f"{pi.to_text()} has degree < 1, so it is not a place")
         k = self.spec._lists
-        b, f, n = k.unwrap(self._coerce(pi)), k.unwrap(self), 0
-        while True:
-            q, r = k.divmod(f, b)
-            if r:
-                return n, k.wrap(f) if n else self
-            f, n = q, n + 1
+        n, g, _ = k.split(k.unwrap(self), k.unwrap(self._coerce(pi)))
+        return n, k.wrap(g) if n else self
 
     def to_text(self, var: str = "t") -> str:
         if not self.coeffs:
@@ -787,10 +818,7 @@ class UniPoly:
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd."""
     k = a.spec._lists
-    x, y = k.unwrap(a), k.unwrap(a._coerce(b))
-    while y:
-        x, y = y, k.divmod(x, y)[1]
-    return k.wrap(k.monic(x) if x else [])
+    return k.wrap(k.gcd(k.unwrap(a), k.unwrap(a._coerce(b))))
 
 
 # ---------------------------------------------------------------------------
@@ -946,94 +974,103 @@ class Factorization:
         return f"Factorization({self.unit.to_text()}; {list(self.parts)})"
 
 
-def _pth_root(f: UniPoly) -> UniPoly:
+# The factorization helpers below take and return kernel lists of one
+# ``_Lists`` k: int residues over F_p, Fractions over Q, FieldElements over
+# an extension field.  Only the factors returned to the caller are wrapped.
+
+
+def _pth_root(k: _Lists, f: list) -> list:
     # f = g(x^p); over F_{p^d} the coefficients need the inverse Frobenius
-    p = f.spec.char
-    d = f.spec.degree
-    out = []
-    for i in range(0, len(f.coeffs), p):
-        out.append(f.coeffs[i] ** (p ** (d - 1)))
-    return UniPoly(f.spec, out)
+    p, d = k.spec.char, k.spec.degree
+    if k.raw:
+        return f[::p]
+    return [c ** (p ** (d - 1)) for c in f[::p]]
 
 
-def _squarefree_parts(f: UniPoly) -> list[tuple[UniPoly, int]]:
+def _squarefree_parts(k: _Lists, f: list) -> list[tuple[list, int]]:
     # monic f -> [(g_i, m_i)] with f = prod g_i^{m_i}; the p-th root branches
-    # are reached only in characteristic p
-    if f.degree <= 0:
+    # are reached only in characteristic p.  Gcds are monic, so are the
+    # quotients of monic polynomials by them.
+    if len(f) <= 1:
         return []
-    p = f.spec.char
-    df = f.derivative()
+    p = k.spec.char
+    df = k.derivative(f)
     if not df:
-        return [(g, m * p) for g, m in _squarefree_parts(_pth_root(f))]
+        return [(g, m * p) for g, m in _squarefree_parts(k, _pth_root(k, f))]
     out = []
-    c = poly_gcd(f, df)
-    w = (f // c).monic()
+    c = k.gcd(f, df)
+    w = k.divmod(f, c)[0]
     i = 1
-    while w.degree > 0:
-        y = poly_gcd(w, c)
-        z = (w // y).monic()
-        if z.degree > 0:
+    while len(w) > 1:
+        y = k.gcd(w, c)
+        z = k.divmod(w, y)[0]
+        if len(z) > 1:
             out.append((z, i))
         w = y
-        c = c // y
+        c = k.divmod(c, y)[0]
         i += 1
-    if c.degree > 0:
-        out.extend((g, m * p) for g, m in _squarefree_parts(_pth_root(c)))
+    if len(c) > 1:
+        out.extend((g, m * p) for g, m in _squarefree_parts(k, _pth_root(k, c)))
     return out
 
 
-def _distinct_degree_parts(f: UniPoly) -> Iterator[tuple[UniPoly, int]]:
+def _distinct_degree_parts(k: _Lists, f: list) -> Iterator[tuple[list, int]]:
     # monic squarefree f -> (g, d) in increasing d, g the product of f's
     # irreducible factors of degree d: gcd(f, t^(q^d) - t) for d = 1, 2, ...
     # while deg f >= 2d, and what is left is irreducible
-    q, t = f.spec.order, UniPoly.x(f.spec)
+    q, t = k.spec.order, [k.zero, k.one[0]]
     frob, d = t, 1
-    while f.degree >= 2 * d:
-        frob = frob.powmod(q, f)
-        g = poly_gcd(f, frob - t)
-        if g.degree > 0:
+    while len(f) > 2 * d:
+        frob = k.powmod(frob, q, f)
+        g = k.gcd(f, k.sub(frob, t))
+        if len(g) > 1:
             yield g, d
-            f = f // g
+            f = k.divmod(f, g)[0]
         d += 1
-    if f.degree > 0:
-        yield f, f.degree
+    if len(f) > 1:
+        yield f, len(f) - 1
 
 
-def _monic_splitters(spec: FieldSpec, n: int) -> Iterator[UniPoly]:
+def _monic_splitters(k: _Lists, n: int) -> Iterator[list]:
     # the monic polynomials of degree 1 .. n - 1, by degree; the field's
     # elements are listed only once degree 2 is reached
-    one = spec.one
-    for c in spec.elements():
-        yield UniPoly(spec, (c, one))
+    spec, one = k.spec, k.one[0]
+
+    def elements():
+        return range(spec.char) if k.raw else spec.elements()
+
+    for c in elements():
+        yield [c, one]
     for deg in range(2, n):
-        for low in itertools.product(spec.elements(), repeat=deg):
-            yield UniPoly(spec, low + (one,))
+        for low in itertools.product(elements(), repeat=deg):
+            yield [*low, one]
 
 
-def _trace_splitters(spec: FieldSpec, n: int) -> Iterator[UniPoly]:
+def _trace_splitters(k: _Lists, n: int) -> Iterator[list]:
     # b * t^j for b in the F_2-basis 1, u, ..., u^(k-1) of F_q and 1 <= j < n
-    basis = [spec.element([0] * i + [1]) for i in range(spec.degree)] if spec.ext else [spec.one]
+    spec = k.spec
+    basis = [spec.element([0] * i + [1]) for i in range(spec.degree)] if spec.ext else k.one
     for j in range(1, n):
         for b in basis:
-            yield UniPoly(spec, (spec.zero,) * j + (b,))
+            yield [k.zero] * j + [b]
 
 
-def _splitting_poly(h: UniPoly, g: UniPoly, d: int) -> UniPoly:
+def _splitting_poly(k: _Lists, h: list, g: list, d: int) -> list:
     # gcd(g, result) is the product of the degree-d factors of g at which h is
     # a nonzero square (odd q: h^((q^d - 1)/2) - 1) or has absolute trace 0
     # (q = 2^k: h + h^2 + ... + h^(2^(kd - 1)))
-    spec = g.spec
+    spec = k.spec
     if spec.char != 2:
-        return h.powmod((spec.order**d - 1) // 2, g) - 1
-    h = h % g
+        return k.sub(k.powmod(h, (spec.order**d - 1) // 2, g), k.one)
+    h = k.divmod(h, g)[1]
     trace = h
     for _ in range(spec.degree * d - 1):
-        h = h * h % g
-        trace = trace + h
+        h = k.divmod(k.mul(h, h), g)[1]
+        trace = k.add(trace, h)
     return trace
 
 
-def _equal_degree_factors(g: UniPoly, d: int) -> list[UniPoly]:
+def _equal_degree_factors(k: _Lists, g: list, d: int) -> list[list]:
     """The irreducible factors of a monic squarefree g whose factors all have degree d.
 
     Every splitter is tried on every piece that is still reducible.  The
@@ -1047,16 +1084,16 @@ def _equal_degree_factors(g: UniPoly, d: int) -> list[UniPoly]:
     agree for j < 2d agree for all j), and the trace form over F_2 is
     nondegenerate.
     """
-    spec, count = g.spec, g.degree // d
-    splitters = (_trace_splitters if spec.char == 2 else _monic_splitters)(spec, g.degree)
+    n = len(g) - 1
+    splitters = (_trace_splitters if k.spec.char == 2 else _monic_splitters)(k, n)
     factors = [g]
     for h in splitters:
-        if len(factors) == count:
+        if len(factors) == n // d:
             break
         pieces = []
-        for p in factors:
-            s = poly_gcd(p, _splitting_poly(h, p, d)) if p.degree > d else p
-            pieces += [s, p // s] if 0 < s.degree < p.degree else [p]
+        for f in factors:
+            s = k.gcd(f, _splitting_poly(k, h, f, d)) if len(f) > d + 1 else f
+            pieces += [s, k.divmod(f, s)[0]] if 1 < len(s) < len(f) else [f]
         factors = pieces
     return factors
 
@@ -1065,13 +1102,13 @@ def _equal_degree_factors(g: UniPoly, d: int) -> list[UniPoly]:
 # part past a bound is returned unfactored, so place enumeration raises
 # UnfactorableEntry.  Worst cases measured at the bounds on one core of a
 # 2-core x86 box, Python 3.11: splitting a degree-64 part into 64 linear
-# factors over F_65521 takes 0.08 s, into 32 quadratics over F_9 0.08 s.
-# A random degree-64 part, whose distinct-degree pass runs to d = 32, takes
-# 0.03 s over F_7 and 1.0 s over F_65521, but 33 s over F_{2^16} and 53 s
-# over F_{3^10}: each pass step is about log2(q) products mod the part, and
-# a coefficient product in a large extension is slow.  Over Q the divisor
-# scan of an end coefficient near 10^10 takes 0.02 s, and 1024 candidate
-# roots of a degree-64 part take 0.5 s.
+# factors over F_65521 takes 0.05 s, into 32 quadratics over F_9 0.05 s.
+# A random degree-64 part, whose distinct-degree pass runs up to d = 32,
+# takes 0.03 s over F_7 and 0.6 s over F_65521, but about 30 s over each of
+# F_{2^16} and F_{3^10}: each pass step is about log2(q) products mod the
+# part, and a coefficient product in a large extension is slow.  Over Q the
+# divisor scan of an end coefficient near 10^10 takes 0.01 s, and 1024
+# candidate roots of a degree-64 part take 0.2 s.
 SQUAREFREE_SPLIT_MAX_DEGREE = 64
 RATIONAL_ROOT_MAX_INT = 10**10
 RATIONAL_ROOT_MAX_TRIES = 1024
@@ -1090,48 +1127,43 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _rational_parts(g: UniPoly, m: int) -> list[FactorPart]:
+def _rational_parts(k: _Lists, g: list, m: int) -> list[FactorPart]:
     # monic squarefree g over Q with g(0) != 0, a factor of multiplicity m:
     # peel off its rational roots by the rational root theorem; a rootless
     # cofactor of degree 2 or 3 is irreducible
-    spec = g.spec
     parts = []
     tries = 0
-    while g.degree > 1:
-        lcm = math.lcm(*(c.value.denominator for c in g.coeffs))
-        a0 = int(g.coeffs[0].value * lcm)  # the integerized g has leading coefficient lcm
+    while len(g) > 2:
+        lcm = math.lcm(*(c.denominator for c in g))
+        a0 = int(g[0] * lcm)  # the integerized g has leading coefficient lcm
         if max(abs(a0), lcm) > RATIONAL_ROOT_MAX_INT:
-            return parts + [FactorPart(g, m, False)]
+            return parts + [FactorPart(k.wrap(g), m, False)]
         root = None
         for num, den, sign in itertools.product(_divisors(a0), _divisors(lcm), (1, -1)):
             tries += 1
             if tries > RATIONAL_ROOT_MAX_TRIES:
-                return parts + [FactorPart(g, m, False)]
-            cand = Fraction(sign * num, den)
-            if not g.eval(spec.element(cand)):
+                return parts + [FactorPart(k.wrap(g), m, False)]
+            cand, acc = Fraction(sign * num, den), 0
+            for c in reversed(g):
+                acc = acc * cand + c
+            if not acc:
                 root = cand
                 break
         if root is None:
             break
-        lin = UniPoly(spec, [-root, 1])
-        parts.append(FactorPart(lin, m, True))
-        g = g // lin
-    return parts + [FactorPart(g, m, g.degree <= 3)]
+        lin = [-root, k.one[0]]
+        parts.append(FactorPart(k.wrap(lin), m, True))
+        g = k.divmod(g, lin)[0]
+    return parts + [FactorPart(k.wrap(g), m, len(g) <= 4)]
 
 
 def _rational_factor(f: UniPoly) -> Factorization:
-    spec = f.spec
-    g = f.monic()
-    parts: list[FactorPart] = []
-    # strip roots at zero
-    k = 0
-    while g.degree > 0 and not g.coeff(0):
-        g = g // UniPoly.x(spec)
-        k += 1
-    if k:
-        parts.append(FactorPart(UniPoly.x(spec), k, True))
-    for h, m in _squarefree_parts(g):
-        parts.extend(_rational_parts(h, m))
+    k = f.spec._lists
+    g = k.monic(k.unwrap(f))
+    zeros = next(i for i, c in enumerate(g) if c)  # the multiplicity of the root 0
+    parts = [FactorPart(UniPoly.x(f.spec), zeros, True)] if zeros else []
+    for h, m in _squarefree_parts(k, g[zeros:]):
+        parts.extend(_rational_parts(k, h, m))
     return Factorization(f.leading, parts)
 
 
@@ -1148,7 +1180,8 @@ def factor_univariate(f: UniPoly) -> Factorization:
     degree 2 or 3 is certified irreducible.  Parts past a bound, and larger
     rootless cofactors, are returned unfactored.  A polynomial of degree 1
     is its own factorization over every field; otherwise extensions of Q
-    raise ExtensionNotSupported.
+    raise ExtensionNotSupported.  Every step runs on the coefficient-list
+    kernel; only the returned factors are wrapped.
     """
     if not f:
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -1159,13 +1192,14 @@ def factor_univariate(f: UniPoly) -> Factorization:
         if f.spec.is_extension:
             raise ExtensionNotSupported("factorization over extensions of Q is not supported")
         return _rational_factor(f)
+    k = f.spec._lists
     parts = []
-    for g, m in _squarefree_parts(f.monic()):
-        if g.degree > SQUAREFREE_SPLIT_MAX_DEGREE:
-            parts.append(FactorPart(g, m, False))
+    for g, m in _squarefree_parts(k, k.monic(k.unwrap(f))):
+        if len(g) - 1 > SQUAREFREE_SPLIT_MAX_DEGREE:
+            parts.append(FactorPart(k.wrap(g), m, False))
             continue
-        for h, d in _distinct_degree_parts(g):
-            parts.extend(FactorPart(irr, m, True) for irr in _equal_degree_factors(h, d))
+        for h, d in _distinct_degree_parts(k, g):
+            parts.extend(FactorPart(k.wrap(irr), m, True) for irr in _equal_degree_factors(k, h, d))
     return Factorization(f.leading, parts)
 
 
@@ -1186,8 +1220,9 @@ def is_irreducible(f: UniPoly) -> bool:
             raise ExtensionNotSupported("irreducibility over extensions of Q is not supported")
         parts = _rational_factor(f).parts
         return len(parts) == 1 and parts[0].multiplicity == 1 and parts[0].irreducible
-    g = f.monic()
-    return next(_distinct_degree_parts(g)) == (g, g.degree)
+    # the first part is all of f exactly when its degree is deg f
+    k = f.spec._lists
+    return next(_distinct_degree_parts(k, k.monic(k.unwrap(f))))[1] == f.degree
 
 
 # ---------------------------------------------------------------------------

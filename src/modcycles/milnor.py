@@ -33,12 +33,13 @@ from .fields import (
     UniPoly,
     WrongField,
     ZeroElement,
+    ZeroPolynomial,
     _prime_divisors,
     make_field,
     norm_k1_finite,
     standard_extension,
 )
-from .polyring import INFINITY, RatFunc
+from .polyring import RatFunc
 from .cycles import (
     ClosedPoint,
     CoordModel,
@@ -265,9 +266,14 @@ def symbol_reduce(e: MilnorElement, certificate_mode: bool = False) -> SymbolRed
 
 
 class Valuation:
-    """A place of k(t): a monic irreducible pi in k[t], or infinity (pi=None)."""
+    """A place of k(t): a monic irreducible pi in k[t], or infinity (pi=None).
 
-    __slots__ = ("field", "pi")
+    At a finite place the residue field, the class of t in it and pi as a
+    kernel list are found once, on first use (see :meth:`_place`), so a
+    place whose residue field cannot be built still constructs and raises
+    only when a residue is asked for."""
+
+    __slots__ = ("field", "pi", "_at")
 
     def __init__(self, field: FunctionField, pi: UniPoly | None):
         self.field = field
@@ -277,6 +283,7 @@ class Valuation:
             if pi.degree < 1 or pi.leading != field.base.one:
                 raise ValueError("place must be monic of positive degree")
         self.pi = pi
+        self._at = None
 
     @property
     def is_infinite(self) -> bool:
@@ -295,42 +302,55 @@ class Valuation:
     def __repr__(self):
         return "Valuation(infinity)" if self.pi is None else f"Valuation({self.pi.to_text()})"
 
+    def _place(self) -> tuple:
+        """(residue field, class of t, pi unwrapped by the base field's kernel)
+        at a finite place, computed on the first call."""
+        if self._at is None:
+            ell, t_class = _place_field(self.field.base, self.pi)
+            k = self.field.base._lists
+            self._at = ell, t_class, k.unwrap(self.pi)
+        return self._at
+
     def residue_spec(self) -> FieldSpec:
         if self.pi is None:
             return self.field.base
-        return _place_field(self.field.base, self.pi)[0]
+        return self._place()[0]
 
     def parameter_class(self) -> FieldElement:
         """The image of t in the residue field."""
         if self.pi is None:
             raise MilnorError("the infinite place has no finite parameter class")
-        return _place_field(self.field.base, self.pi)[1]
+        return self._place()[1]
 
     def order_and_residue(self, f: RatFunc) -> tuple[int, FieldElement]:
         """ord_v(f), and the residue of the unit part f * uniformizer^(-ord f).
 
         At a finite place, one division loop each takes pi out of the
-        numerator and the denominator; the residue of each cofactor is its
-        class (see :meth:`_unit_class`).
+        numerator and of a nonconstant denominator (``_Lists.split``) and
+        leaves the cofactor's remainder mod pi.  The residue field is
+        F[u]/(pi) with u the class of t (see ``_place_field``), so a
+        remainder's coefficients are its coordinates in the basis 1, u, ...,
+        u^(deg pi - 1); when deg pi = 1 the residue field is the base field
+        and the remainder is a constant.
         """
         if self.pi is None:
             return f.ord_at_infinity(), f.num.leading / f.den.leading
-        a, num = f.num.split_at(self.pi)
-        b, den = f.den.split_at(self.pi)
-        ell = self.residue_spec()
-        return a - b, self._unit_class(num, ell) / self._unit_class(den, ell)
+        if not f:
+            raise ZeroPolynomial("order of zero polynomial")
+        ell, _, pi = self._place()
+        k = self.field.base._lists
 
-    def _unit_class(self, g: UniPoly, ell: FieldSpec) -> FieldElement:
-        """The class of g, a polynomial that pi does not divide, in the
-        residue field ``ell``: the remainder g mod pi.  ``ell`` is
-        F[u]/(pi) with u the class of t (see ``_place_field``), so the
-        remainder's coefficients are its coordinates in the basis
-        1, u, ..., u^(deg pi - 1); when deg pi = 1, ``ell`` is the base
-        field and the remainder is a constant."""
-        r = (g % self.pi).coeffs
-        if self.pi.degree == 1:
-            return r[0]
-        return ell.element([c.value for c in r])
+        def residue_class(rem):
+            if ell is not k.spec:  # deg pi >= 2: coordinates in F[u]/(pi)
+                return FieldElement(ell, ell._pad(rem))
+            return FieldElement(ell, rem[0]) if k.raw else rem[0]
+
+        a, _, r = k.split(k.unwrap(f.num), pi)
+        den = k.unwrap(f.den)
+        if len(den) == 1:  # RatFunc denominators are monic, so this one is 1
+            return a, residue_class(r)
+        b, _, s = k.split(den, pi)
+        return a - b, residue_class(r) / residue_class(s)
 
     def base_point(self) -> ClosedPoint:
         """The closed point of the affine parameter line at this place."""

@@ -9,10 +9,7 @@ import json
 import time
 import random
 
-import pytest
-
 from modcycles.suites import (
-    SUITES,
     run_suites,
     suite_bounding_surfaces,
     suite_boundary_square,

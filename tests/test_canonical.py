@@ -29,7 +29,7 @@ from modcycles.cycles import (
     prune_degenerate,
     psi_convert,
 )
-from modcycles.fields import FieldElement, UniPoly, WrongField, make_field, poly_gcd
+from modcycles.fields import UniPoly, WrongField, make_field, poly_gcd
 from modcycles.milnor import FunctionField, MilnorElement, MilnorSymbol, Valuation, tame_symbol
 from modcycles.polyring import INFINITY, InexactDivision, MultiPoly, RatFunc, VarSet, parse_poly
 

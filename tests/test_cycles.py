@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from modcycles import serialize as ser
 from modcycles.fields import FieldError, UniPoly, make_field, poly_gcd, standard_extension
 from modcycles.milnor import FunctionField, MilnorElement, MilnorError, MilnorSymbol, total_delta
-from modcycles.polyring import INFINITY, MultiPoly, RatFunc, VarSet, parse_poly, parse_ratfunc
+from modcycles.polyring import INFINITY, MultiPoly, RatFunc, VarSet, parse_poly
 from modcycles.cycles import (
     ClosedPoint,
     CoordModel,

@@ -178,11 +178,17 @@ def reference_berlekamp_factor(f):
     return factors
 
 
+def squarefree_parts(f):
+    """fields._squarefree_parts of the monic associate of f, on UniPolys."""
+    k = f.spec._lists
+    return [(k.wrap(g), m) for g, m in fields._squarefree_parts(k, k.unwrap(f.monic()))]
+
+
 def reference_is_irreducible(f):
     """Over a finite field: squarefree with a one-dimensional Berlekamp subalgebra."""
     if f.degree <= 1:
         return f.degree == 1
-    sq = fields._squarefree_parts(f.monic())
+    sq = squarefree_parts(f)
     return sq == [(f.monic(), 1)] and len(reference_frobenius_kernel(f.monic())) == 1
 
 
@@ -193,7 +199,7 @@ def general_factorization(f):
         return fields._rational_factor(f)
     return Factorization(f.leading, [
         FactorPart(irr.monic(), m, True)
-        for g, m in fields._squarefree_parts(f.monic()) for irr in reference_berlekamp_factor(g)
+        for g, m in squarefree_parts(f) for irr in reference_berlekamp_factor(g)
     ])
 
 
@@ -382,6 +388,38 @@ class TestGcdSplitting:
             for part in fac.parts:
                 assert is_irreducible(part.poly)
                 assert not is_irreducible(part.poly * part.poly)
+
+
+class TestPthRootOverExtensions:
+    """Inputs whose derivative vanishes, g(t^p) and h^p, take _pth_root,
+    which over F_{p^d} applies the inverse Frobenius to the kernel's
+    extension-field coefficients."""
+
+    @pytest.mark.parametrize("spec", [standard_extension(2, 2), standard_extension(2, 3), F9,
+                                      standard_extension(5, 2)], ids=["F4", "F8", "F9", "F25"])
+    def test_factors_expand_to_the_input_and_match_berlekamp(self, spec):
+        rng = random.Random(f"pth-root:{spec.to_text()}")
+        p, elems = spec.char, list(spec.elements())
+
+        def rand_monic(degree):
+            return UniPoly(spec, [rng.choice(elems) for _ in range(degree)] + [1])
+
+        for _ in range(4):
+            g = rand_monic(rng.randrange(1, 4))
+            spread = [spec.zero] * (p * g.degree + 1)
+            spread[::p] = g.coeffs
+            h = rand_monic(rng.randrange(1, 3)) * rand_monic(rng.randrange(1, 3))
+            unit = UniPoly.const(spec, rng.choice(elems[1:]))
+            # g(t^p), h^p, and h^p times a linear factor, whose p-th power
+            # part is left over after the squarefree loop
+            for f, vanishing in ((UniPoly(spec, spread) * unit, True), (h**p * unit, True),
+                                 (h**p * rand_monic(1), False)):
+                assert (not f.derivative()) == vanishing
+                fac = factor_univariate(f)
+                assert fac.expand() == f
+                assert fac.parts == general_factorization(f).parts
+                assert len({part.poly for part in fac.parts}) == len(fac.parts)
+                assert all(reference_is_irreducible(part.poly) for part in fac.parts)
 
 
 class TestNorm:
@@ -848,14 +886,21 @@ class TestPrimeFieldKernels:
                 for x in (rand_value(rng, spec) for _ in range(8)) if x]
         inverses = [reference_inverse(x) for x in ext]
         inverse = FieldElement.inverse
-        splits = []
+        splits, factored = [], []
         for spec in PRIME_FIELDS:
-            _, fac = seeded_product(spec, random.Random(200 + spec.char))
-            g = UniPoly.const(spec, 1)
+            f, fac = seeded_product(spec, random.Random(200 + spec.char))
+            k, g = spec._lists, UniPoly.const(spec, 1)
             for part in fac.parts:
                 g = g * part.poly
-            splits.append((g, list(fields._distinct_degree_parts(g)),
+            splits.append((k, k.unwrap(g), list(fields._distinct_degree_parts(k, k.unwrap(g))),
                            {part.poly for part in fac.parts}))
+            factored.append((f, fac))
+        # over Q the rational-root path runs on Fractions: t^2 (t - 1/2)^2 (t + 3) (t^2 + 2)
+        half, quad = UniPoly(Q, [Fraction(-1, 2), 1]), UniPoly(Q, [2, 0, 1])
+        fac = Factorization(Q.element(Fraction(3, 7)), [
+            FactorPart(UniPoly.x(Q), 2, True), FactorPart(half, 2, True),
+            FactorPart(UniPoly(Q, [3, 1]), 1, True), FactorPart(quad, 1, True)])
+        factored.append((fac.expand(), fac))
 
         def refuse(*args):
             raise AssertionError("FieldElement arithmetic on an int path")
@@ -873,10 +918,16 @@ class TestPrimeFieldKernels:
                 assert a.split_at(pi) == split
             assert poly_gcd(a, b) == gcd
         assert [inverse(x) for x in ext] == inverses
-        for g, parts, irreducibles in splits:
-            assert list(fields._distinct_degree_parts(g)) == parts
-            factors = [irr for h, d in parts for irr in fields._equal_degree_factors(h, d)]
+        for k, g, parts, irreducibles in splits:
+            assert list(fields._distinct_degree_parts(k, g)) == parts
+            factors = [k.wrap(irr) for h, d in parts for irr in fields._equal_degree_factors(k, h, d)]
             assert len(factors) == len(irreducibles) and set(factors) == irreducibles
+        for f, expected in factored:
+            fac = factor_univariate(f)
+            assert fac.unit == expected.unit and fac.parts == expected.parts
+            for part in fac.parts:
+                assert is_irreducible(part.poly)
+                assert not is_irreducible(part.poly * part.poly)
 
     def test_error_messages_are_unchanged(self):
         a, zero = UniPoly(F7, [1, 2, 3]), UniPoly.zero(F7)

@@ -59,3 +59,6 @@ def test_counts_lists_every_traced_site_by_name():
     # sites with a fixed name are listed whether or not anything calls them
     assert "polyring.substitute" in counts and "polyring.exact_div" in counts
     assert int(counts["cycles.faces_enumerated"]) > 0 and int(counts["fields.element"]) > 0
+    # the first 12 items hold two Weil items: their factorizations and tame
+    # residues run on the coefficient-list kernel, through no UniPoly operator
+    assert int(counts["milnor.total_delta"]) == 2 and int(counts["fields.unipoly"]) == 0

@@ -11,9 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modcycles.cli import main
-from modcycles.fields import UniPoly, factor_univariate, make_field, norm_k1_finite
+from modcycles.fields import (
+    UniPoly,
+    ZeroPolynomial,
+    factor_univariate,
+    is_irreducible,
+    make_field,
+    norm_k1_finite,
+)
 from modcycles.polyring import RatFunc
-from modcycles.cycles import ClosedPoint, CoordModel, ParamCurve, ZeroCycle, curve_boundary
+from modcycles.cycles import ClosedPoint, CoordModel, ParamCurve, ZeroCycle
 from modcycles.milnor import (
     FunctionField,
     IndistinctEntries,
@@ -212,6 +219,29 @@ class TestResidueByRemainder:
                     assert got == reference_order_and_residue(v, f)
                     assert got[1].spec == v.residue_spec()
 
+    def test_equals_evaluation_at_degree_1_places_over_f9(self):
+        # over an extension base the kernel's remainders hold field elements
+        F9 = make_field(3, [1, 0, 1])
+        ff, elems = FunctionField(F9), list(F9.elements())
+        rng = random.Random(9)
+        constant_den = set()
+        for _ in range(40):
+            v = Valuation(ff, UniPoly(F9, [rng.choice(elems), 1]))
+            g, h = (UniPoly(F9, [rng.choice(elems) for _ in range(rng.randrange(1, 5))])
+                    for _ in range(2))
+            if not g or not h:
+                continue
+            m = rng.randrange(-2, 3)
+            t_pow = v.pi ** abs(m)
+            for den in (h, UniPoly.const(F9, rng.choice(elems[1:]))):
+                f = RatFunc(g * t_pow, den) if m >= 0 else RatFunc(g, den * t_pow)
+                got = v.order_and_residue(f)
+                assert got == reference_order_and_residue(v, f) and got[1].spec is F9
+                constant_den.add(f.den.degree == 0)
+        assert constant_den == {True, False}
+        with pytest.raises(ZeroPolynomial, match="^order of zero polynomial$"):
+            v.order_and_residue(RatFunc.const(F9, 0))
+
     def test_equals_evaluation_over_q(self):
         rng = random.Random(0)
         ff = FunctionField(Q)
@@ -268,6 +298,24 @@ class TestTotalDelta:
         e = MilnorElement(ffq, [(1, MilnorSymbol(ffq, [t, quartic]))])
         with pytest.raises(UnfactorableEntry):
             total_delta(e)
+
+    def test_degree_2_place_over_an_extension_base_fails_on_use(self):
+        # the residue field is built on first use, so the place constructs
+        # and each use raises, a failed first use caching nothing
+        from modcycles.cycles import UnfactorableEntry
+
+        F9 = make_field(3, [1, 0, 1])
+        ff = FunctionField(F9)
+        pi = UniPoly(F9, [-F9.generator, 0, 1])  # t^2 - g, g a non-square
+        assert is_irreducible(pi)
+        v = Valuation(ff, pi)
+        assert v.degree == 2 and v == Valuation(ff, pi)
+        s = MilnorElement(ff, [(1, MilnorSymbol(ff, [RatFunc.from_poly(pi), RatFunc.param(F9)]))])
+        for _ in range(2):
+            with pytest.raises(UnfactorableEntry, match="extension base"):
+                tame_symbol(v, s)
+        with pytest.raises(UnfactorableEntry, match="extension base"):
+            total_delta(s)
 
 
 class TestK2Oracle:

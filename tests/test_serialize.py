@@ -1,7 +1,6 @@
 """JSON codecs round-trip bit-exactly."""
 
 import json
-import random
 from fractions import Fraction
 
 import pytest
