@@ -8,13 +8,16 @@
 Run from the root of a source checkout.  The workload is set up once from
 the tree's own ``src/`` and ``perfbench/workloads.py``, then ``--repeat``
 rounds run in this process and each item keeps its best time over the
-rounds.  The table gives, per (item kind, field), the number of items and
-the mean, largest and summed best times in ms, and the last line the sum
-over all items.  The field is read from the items of a workload that lists
-them (ext-deep); elsewhere it is "-".  Best-of-k in one process resolves
-differences of a few percent that perfbench's end-to-end metrics do not, but
-it leaves out perfbench's reference-loop scaling: compare two trees by
-running it on each, alternately, not by its absolute numbers.
+rounds.  The table gives, per (item kind, field), the number of items, the
+mean, largest and summed best times in ms, and how many of them are at or
+above the p99 of all items (the slowest 1%); the last line gives the sum
+over all items and their p50 and p99, nearest-rank as perfbench/run.py
+ranks them.  The field is read from the items of a workload that lists
+them (ext-deep), and is the suite of each case of suite-full; elsewhere it
+is "-".  Best-of-k in one process resolves differences of a few percent
+that perfbench's end-to-end metrics do not, but it leaves out perfbench's
+reference-loop scaling: compare two trees by running it on each,
+alternately, not by its absolute numbers.
 
 ``--profile KIND[:FIELD]`` then runs one more pass over the items of that
 group (a field whose text starts with FIELD), or over a whole round for a
@@ -34,6 +37,7 @@ import cProfile
 import gc
 import importlib
 import io
+import math
 import os
 import pstats
 import sys
@@ -74,6 +78,16 @@ def measure(m, workloads, name: str, seed: int, repeat: int, workdir: str,
     collector's scans."""
     wl = workloads.WORKLOADS[name](m, seed, workdir)
     listed = getattr(wl, "items", None)
+    # suite-full has wrapped SuiteResult.record to time its cases; wrapping
+    # that wrapper names the suite of each case, in case order
+    suites: list[str] = []
+    record = m.suites.SuiteResult.record
+
+    def named_record(result, ok, label):
+        suites.append(result.name)
+        record(result, ok, label)
+
+    m.suites.SuiteResult.record = named_record
     if limit is not None and listed is not None:
         del listed[limit:]
     if freeze:
@@ -99,25 +113,39 @@ def measure(m, workloads, name: str, seed: int, repeat: int, workdir: str,
     best, failed = None, 0
     for _ in range(repeat):
         rec = Times()
+        suites.clear()
         wl.run_round(rec)
         failed = max(failed, rec.failed)
         if best is None:
-            best = [(kind, field_of(listed[k][1]) if listed is not None else "-", t)
-                    for k, kind, t in rec.seen]
+            best = [(kind, field_of(listed[k][1]) if listed is not None
+                     else suites[i] if i < len(suites) else "-", t)
+                    for i, (k, kind, t) in enumerate(rec.seen)]
         else:
             best = [(kind, field, min(t, seen[2])) for (kind, field, t), seen in zip(best, rec.seen)]
     return wl, best, failed
 
 
+def nearest_rank(values: list[float], q: float) -> float:
+    """The nearest-rank q-th percentile of ``values``, 0.0 for none."""
+    ordered = sorted(values) or [0.0]
+    return ordered[max(0, math.ceil(q / 100 * len(ordered)) - 1)]
+
+
 def table(best: list[tuple[str, str, float]]) -> str:
+    """Per (kind, field): items, mean, largest and summed ms, and how many
+    of the group's items are at or above the p99 of all items."""
+    ts = [t * 1e3 for *_, t in best]
+    p99 = nearest_rank(ts, 99)
     groups: dict[tuple[str, str], list[float]] = {}
     for kind, field, t in best:
         groups.setdefault((kind, field), []).append(t * 1e3)
-    lines = [f"{'kind':<14}{'field':<26}{'items':>6}{'mean ms':>10}{'max ms':>10}{'total ms':>11}"]
-    for (kind, field), ts in sorted(groups.items()):
-        lines.append(f"{kind:<14}{field:<26}{len(ts):>6}{sum(ts) / len(ts):>10.3f}"
-                     f"{max(ts):>10.3f}{sum(ts):>11.1f}")
-    lines.append(f"{'all':<40}{len(best):>6}{'':>20}{sum(t for *_, t in best) * 1e3:>11.1f}")
+    lines = [f"{'kind':<14}{'field':<26}{'items':>6}{'mean ms':>10}{'max ms':>10}{'total ms':>11}"
+             f"{'>=p99':>8}"]
+    for (kind, field), group in sorted(groups.items()):
+        lines.append(f"{kind:<14}{field:<26}{len(group):>6}{sum(group) / len(group):>10.3f}"
+                     f"{max(group):>10.3f}{sum(group):>11.1f}{sum(t >= p99 for t in group):>8}")
+    lines.append(f"{'all':<40}{len(ts):>6}{'':>20}{sum(ts):>11.1f}"
+                 f"   p50 {nearest_rank(ts, 50):.3f}   p99 {p99:.3f}")
     return "\n".join(lines)
 
 

@@ -1055,14 +1055,27 @@ def pushforward_closed_immersion(obj: ZeroCycle, embedding: Sequence[RatFunc]) -
 def curve_avoids_divisor(embedding: Sequence[RatFunc], D: ModulusDatum) -> bool:
     """Whether the image of the parametrized curve is disjoint from the divisor.
 
-    Evaluates the divisor polynomial at the coordinate functions, one per
-    t-variable (ValueError otherwise); the image avoids the divisor exactly
-    when every zero of the numerator is a pole of the embedding.
+    The embedding gives one coordinate function e_i per t-variable
+    (ValueError otherwise).  A monomial D = t1^m1...tr^mr needs no
+    evaluation: every m_i >= 1, so off the poles of the embedding f = prod
+    e_i^m_i is regular and vanishes exactly where some e_i does, and h is
+    the product of the numerators of the e_i, taken over the embedding's
+    field.  Any other D is evaluated at the embedding, and h is the
+    numerator of the value.  The image avoids the divisor exactly when every
+    zero of h is a pole of the embedding.
     """
-    f = D.divisor_poly.eval(embedding)
-    if not f:
+    if len(embedding) != D.r:
+        raise ValueError("need one value per variable")
+    if D.is_monomial:
+        spec = embedding[0].spec
+        spec.embed(D.spec.one)  # WrongField, as evaluation would raise
+        h = UniPoly.const(spec, 1)
+        for e in embedding:
+            h = h * e.num
+    else:
+        h = D.divisor_poly.eval(embedding).num
+    if not h:
         return False  # identically zero on the curve
-    h = f.num
     pole_prod = UniPoly.const(h.spec, 1)
     for e in embedding:
         pole_prod = pole_prod * e.den

@@ -192,14 +192,29 @@ def _convention(model: CoordModel, level0_flag: bool) -> dict:
 
 def _decoded(memo: dict, codec, data, *args):
     """``codec(data, *args)``, decoded once per certificate: ``memo`` maps
-    the codec, the repr of ``data`` and ``args`` (the field of an embedding)
-    to the decoded object.  Equal reprs mean equal JSON; a copy with its
-    keys in another order only decodes once more."""
+    the codec, the repr of ``data`` and ``args`` (the field of an embedding
+    or an element) to the decoded object.  Equal reprs mean equal JSON; a
+    copy with its keys in another order only decodes once more.  A
+    generator records each object it rendered under the same key (see
+    :func:`_rendered`), so its transcript checks the objects it built and
+    decodes nothing; :func:`verify_certificate` starts from an empty memo
+    and decodes every object once."""
     key = (codec, repr(data), *args)
     out = memo.get(key)
     if out is None:
         out = memo[key] = codec(data, *args)
     return out
+
+
+def _rendered(memo: dict, codec, obj, data, *args):
+    """``data``, the JSON that ``obj`` was rendered to, recorded in ``memo``
+    as what ``codec(data, *args)`` decodes to."""
+    memo[(codec, repr(data), *args)] = obj
+    return data
+
+
+def _rendered_cycle(memo: dict, Z: HypersurfaceCycle, D: ModulusDatum) -> dict:
+    return _rendered(memo, ser.cycle_from_json, (Z, D), ser.cycle_to_json(Z, D))
 
 
 # Codecs: each reads one input of a check from its JSON, given the memo and
@@ -235,7 +250,7 @@ def _any_cycle(memo, data, _):
 
 
 def _field(memo, data, _):
-    return ser.spec_from_json(data)
+    return _decoded(memo, ser.spec_from_json, data)
 
 
 def _curve(memo, data, _):
@@ -249,15 +264,15 @@ def _embedding(memo, data, inputs):
 
 
 def _element(memo, data, inputs):
-    return ser.element_from_json(data, inputs["field"])
+    return _decoded(memo, ser.element_from_json, data, inputs["field"])
 
 
 def _elements(memo, data, inputs):
-    return [ser.element_from_json(c, inputs["field"]) for c in data]
+    return [_decoded(memo, ser.element_from_json, c, inputs["field"]) for c in data]
 
 
 def _modulus(memo, data, inputs):
-    return ser.modulus_from_json(data, inputs["field"])
+    return _decoded(memo, ser.modulus_from_json, data, inputs["field"])
 
 
 # -- recomputations that need more than one line --------------------------------
@@ -557,8 +572,8 @@ def verify_rho_reciprocity(W: HypersurfaceCycle, D: ModulusDatum) -> WitnessCert
     """Certificate that rho kills the boundary of an admissible level-2 cycle."""
     if W.vars.n != 2:
         raise WrongLevel("reciprocity concerns level-2 cycles")
-    cycle_json = ser.cycle_to_json(W, D)
     memo = {}
+    cycle_json = _rendered_cycle(memo, W, D)
     cert = WitnessCertificate(_new_claim("identity", cycle=cycle_json), [cycle_json], [],
                               _convention(W.model, True))
     entries = _transcript(cert, "identity", memo)
@@ -602,10 +617,12 @@ def bounding_surface(Z: HypersurfaceCycle, D: ModulusDatum,
         y1 = MultiPoly.variable(spec, lifted_vars, "y1")
         surface_terms.append((mult, one_lift - d_lift * g.lift(lifted_vars) * y1))
     W = HypersurfaceCycle(spec, lifted_vars, Z.model, surface_terms)
-    claim = _new_claim("bounding", cycle=ser.cycle_to_json(Z, D), modulus=ser.modulus_to_json(D))
-    cert = WitnessCertificate(claim, [ser.cycle_to_json(W, D)], [],
+    memo = {}
+    claim = _new_claim("bounding", cycle=_rendered_cycle(memo, Z, D),
+                       modulus=ser.modulus_to_json(D))
+    cert = WitnessCertificate(claim, [_rendered_cycle(memo, W, D)], [],
                               _convention(Z.model, level0_flag))
-    cert.transcript = list(_transcript(cert, "bounding", {}))
+    cert.transcript = list(_transcript(cert, "bounding", memo))
     return cert
 
 
@@ -632,10 +649,11 @@ def generator_cycle(a: FieldElement, r: int,
     exp = tuple([1] * r + [1])
     poly = MultiPoly.const(spec, vars, 1) - MultiPoly(spec, vars, {exp: a})
     Z = HypersurfaceCycle(spec, vars, CoordModel.PSI, [(1, poly)])  # empty at a = 0
-    z_json = ser.cycle_to_json(Z, D)
+    memo = {}
+    z_json = _rendered_cycle(memo, Z, D)
     claim = _new_claim("generator", value=ser.element_to_json(a), cycle=z_json)
     cert = WitnessCertificate(claim, [z_json], [], _convention(CoordModel.PSI, level0_flag))
-    cert.transcript = list(_transcript(cert, "generator", {}))
+    cert.transcript = list(_transcript(cert, "generator", memo))
     return Z, cert
 
 
@@ -644,24 +662,25 @@ def generator_cycle(a: FieldElement, r: int,
 # ---------------------------------------------------------------------------
 
 
-def _hyperbola_embedding(spec: FieldSpec, coords: Sequence[FieldElement],
-                         variant: str) -> tuple:
-    """Coordinate functions of the witness curve through the point.
-
-    plain: hyperbola in (t1, t2), remaining coordinates constant.
-    product_base: leading coordinates constant, hyperbola in the last two.
-    Returns (embedding, parameter value of the point)."""
-    r = len(coords)
-    s = RatFunc.param(spec)
+def _hyperbola_start(r: int, variant: str) -> int:
+    """The index i of the coordinates (t_{i+1}, t_{i+2}) that the witness
+    curve runs along as a hyperbola: plain: t1, t2; product_base: the last
+    two."""
     if variant == "plain":
-        c1, c2 = coords[0], coords[1]
-        emb = [s, RatFunc.const(spec, c1 * c2) / s] + [RatFunc.const(spec, c) for c in coords[2:]]
-        return tuple(emb), c1
+        return 0
     if variant == "product_base":
-        c1, c2 = coords[r - 2], coords[r - 1]
-        emb = [RatFunc.const(spec, c) for c in coords[: r - 2]] + [s, RatFunc.const(spec, c1 * c2) / s]
-        return tuple(emb), c1
+        return r - 2
     raise ValueError(f"unknown variant {variant!r}")
+
+
+def _hyperbola_embedding(spec: FieldSpec, coords: Sequence[FieldElement], i: int) -> tuple:
+    """Coordinate functions of the witness curve through the point: (s,
+    c_{i+1}*c_{i+2}/s) at the indices i, i + 1 and the point's coordinates
+    elsewhere, so the point sits at s = c_{i+1}."""
+    s = RatFunc.param(spec)
+    emb = [RatFunc.const(spec, c) for c in coords]
+    emb[i:i + 2] = [s, RatFunc.const(spec, coords[i] * coords[i + 1]) / s]
+    return tuple(emb)
 
 
 def zero_cycle_vanishing_witness(z: ClosedPoint, D: ModulusDatum, n: int = 0,
@@ -685,22 +704,40 @@ def zero_cycle_vanishing_witness(z: ClosedPoint, D: ModulusDatum, n: int = 0,
         raise WrongLevel("point has the wrong number of cube coordinates")
     if not D.is_monomial:
         raise UnsupportedModulus("witnesses are constructed for monomial moduli")
+    i = _hyperbola_start(r, variant)
+    s0 = z.t_coords[i]
     ambient_D = ModulusDatum.monomial(spec, D.monomial_exponents)
     zc = ZeroCycle(spec, model, r, n, [(1, z)])
-    if not check_modulus_zerocycle(zc, ambient_D):
+    memo = {}
+    field = _rendered(memo, ser.spec_from_json, spec, ser.spec_to_json(spec))
+    point = _rendered(memo, ser.zerocycle_from_json, (zc, ambient_D),
+                      ser.zerocycle_to_json(zc, ambient_D))
+    _rendered(memo, ser.modulus_from_json, ambient_D, point["modulus"], spec)
+    for c, c_json in zip(z.t_coords, point["points"][0]["t"]):
+        _rendered(memo, ser.element_from_json, c, c_json, spec)
+    claim = _new_claim("point", point=point, variant=variant)
+    cert = WitnessCertificate(claim, [], [], _convention(model, True))
+    entries = _transcript(cert, "point", memo, parameter=ser.element_to_json(s0))
+    # the table lists the modulus and face checks first: the curve is built
+    # only for a point that passes both
+    cert.transcript = list(itertools.islice(entries, 2))
+    on_modulus, face = cert.transcript
+    if on_modulus["status"] != "pass":
         raise PointOnModulus(f"{z!r} lies on the divisor")
-    violations = check_face_condition(zc).violations
-    if violations:
+    if face["status"] != "pass":
+        violations = check_face_condition(zc).violations
         raise WitnessError(f"point violates the face condition: {violations}")
 
-    emb, s0 = _hyperbola_embedding(spec, z.t_coords, variant)
-    y = z.y_coords if model is CoordModel.ORIGINAL else \
-        psi_convert(z, CoordModel.ORIGINAL).y_coords
-    comps = [RatFunc.param(spec) - RatFunc.const(spec, s0)] + [RatFunc.const(spec, c) for c in y]
+    emb = _hyperbola_embedding(spec, z.t_coords, i)
+    target = zc if model is CoordModel.ORIGINAL else psi_convert(zc, CoordModel.ORIGINAL)
+    (z0, _), = target.items()
+    comps = [RatFunc.param(spec) - RatFunc.const(spec, s0)] + \
+        [RatFunc.const(spec, c) for c in z0.y_coords]
     curve = ParamCurve(spec, CoordModel.ORIGINAL, comps, graph_over_base=True)
-    claim = _new_claim("point", point=ser.zerocycle_to_json(zc, ambient_D), variant=variant)
-    witnesses = [{"embedding": ser.embedding_to_json(emb), "field": ser.spec_to_json(spec)},
-                 ser.curve_to_json(curve)]
-    cert = WitnessCertificate(claim, witnesses, [], _convention(model, True))
-    cert.transcript = list(_transcript(cert, "point", {}, parameter=ser.element_to_json(s0)))
+    cert.witnesses += [
+        {"embedding": _rendered(memo, ser.embedding_from_json, emb, ser.embedding_to_json(emb), spec),
+         "field": field},
+        _rendered(memo, ser.curve_from_json, curve, ser.curve_to_json(curve))]
+    _rendered(memo, ser.zerocycle_from_json, (target, None), ser.zerocycle_to_json(target))
+    cert.transcript.extend(entries)
     return cert

@@ -606,7 +606,7 @@ def reference_curve_avoids_divisor(embedding, D):
 
 
 class TestCurveAvoidsDivisor:
-    @pytest.mark.parametrize("spec", (F5, Q, F9), ids=lambda s: s.to_text())
+    @pytest.mark.parametrize("spec", (F5, F7, Q, F9), ids=lambda s: s.to_text())
     def test_equals_the_monomial_loop_reference(self, spec):
         # coordinates c*g^k, k = +-1 or +-2, have the poles of g when some k
         # is negative, so the curve often avoids a monomial divisor
@@ -632,20 +632,49 @@ class TestCurveAvoidsDivisor:
             seen.add((D.is_monomial, want))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
-    def test_an_embedding_over_an_extension_of_the_divisor_field(self):
-        F49 = make_field(7, [1, 0, 1])
-        s, u = RatFunc.param(F49), RatFunc.const(F49, F49.gen_u)
-        for D in (ModulusDatum.monomial(F7, [1, 2]),
-                  ModulusDatum(parse_poly("t1*t2 - 1", F7, VarSet(2, 0)))):
-            for emb in ((s, u / s), (s + u, s), (u * s, RatFunc.const(F49, 1) / (s * s + u))):
-                assert curve_avoids_divisor(emb, D) is reference_curve_avoids_divisor(emb, D)
+    @pytest.mark.parametrize("spec", (F5, F7, Q, F9), ids=lambda s: s.to_text())
+    def test_monomial_divisors_on_pinned_embeddings(self, spec):
+        # a monomial D takes the closed form, with no evaluation of D
+        s, zero, one = RatFunc.param(spec), RatFunc.const(spec, 0), RatFunc.const(spec, 1)
+        c, d = RatFunc.const(spec, spec.one + spec.one), RatFunc.const(spec, -spec.one)
+        for emb, exps, want in [
+            ((s, c / s), [1, 1], True),  # hyperbolas
+            ((d / s, s, c), [3, 2, 3], True),
+            ((s, zero), [1, 1], False),  # a zero coordinate
+            ((zero, c), [2, 1], False),
+            ((c, d), [1, 1], True),  # constant coordinates
+            ((c, d, c), [1, 3, 2], True),
+            ((s, one / s), [2, 1], True),  # the zero of s is the pole of 1/s
+            ((s, s * s), [1, 1], False),  # a zero no pole cancels
+            ((s - one, one / s), [1, 1], False),  # a pole-free zero
+        ]:
+            D = ModulusDatum.monomial(spec, exps)
+            assert curve_avoids_divisor(emb, D) is want is reference_curve_avoids_divisor(emb, D)
 
-    def test_one_coordinate_per_t_variable(self):
-        s = RatFunc.param(F7)
-        D = ModulusDatum.monomial(F7, [1, 1])
-        for emb in ((), (s,), (s, RatFunc.const(F7, 6) / s, s)):
-            with pytest.raises(ValueError, match="need one value per variable"):
-                curve_avoids_divisor(emb, D)
+    def test_an_embedding_over_an_extension_of_the_divisor_field(self):
+        for base, ext in ((F7, make_field(7, [1, 0, 1])), (make_field(3), F9)):
+            s, u = RatFunc.param(ext), RatFunc.const(ext, ext.gen_u)
+            for D in (ModulusDatum.monomial(base, [1, 2]), ModulusDatum.monomial(base, [3, 1]),
+                      ModulusDatum(parse_poly("t1*t2 - 1", base, VarSet(2, 0)))):
+                for emb in ((s, u / s), (s + u, s), (u * s, RatFunc.const(ext, 1) / (s * s + u)),
+                            (s * s + u, RatFunc.const(ext, 1) / (s * s + u))):
+                    assert curve_avoids_divisor(emb, D) is reference_curve_avoids_divisor(emb, D)
+
+    def test_an_embedding_over_another_field_is_refused(self):
+        s = RatFunc.param(F5)
+        for D in (ModulusDatum.monomial(F7, [1, 1]),
+                  ModulusDatum(parse_poly("t1*t2 - 1", F7, VarSet(2, 0)))):
+            with pytest.raises(FieldError):
+                curve_avoids_divisor((s, s), D)
+
+    @pytest.mark.parametrize("spec", (F5, F7, Q, F9), ids=lambda s: s.to_text())
+    def test_one_coordinate_per_t_variable(self, spec):
+        s = RatFunc.param(spec)
+        for D in (ModulusDatum.monomial(spec, [1, 1]),
+                  ModulusDatum(parse_poly("t1*t2 - 1", spec, VarSet(2, 0)))):
+            for emb in ((), (s,), (s, RatFunc.const(spec, 1) / s, s)):
+                with pytest.raises(ValueError, match="need one value per variable"):
+                    curve_avoids_divisor(emb, D)
 
 
 def reference_convert_poly(p, to_model):

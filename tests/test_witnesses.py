@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import itertools
 import json
 import random
 import subprocess
@@ -673,8 +674,9 @@ class TestDecodeOnce:
         # a second certificate, even an identical one, decodes again
         assert verify_certificate(json.loads(json.dumps(blob)))
         assert len(calls) == 2
+        # the generator checks the cycle it built: it decodes nothing
         generator_cycle(F7.element(3), 2)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_certificates_verified_in_turn_keep_their_verdicts(self, monkeypatch):
         W = cyc("1 - t1*t2*(2*y1*y2 + 3*y1 + 4*y2 + 5)", n=2)
@@ -764,3 +766,105 @@ def test_demo_script_runs():
     demo = Path(__file__).resolve().parent.parent / "scripts" / "demo_witnesses.py"
     done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def seeded_generator_runs():
+    """(claim kind, a call that runs one generator) over seeded inputs: the
+    three cycle generators over F5, F7 and Q, and points with n = 0..2 in
+    both models and both variants over every field of LEVEL_POINTS, F9
+    among them."""
+    from modcycles.suites import _rand_admissible_cycle
+
+    rng = random.Random("generator-memo")
+    runs = []
+    for spec in (F5, F7, Q):
+        def scalar():
+            if spec.char:
+                return spec.element(rng.randrange(spec.char))
+            return spec.element(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+        for r in (1, 2, 3):
+            a, flag = scalar(), rng.random() < 0.5
+            runs.append(("generator", lambda a=a, r=r, flag=flag: generator_cycle(a, r, flag)[1]))
+        moduli = [ModulusDatum.monomial(spec, e) for e in ([1, 1], [2, 1], [1, 2, 1])]
+        moduli.append(ModulusDatum(parse_poly("t1*t2 + t1^2", spec, VarSet(2, 0))))
+        for D in moduli:
+            vars = VarSet(D.r, 0)
+            terms = []
+            for mult in rng.sample((1, 2, -1), rng.randint(1, 2)):
+                g = MultiPoly.zero(spec, vars)
+                while not g:
+                    for _ in range(rng.randint(1, 3)):
+                        exps = tuple(rng.randrange(3) for _ in range(D.r))
+                        g = g + MultiPoly(spec, vars, {exps: scalar()})
+                terms.append((mult, MultiPoly.const(spec, vars, 1) - D.divisor_poly * g))
+            Z = HypersurfaceCycle(spec, vars, CoordModel.PSI, terms)
+            flag = rng.random() < 0.5
+            runs.append(("bounding", lambda Z=Z, D=D, flag=flag: bounding_surface(Z, D, flag)))
+        for _ in range(3):
+            W, D = _rand_admissible_cycle(rng, spec, 2, 2), ModulusDatum.monomial(spec, [1, 1])
+            runs.append(("identity", lambda W=W, D=D: verify_rho_reciprocity(W, D)))
+    for spec, t, y in LEVEL_POINTS.values():
+        D = ModulusDatum.monomial(spec, [1, 2])
+        for n, model, variant in itertools.product(range(3), CoordModel, ("plain", "product_base")):
+            z = ClosedPoint(spec, t, y[:n])
+            runs.append(("point", lambda z=z, D=D, n=n, model=model, variant=variant:
+                         zero_cycle_vanishing_witness(z, D, n=n, model=model, variant=variant)))
+    return runs
+
+
+def given_inputs(kind, cert):
+    """The transcript inputs that no certificate object binds: the point's
+    parameter on its curve."""
+    if kind != "point":
+        return {}
+    entry = next(e for e in cert.transcript if e["check"] == "point_on_curve")
+    return {"parameter": entry["data"]["parameter"]}
+
+
+def count_every_decode(monkeypatch):
+    """Record the name of each ``ser.*_from_json`` call from now on."""
+    calls = []
+    for name in [name for name in dir(ser) if name.endswith("_from_json")]:
+        def counted(*args, _decode=getattr(ser, name), _name=name):
+            calls.append(_name)
+            return _decode(*args)
+
+        monkeypatch.setattr(ser, name, counted)
+    return calls
+
+
+KINDS = ("generator", "bounding", "identity", "point")
+
+
+class TestGeneratorsCheckWhatTheyBuilt:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_generation_decodes_nothing(self, monkeypatch, kind):
+        runs = [run for k, run in seeded_generator_runs() if k == kind]
+        calls = count_every_decode(monkeypatch)
+        certs = [run() for run in runs]
+        assert calls == []
+        # the counter sees decoding: verification decodes every object again
+        assert [verify_certificate(json.loads(json.dumps(c.to_json()))) for c in certs] \
+            == [c.valid for c in certs]
+        assert calls
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_transcript_equals_one_decoded_from_scratch(self, kind):
+        runs = [run for k, run in seeded_generator_runs() if k == kind]
+        valid = 0
+        for run in runs:
+            cert = run()
+            fresh = list(witnesses._transcript(cert, kind, {}, **given_inputs(kind, cert)))
+            assert json.dumps(cert.transcript) == json.dumps(fresh)
+            if kind == "identity":
+                faces = witnesses._rendered_boundary({}, cert.claim["cycle"])
+                assert cert.claim["boundary_faces"] == faces
+            valid += cert.valid
+        # most seeded inputs make valid certificates, whose every entry passes
+        assert valid >= len(runs) // 2
+
+    def test_unknown_variant_is_a_value_error(self):
+        z = ClosedPoint(F7, [F7.element(2), F7.element(3)], [])
+        with pytest.raises(ValueError, match="unknown variant 'diagonal'"):
+            zero_cycle_vanishing_witness(z, D11_F7, variant="diagonal")
